@@ -11,22 +11,13 @@ Example:
 
 import argparse
 
-from mtbounds import (
-    bh_constants,
-    build_problem,
-    fdp_sd_matrix,
-    fdp_su_matrix,
-    lr_fdp_constants,
-    rescale,
-    solve,
-)
+from mtbounds import build_problem, family_constants, fdp_sd_matrix, fdp_su_matrix, solve_checked
 
 
 def comparison_row(n, gamma, family, direction):
     matrix = (fdp_su_matrix if direction == "su" else fdp_sd_matrix)(n, gamma)
-    raw = bh_constants(n) if family == "bh" else lr_fdp_constants(n, gamma)
-    floor, _ = rescale(raw, matrix)
-    solution = solve(build_problem(matrix, floor))
+    floor = family_constants(family, n, matrix)
+    solution = solve_checked(build_problem(matrix, floor))
     return solution.floor_objective, solution.objective, solution.m1, solution.m2
 
 

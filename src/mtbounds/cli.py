@@ -15,61 +15,29 @@ import sys
 import numpy as np
 
 from . import fileio, lp
-from .constants import (
-    bh_constants,
-    by_constants,
-    gr_sd_constants,
-    lr_fdp_constants,
-    lr_kfwer_constants,
-    rescale,
-)
 from .matrices import ErrorRateSpec, Rate, associated_matrix, bound_vector
-from .procedures import ProcedureSpec, run_procedure
+from .procedures import FAMILIES, FDR_FAMILIES, ProcedureSpec, family_constants, run_procedure
 from .simulation import SimConfig, run_study
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
 
-class CommandError(Exception):
-    """User-facing failure with a dedicated exit code."""
-
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class CommandError(ValueError):
+    """User-facing usage error (exit code 2)."""
 
 
 def _rate_spec(args) -> ErrorRateSpec:
     if args.rate is None:
         raise CommandError("--rate is required for this command")
     rate = Rate(args.rate)
-    try:
-        if rate.is_fdp:
-            if args.gamma is None:
-                raise CommandError(f"--gamma is required for rate {rate.value}")
-            return ErrorRateSpec(rate, args.n, gamma=args.gamma)
-        if args.k is None:
-            raise CommandError(f"--k is required for rate {rate.value}")
-        return ErrorRateSpec(rate, args.n, k=args.k)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-
-
-def _family_constants(args, spec: ErrorRateSpec | None):
-    family = args.family
-    if family == "bh":
-        return bh_constants(args.n)
-    if family == "by":
-        return by_constants(args.n)
-    if family == "gr":
-        return gr_sd_constants(args.n)
-    if family == "rs":
-        if spec is not None and not spec.rate.is_fdp:
-            return lr_kfwer_constants(args.n, spec.k)
+    if rate.is_fdp:
         if args.gamma is None:
-            raise CommandError("--gamma is required for family rs")
-        return lr_fdp_constants(args.n, args.gamma)
-    raise CommandError(f"unknown family {family!r}")
+            raise CommandError(f"--gamma is required for rate {rate.value}")
+        return ErrorRateSpec(rate, args.n, gamma=args.gamma)
+    if args.k is None:
+        raise CommandError(f"--k is required for rate {rate.value}")
+    return ErrorRateSpec(rate, args.n, k=args.k)
 
 
 def cmd_matrix(args) -> int:
@@ -82,18 +50,13 @@ def cmd_matrix(args) -> int:
 
 def cmd_constants(args) -> int:
     spec = _rate_spec(args) if args.rate else None
-    if spec is not None and args.family in ("by", "gr"):
+    if spec is not None and args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
-    c = _family_constants(args, spec)
-    if spec is not None and args.family in ("bh", "rs"):
-        matrix = associated_matrix(spec)
-        c, _ = rescale(c, matrix)
-        if args.modified:
-            problem = lp.build_problem(matrix, c)
-            solution = _solve(problem, args.cache_dir)
-            c = solution.xi
-    elif args.modified:
+    if args.modified and spec is None:
         raise CommandError("--modified requires --rate with family bh or rs")
+    matrix = associated_matrix(spec) if spec is not None else None
+    c = family_constants(args.family, args.n, matrix, args.gamma,
+                         modified=args.modified, cache_dir=args.cache_dir)
     if args.alpha is not None:
         c = c.scaled(args.alpha)
     text = fileio.constants_json(c) if args.format == "json" else fileio.constants_csv(c)
@@ -101,26 +64,15 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _solve(problem: lp.LPProblem, cache_dir) -> lp.LPSolution:
-    solution = (lp.solve_cached(problem, cache_dir) if cache_dir
-                else lp.solve(problem))
-    if solution.status is not lp.SolveStatus.OPTIMAL:
-        raise CommandError(f"solver failed: {solution.status.value}", NUMERIC_ERROR)
-    return solution
-
-
 def cmd_optimize(args) -> int:
     spec = _rate_spec(args)
-    if args.family in ("by", "gr"):
+    if args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized; nothing to optimize")
     matrix = associated_matrix(spec)
-    floor, _ = rescale(_family_constants(args, spec), matrix)
+    floor = family_constants(args.family, args.n, matrix)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
-    try:
-        problem = lp.build_problem(matrix, floor, weights=weights)
-    except lp.InfeasibleFloorError as exc:
-        raise CommandError(str(exc), NUMERIC_ERROR) from exc
-    solution = _solve(problem, args.cache_dir)
+    problem = lp.build_problem(matrix, floor, weights=weights)
+    solution = lp.solve_checked(problem, args.cache_dir)
     text = (fileio.solution_json(problem, solution) if args.format == "json"
             else fileio.solution_csv(problem, solution))
     fileio.write_text(text, args.output)
@@ -137,30 +89,22 @@ def cmd_verify(args) -> int:
     else:
         if args.family is None:
             raise CommandError("verify needs --input or --family")
-        c = _family_constants(args, spec)
-        if args.family in ("bh", "rs"):
-            c, _ = rescale(c, matrix)
-            if args.modified:
-                solution = _solve(lp.build_problem(matrix, c), args.cache_dir)
-                c = solution.xi
+        c = family_constants(args.family, args.n, matrix,
+                             modified=args.modified, cache_dir=args.cache_dir)
     worst = float(np.max(bound_vector(matrix, c)))
-    feasible = worst <= 1.0 + 1e-9
+    feasible = worst <= 1.0 + lp.FEASIBILITY_TOL
     fileio.write_text(f"max bound {worst:.6f}\nfeasible: {'yes' if feasible else 'no'}\n",
                       args.output)
     return 0
 
 
 def _procedure_spec(args) -> ProcedureSpec:
-    try:
-        if args.family in ("by", "gr"):
-            if args.rate is not None:
-                raise CommandError(f"family {args.family!r} does not take --rate")
-            return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha)
-        spec = _rate_spec(args)
-        return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
-                             rate=spec, modified=args.modified)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    if args.family in FDR_FAMILIES:
+        if args.rate is not None:
+            raise CommandError(f"family {args.family!r} does not take --rate")
+        return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha)
+    return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
+                         rate=_rate_spec(args), modified=args.modified)
 
 
 def cmd_adjust(args) -> int:
@@ -218,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, help="k for kFWER rates")
             p.add_argument("--gamma", type=float, help="gamma for FDP rates")
         if family:
-            p.add_argument("--family", choices=["bh", "rs", "by", "gr"],
+            p.add_argument("--family", choices=FAMILIES,
                            help="constant family")
         if alpha:
             p.add_argument("--alpha", type=float, help="significance level multiplier")
@@ -279,13 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} requires --n")
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (lp.SolverError, lp.InfeasibleFloorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except fileio.InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+        return NUMERIC_ERROR
+    except (ValueError, OSError) as exc:  # CommandError and InputFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,12 +34,14 @@ __all__ = [
     "SOLVER_VERSION",
     "SolveStatus",
     "InfeasibleFloorError",
+    "SolverError",
     "LPProblem",
     "LPSolution",
     "build_problem",
     "solve",
     "diagnostics",
     "solve_cached",
+    "solve_checked",
     "cache_key",
 ]
 
@@ -57,15 +61,17 @@ class InfeasibleFloorError(ValueError):
     """The floor vector violates the bound constraints."""
 
 
+class SolverError(RuntimeError):
+    """The solver returned no optimal vector."""
+
+
 @dataclass(frozen=True)
 class LPProblem:
-    """The assembled program: matrix, feasible floor, mean-1 weights, optional
-    per-coordinate cap."""
+    """The assembled program: matrix, feasible floor and mean-1 weights."""
 
     matrix: AssociatedMatrix
     floor: CriticalVector
     weights: np.ndarray
-    cap: float | None = None
 
     @property
     def n(self) -> int:
@@ -102,7 +108,6 @@ def build_problem(
     matrix: AssociatedMatrix,
     floor: CriticalVector,
     weights: np.ndarray | None = None,
-    cap: float | None = None,
 ) -> LPProblem:
     """Validate inputs and assemble an LPProblem.
 
@@ -127,13 +132,8 @@ def build_problem(
         if total <= 0:
             raise ValueError("weights must have positive sum")
         w = w * (n / total)  # mean 1, so uniform weights give plain column sums
-    if cap is not None:
-        if cap <= 0:
-            raise ValueError("cap must be positive")
-        if float(floor.values[-1]) > cap:
-            raise ValueError("cap lies below the floor")
     w.setflags(write=False)
-    return LPProblem(matrix=matrix, floor=floor, weights=w, cap=cap)
+    return LPProblem(matrix=matrix, floor=floor, weights=w)
 
 
 class _Unbounded(Exception):
@@ -144,14 +144,7 @@ class _IterationLimit(Exception):
     pass
 
 
-def _simplex_max(
-    rows: np.ndarray,
-    rhs: np.ndarray,
-    obj: np.ndarray,
-    tol: float = FEASIBILITY_TOL,
-    max_iter: int | None = None,
-    log_every: int = 1000,
-) -> tuple[np.ndarray, int]:
+def _simplex_max(rows: np.ndarray, rhs: np.ndarray, obj: np.ndarray) -> tuple[np.ndarray, int]:
     """Maximize obj @ x subject to rows @ x <= rhs, x >= 0, with rhs >= 0.
 
     Standard dense tableau; Bland's rule (lowest-index entering column,
@@ -165,15 +158,13 @@ def _simplex_max(
     T[:m, -1] = rhs
     T[m, :nvar] = -obj
     basis = np.arange(nvar, nvar + m)
-    if max_iter is None:
-        max_iter = 1000 + 50 * width
-    for it in range(1, max_iter + 1):
-        negative = np.flatnonzero(T[m, :nvar + m] < -tol)
+    for it in range(1, 1001 + 50 * width):
+        negative = np.flatnonzero(T[m, :nvar + m] < -FEASIBILITY_TOL)
         if negative.size == 0:
             break
         enter = int(negative[0])
         col = T[:m, enter]
-        positive = col > tol
+        positive = col > FEASIBILITY_TOL
         if not positive.any():
             raise _Unbounded
         ratios = np.full(m, np.inf)
@@ -186,7 +177,7 @@ def _simplex_max(
         T[leave] = pivot_row
         basis[leave] = enter
         np.maximum(T[:m, -1], 0.0, out=T[:m, -1])  # degeneracy dribble
-        if log_every and it % log_every == 0:
+        if it % 1000 == 0:
             logger.info("simplex iteration %d, objective %.9g", it, T[m, -1])
     else:
         raise _IterationLimit
@@ -207,7 +198,7 @@ def _failure(problem: LPProblem, iterations: int) -> LPSolution:
     )
 
 
-def solve(problem: LPProblem, *, log_every: int = 1000) -> LPSolution:
+def solve(problem: LPProblem) -> LPSolution:
     """Run the simplex and package the optimum with its diagnostics.
 
     Never returns an infeasible point: numeric trouble (cycling cap,
@@ -219,19 +210,13 @@ def solve(problem: LPProblem, *, log_every: int = 1000) -> LPSolution:
     n = problem.n
     mono = -np.eye(n)
     mono[np.arange(1, n), np.arange(n - 1)] = 1.0
-    blocks = [A, mono]
     rhs = [
         np.maximum(1.0 - A @ c, 0.0),
         np.maximum(np.diff(c, prepend=0.0), 0.0),
     ]
-    if problem.cap is not None:
-        blocks.append(np.eye(n))
-        rhs.append(np.maximum(problem.cap - c, 0.0))
     try:
         zeta, iterations = _simplex_max(
-            np.vstack(blocks), np.concatenate(rhs),
-            problem.objective_coefficients, log_every=log_every,
-        )
+            np.vstack([A, mono]), np.concatenate(rhs), problem.objective_coefficients)
     except (_Unbounded, _IterationLimit):
         return _failure(problem, 0)
     xi = c + np.maximum(zeta, 0.0)
@@ -281,7 +266,7 @@ def diagnostics(
 
 def cache_key(problem: LPProblem) -> str:
     """Content hash identifying a solve: rate, n, parameter, floor family and
-    exact values, weights, cap and solver version."""
+    exact values, weights and solver version."""
     spec = problem.matrix.spec
     h = hashlib.sha256()
     parts = [
@@ -290,7 +275,6 @@ def cache_key(problem: LPProblem) -> str:
         repr(spec.k) if spec.k is not None else repr(spec.gamma),
         problem.floor.family.value,
         repr(sorted((problem.floor.params or {}).items())),
-        repr(problem.cap),
         SOLVER_VERSION,
     ]
     h.update("|".join(parts).encode())
@@ -336,12 +320,14 @@ def _solution_from_json(payload: dict) -> LPSolution:
     )
 
 
-def solve_cached(problem: LPProblem, cache_dir: str | Path, **kwargs) -> LPSolution:
+def solve_cached(problem: LPProblem, cache_dir: str | Path) -> LPSolution:
     """solve() with an on-disk JSON cache keyed by ``cache_key``.
 
     Cached vectors round-trip bit-for-bit (JSON stores shortest-roundtrip
     decimals). Entries written by a different solver version are re-solved
-    and overwritten.
+    and overwritten. Only optimal solutions are stored, each written to a
+    temporary file and renamed into place, so a reader never sees a partial
+    entry and a failed solve is tried again next time.
     """
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
@@ -353,6 +339,23 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path, **kwargs) -> LPSolut
             payload = None
         if payload and payload.get("solver_version") == SOLVER_VERSION:
             return _solution_from_json(payload)
-    solution = solve(problem, **kwargs)
-    path.write_text(json.dumps(_solution_to_json(solution)))
+    solution = solve(problem)
+    if solution.status is SolveStatus.OPTIMAL:
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(_solution_to_json(solution)))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    return solution
+
+
+def solve_checked(problem: LPProblem, cache_dir: str | Path | None = None) -> LPSolution:
+    """solve(), through the cache when ``cache_dir`` is set (not None or
+    empty); raises SolverError unless the solution is optimal."""
+    solution = solve_cached(problem, cache_dir) if cache_dir else solve(problem)
+    if solution.status is not SolveStatus.OPTIMAL:
+        raise SolverError(f"solver failed: {solution.status.value}")
     return solution

@@ -15,7 +15,8 @@ the raw ``entries`` array uses ordinary 0-based numpy indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,13 +25,9 @@ __all__ = [
     "Rate",
     "ErrorRateSpec",
     "AssociatedMatrix",
-    "FdpSuAux",
-    "FdpSdAux",
     "kfwer_su_matrix",
     "kfwer_sd_matrix",
-    "fdp_su_aux",
     "fdp_su_matrix",
-    "fdp_sd_aux",
     "fdp_sd_matrix",
     "associated_matrix",
     "bound_vector",
@@ -115,11 +112,6 @@ class ErrorRateSpec:
         return f"rate={self.rate.value} n={self.n} k={self.k}"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class AssociatedMatrix:
     """The nonnegative bound matrix for one error-rate spec.
@@ -135,184 +127,95 @@ class AssociatedMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (self.spec.n, self.spec.n):
             raise ValueError(f"entries must be {self.spec.n}x{self.spec.n}, got {e.shape}")
-        object.__setattr__(self, "entries", _readonly(e))
+        e.setflags(write=False)
+        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
         return self.spec.n
 
 
-@dataclass(frozen=True)
-class FdpSuAux:
-    """Per-row index machinery behind the FDP step-up matrix.
+def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, Callable]:
+    """The order-statistic event system behind every row of the matrix.
 
-    For row (true count) ``row``:
-
-    - ``usable``: largest column l whose minimal order-statistic level
-      floor(gamma*l)+1 still fits below ``row``; columns past it never occur
-      in the bound for this row.
-    - ``levels``: for columns l = 1..usable, the order-statistic level paired
-      with column l. Starts at 1, nondecreasing, steps of at most 1.
-    - ``n_events``: number of distinct levels (= levels[-1]).
-    - ``event_cols``: for each level k = 1..n_events, the largest column
-      carrying that level; these are the columns with nonzero matrix entries.
+    Returns ``(first, last, column)``: row i holds the levels
+    ``first..last[i-1]`` (none when ``last[i-1] < first``), and level L of
+    the rows in the integer array ``rows`` pairs with the constants at
+    columns ``column(L, rows)``. The kFWER systems start at level k, the
+    tail-FDP systems at level 1.
     """
-
-    row: int
-    usable: int
-    n_events: int
-    event_cols: np.ndarray
-    levels: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "event_cols", _readonly(np.asarray(self.event_cols, dtype=int)))
-        object.__setattr__(self, "levels", _readonly(np.asarray(self.levels, dtype=int)))
-
-
-@dataclass(frozen=True)
-class FdpSdAux:
-    """Per-row index machinery behind the FDP step-down matrix.
-
-    - ``col_map``: for bound level l = 1..floor(gamma*n)+1, the column index
-      min(n, n+l-row, ceil(l/gamma)-1) whose constant enters the bound at
-      level l (the gamma term drops out when gamma == 0).
-    - ``n_events``: number of levels that actually contribute.
-    - ``columns``: distinct values of ``col_map`` (the only columns that can
-      receive weight in this row).
-    """
-
-    row: int
-    col_map: np.ndarray
-    n_events: int
-    columns: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        cm = _readonly(np.asarray(self.col_map, dtype=int))
-        object.__setattr__(self, "col_map", cm)
-        object.__setattr__(self, "columns", frozenset(int(c) for c in cm))
-
-
-def kfwer_su_matrix(n: int, k: int) -> AssociatedMatrix:
-    """Bound matrix for the k-familywise error rate of step-up procedures.
-
-    Row i is zero below the diagonal band: for i >= k the entries are
-    i/(u*(u+1)) at columns j = n+k-i .. n-1 (u = j-n+i) and 1 at column n;
-    rows i < k are identically zero.
-    """
-    spec = ErrorRateSpec.kfwer_su(n, k)
-    A = np.zeros((n, n))
-    for i in range(k, n + 1):
-        u = np.arange(k, i, dtype=float)  # u = j-n+i for j = n+k-i .. n-1
-        cols = u.astype(int) + n - i
-        A[i - 1, cols - 1] = i / (u * (u + 1.0))
-        A[i - 1, n - 1] = 1.0
-    return AssociatedMatrix(spec, A)
-
-
-def kfwer_sd_matrix(n: int, k: int) -> AssociatedMatrix:
-    """Bound matrix for the k-familywise error rate of step-down procedures.
-
-    Single nonzero entry per row i >= k: value i/k at column n-i+k.
-    """
-    spec = ErrorRateSpec.kfwer_sd(n, k)
-    A = np.zeros((n, n))
-    for i in range(k, n + 1):
-        A[i - 1, n - i + k - 1] = i / k
-    return AssociatedMatrix(spec, A)
-
-
-def _min_levels(gamma: float, n: int) -> np.ndarray:
-    """floor(gamma*l)+1 for l = 1..n: the smallest order-statistic level at
-    which rejecting down to constant l can push the FDP above gamma."""
-    lvals = np.arange(1, n + 1, dtype=float)
-    return np.floor(gamma * lvals).astype(int) + 1
-
-
-def fdp_su_aux(n: int, gamma: float, i: int) -> FdpSuAux:
-    """Index machinery for row ``i`` of the FDP step-up matrix."""
-    ErrorRateSpec.fdp_su(n, gamma)  # validates n, gamma
-    if not 1 <= i <= n:
-        raise ValueError(f"row must satisfy 1 <= i <= n={n}, got {i}")
-    m = _min_levels(gamma, n)
-    usable = int(np.searchsorted(m, i, side="right"))  # m is nondecreasing, m[0] = 1 <= i
-    lv = np.arange(1, usable + 1)
-    levels = np.maximum(i - n + lv, m[:usable])
-    n_events = int(levels[-1])
-    # levels is nondecreasing with steps <= 1 and starts at 1, so every level
-    # 1..n_events occurs; the last column carrying level k sits at position
-    # (count of entries <= k) in 1-based terms.
-    event_cols = np.searchsorted(levels, np.arange(1, n_events + 1), side="right")
-    return FdpSuAux(row=i, usable=usable, n_events=n_events,
-                    event_cols=event_cols, levels=levels)
-
-
-def fdp_su_matrix(n: int, gamma: float) -> AssociatedMatrix:
-    """Bound matrix for the tail false discovery proportion of step-up
-    procedures.
-
-    Row i is supported on its event columns: i*(1/k - 1/(k+1)) at the column
-    of level k < n_events and i/n_events at the last one.
-    """
-    spec = ErrorRateSpec.fdp_su(n, gamma)
-    A = np.zeros((n, n))
-    m = _min_levels(gamma, n)
-    for i in range(1, n + 1):
-        usable = int(np.searchsorted(m, i, side="right"))
-        lv = np.arange(1, usable + 1)
-        levels = np.maximum(i - n + lv, m[:usable])
-        M = int(levels[-1])
-        cols = np.searchsorted(levels, np.arange(1, M + 1), side="right")
-        ks = np.arange(1, M + 1, dtype=float)
-        coef = i / (ks * (ks + 1.0))  # 1/k - 1/(k+1) without cancellation
-        coef[-1] = i / M
-        A[i - 1, cols - 1] = coef
-    return AssociatedMatrix(spec, A)
-
-
-def fdp_sd_aux(n: int, gamma: float, i: int) -> FdpSdAux:
-    """Index machinery for row ``i`` of the FDP step-down matrix."""
-    ErrorRateSpec.fdp_sd(n, gamma)
-    if not 1 <= i <= n:
-        raise ValueError(f"row must satisfy 1 <= i <= n={n}, got {i}")
-    lmax = math.floor(gamma * n) + 1
-    lv = np.arange(1, lmax + 1)
-    col_map = np.minimum(n, n + lv - i)
-    if gamma > 0.0:
-        col_map = np.minimum(col_map, np.ceil(lv / gamma).astype(int) - 1)
-    n_events = min(lmax, i, math.floor(gamma * ((n - i) / (1.0 - gamma) + 1.0)) + 1)
-    return FdpSdAux(row=i, col_map=col_map, n_events=int(n_events))
-
-
-def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
-    """Bound matrix for the tail false discovery proportion of step-down
-    procedures.
-
-    Row i first receives staircase weights i*(1/j - 1/(j+1)) for levels
-    j < n_events and i/n_events at the last level, then each level's weight
-    is moved to its mapped column; columns mapped by several levels
-    accumulate.
-    """
-    spec = ErrorRateSpec.fdp_sd(n, gamma)
-    A = np.zeros((n, n))
-    for i in range(1, n + 1):
-        aux = fdp_sd_aux(n, gamma, i)
-        N = aux.n_events
-        js = np.arange(1, N + 1, dtype=float)
-        w = i / (js * (js + 1.0))
-        w[-1] = i / N
-        np.add.at(A[i - 1], aux.col_map[:N] - 1, w)
-    return AssociatedMatrix(spec, A)
+    n = spec.n
+    rows = np.arange(1, n + 1)
+    if spec.rate is Rate.KFWER_SU:
+        return spec.k, rows, lambda L, r: n - r + L
+    if spec.rate is Rate.KFWER_SD:
+        return spec.k, np.where(rows >= spec.k, spec.k, 0), lambda L, r: n - r + L
+    gamma = spec.gamma
+    if spec.rate is Rate.FDP_SU:
+        # Rejecting down to constant l can push the FDP above gamma only from
+        # level floor(gamma*l)+1 on; a row pairs each level with the largest
+        # column that level can reach.
+        min_level = np.floor(gamma * rows).astype(int) + 1
+        usable = np.searchsorted(min_level, rows, side="right")
+        last = np.maximum(rows - n + usable, min_level[usable - 1])
+        return 1, last, lambda L, r: np.minimum(
+            L + n - r, np.searchsorted(min_level, L, side="right"))
+    # Step-down: with L false rejections the FDP exceeds gamma only while the
+    # rejection count stays below L/gamma, and with i true nulls it is at most
+    # n-i+L; level L pairs with the largest such count.
+    last = np.minimum(
+        np.minimum(rows, math.floor(gamma * n) + 1),
+        np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1)
+    return 1, last, lambda L, r: np.minimum(
+        n + L - r, n if gamma == 0.0 else min(n, math.ceil(L / gamma) - 1))
 
 
 def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:
-    """Build the matrix for any error-rate spec."""
-    if spec.rate is Rate.KFWER_SU:
-        return kfwer_su_matrix(spec.n, spec.k)
-    if spec.rate is Rate.KFWER_SD:
-        return kfwer_sd_matrix(spec.n, spec.k)
-    if spec.rate is Rate.FDP_SU:
-        return fdp_su_matrix(spec.n, spec.gamma)
-    return fdp_sd_matrix(spec.n, spec.gamma)
+    """Build the matrix for any error-rate spec.
+
+    Row i is the generalized Bonferroni bound on the union of its events
+    (Lehmann & Romano 2005; Romano & Shaikh 2006): level L < last puts
+    i*(L_next-L)/(L*L_next) on its column, the last level i/L_last. The loop
+    runs over levels and fills every row holding a level at once.
+    """
+    n = spec.n
+    first, last, column = _event_system(spec)
+    order = np.argsort(-last, kind="stable")  # rows by last level, descending
+    top = int(last[order[0]])
+    # the rows holding level first+j are the first holding[j] rows of order
+    holding = np.searchsorted(-last[order], -np.arange(first, top + 2), side="right")
+    by_last = order + 1
+    row_start = order * n - 1  # flat index of each row's column 0, minus 1
+    A = np.zeros((n, n))
+    flat = A.reshape(-1)
+    weights = np.empty(n)
+    for L, held, going_on in zip(range(first, top + 1), holding, holding[1:]):
+        rows = by_last[:held]
+        L_next = L + 1
+        weights[:going_on] = rows[:going_on] * (L_next - L) / (L * L_next)
+        weights[going_on:held] = rows[going_on:] / L
+        flat[row_start[:held] + column(L, rows)] += weights[:held]
+    return AssociatedMatrix(spec, A)
+
+
+def kfwer_su_matrix(n: int, k: int) -> AssociatedMatrix:
+    """Bound matrix for the k-familywise error rate of step-up procedures."""
+    return associated_matrix(ErrorRateSpec.kfwer_su(n, k))
+
+
+def kfwer_sd_matrix(n: int, k: int) -> AssociatedMatrix:
+    """Bound matrix for the k-familywise error rate of step-down procedures."""
+    return associated_matrix(ErrorRateSpec.kfwer_sd(n, k))
+
+
+def fdp_su_matrix(n: int, gamma: float) -> AssociatedMatrix:
+    """Bound matrix for the tail false discovery proportion of step-up procedures."""
+    return associated_matrix(ErrorRateSpec.fdp_su(n, gamma))
+
+
+def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
+    """Bound matrix for the tail false discovery proportion of step-down procedures."""
+    return associated_matrix(ErrorRateSpec.fdp_sd(n, gamma))
 
 
 def _constant_values(c) -> np.ndarray:
@@ -352,19 +255,7 @@ def row_events(spec: ErrorRateSpec, i: int) -> list[tuple[int, int]]:
     matrix dotted with c is the generalized Bonferroni bound on that union's
     probability. An empty list means the event is impossible for this row.
     """
-    n = spec.n
-    if not 1 <= i <= n:
-        raise ValueError(f"row must satisfy 1 <= i <= n={n}, got {i}")
-    if spec.rate is Rate.KFWER_SU:
-        if i < spec.k:
-            return []
-        return [(l, n - i + l) for l in range(spec.k, i + 1)]
-    if spec.rate is Rate.KFWER_SD:
-        if i < spec.k:
-            return []
-        return [(spec.k, n - i + spec.k)]
-    if spec.rate is Rate.FDP_SU:
-        aux = fdp_su_aux(n, spec.gamma, i)
-        return [(k + 1, int(col)) for k, col in enumerate(aux.event_cols)]
-    aux = fdp_sd_aux(n, spec.gamma, i)
-    return [(l + 1, int(aux.col_map[l])) for l in range(aux.n_events)]
+    if not 1 <= i <= spec.n:
+        raise ValueError(f"row must satisfy 1 <= i <= n={spec.n}, got {i}")
+    first, last, column = _event_system(spec)
+    return [(L, int(column(L, i))) for L in range(first, int(last[i - 1]) + 1)]

@@ -1,5 +1,6 @@
-"""Step-up/step-down testing procedures, decision statistics and adjusted
-p-values.
+"""Step-up/step-down testing procedures, decision statistics, adjusted
+p-values, and ``family_constants``, the one path from a named constant
+family to feasible constants.
 
 Hypotheses are identified by their 1-based position in the input p-value
 vector. Sorting is stable on (value, original index), so ties are resolved
@@ -25,7 +26,7 @@ from .constants import (
     lr_kfwer_constants,
     rescale,
 )
-from .matrices import ErrorRateSpec, associated_matrix
+from .matrices import AssociatedMatrix, ErrorRateSpec, associated_matrix
 
 __all__ = [
     "PValueVector",
@@ -35,13 +36,18 @@ __all__ = [
     "step_down",
     "adjusted_pvalues",
     "fdp_stats",
+    "FAMILIES",
     "ProcedureSpec",
+    "family_constants",
     "feasible_constants",
     "run_procedure",
     "standard_roster",
 ]
 
+# Constant-family selector names: bh and rs are rescaled into a bound
+# matrix's feasible set, by and gr ship pre-normalized for FDR control.
 FAMILIES = ("bh", "rs", "by", "gr")
+FDR_FAMILIES = FAMILIES[2:]
 
 
 @dataclass(frozen=True)
@@ -207,14 +213,13 @@ class ProcedureSpec:
     alpha: float
     rate: ErrorRateSpec | None = None
     modified: bool = False
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.family in ("by", "gr"):
+        if self.family in FDR_FAMILIES:
             if self.rate is not None:
                 raise ValueError(f"family {self.family!r} does not take an error-rate matrix")
             if self.modified:
@@ -235,8 +240,6 @@ class ProcedureSpec:
 
     @property
     def name(self) -> str:
-        if self.label:
-            return self.label
         if self.family == "by":
             return "FDR-BY-SU"
         if self.family == "gr":
@@ -246,32 +249,57 @@ class ProcedureSpec:
         return f"{base} (mod)" if self.modified else base
 
 
-def _floor_constants(spec: ProcedureSpec) -> CriticalVector:
-    if spec.family == "bh":
-        return bh_constants(spec.n)
-    if spec.rate.rate.is_fdp:
-        return lr_fdp_constants(spec.n, spec.rate.gamma)
-    return lr_kfwer_constants(spec.n, spec.rate.k)
+def family_constants(
+    family: str,
+    n: int,
+    matrix: AssociatedMatrix | None = None,
+    gamma: float | None = None,
+    *,
+    modified: bool = False,
+    cache_dir: str | Path | None = None,
+) -> CriticalVector:
+    """The level-1 constants of a named family, along the one path
+    family -> raw vector -> rescale -> [LP improvement].
+
+    ``by`` and ``gr`` come pre-normalized and ignore the rest. ``bh`` and
+    ``rs`` are rescaled into the feasible set of ``matrix`` and, when
+    ``modified``, improved by the LP (through the cache in ``cache_dir``);
+    without a matrix they stay raw. Raw ``rs`` is the Lehmann-Romano kFWER
+    family for a kFWER matrix and the tail-FDP family otherwise, at the
+    matrix's gamma or at ``gamma``. Raises lp.SolverError when the LP has no
+    optimal solution.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family in FDR_FAMILIES:
+        return by_constants(n) if family == "by" else gr_sd_constants(n)
+    if modified and matrix is None:
+        raise ValueError("modified constants need an error-rate matrix")
+    spec = None if matrix is None else matrix.spec
+    if family == "bh":
+        raw = bh_constants(n)
+    elif spec is not None and not spec.rate.is_fdp:
+        raw = lr_kfwer_constants(n, spec.k)
+    else:
+        if spec is not None:
+            gamma = spec.gamma
+        if gamma is None:
+            raise ValueError("family 'rs' needs gamma or an error-rate matrix")
+        raw = lr_fdp_constants(n, gamma)
+    if matrix is None:
+        return raw
+    floor, _ = rescale(raw, matrix)
+    if not modified:
+        return floor
+    return lp.solve_checked(lp.build_problem(matrix, floor), cache_dir).xi
 
 
 def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:
-    """The level-1 constants of the procedure: rescaled (and, if requested,
-    LP-improved) for bh/rs, the pre-normalized family vector for by/gr.
+    """The level-1 constants of the procedure (see ``family_constants``).
     Multiply by alpha to obtain the applied thresholds."""
-    if spec.family == "by":
-        return by_constants(spec.n)
-    if spec.family == "gr":
-        return gr_sd_constants(spec.n)
-    matrix = associated_matrix(spec.rate)
-    floor, _ = rescale(_floor_constants(spec), matrix)
-    if not spec.modified:
-        return floor
-    problem = lp.build_problem(matrix, floor)
-    solution = (lp.solve_cached(problem, cache_dir) if cache_dir is not None
-                else lp.solve(problem))
-    if solution.status is not lp.SolveStatus.OPTIMAL:
-        raise RuntimeError(f"constant optimization failed: {solution.status.value}")
-    return solution.xi
+    matrix = associated_matrix(spec.rate) if spec.rate is not None else None
+    return family_constants(spec.family, spec.n, matrix, modified=spec.modified,
+                            cache_dir=cache_dir)
 
 
 def run_procedure(

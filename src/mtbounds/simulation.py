@@ -45,8 +45,9 @@ def default_true_counts(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One study: a single n, grids over true counts and effect sizes, and a
-    procedure roster (the ten-procedure standard set when omitted)."""
+    """One study: a single n and grids over true counts and effect sizes, run
+    on the ten-procedure standard roster. ``seed`` keys the Philox streams
+    and must lie in [0, 2**64)."""
 
     n: int
     true_counts: tuple[int, ...] = ()
@@ -57,7 +58,6 @@ class SimConfig:
     gamma: float = 0.05
     fdr_level: float = 0.05
     seed: int = 0
-    procedures: tuple[ProcedureSpec, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -76,10 +76,10 @@ class SimConfig:
             raise ValueError("reps must be positive")
         if not 0.0 < self.alpha < 1.0 or not 0.0 <= self.gamma < 1.0:
             raise ValueError("alpha must lie in (0,1) and gamma in [0,1)")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def roster(self) -> tuple[ProcedureSpec, ...]:
-        if self.procedures is not None:
-            return self.procedures
         return standard_roster(self.n, gamma=self.gamma, alpha=self.alpha,
                                fdr_level=self.fdr_level)
 
@@ -149,8 +149,7 @@ def sample_statistics(n: int, true_count: int, effect: float, rho: float,
 
 
 def _replication_rng(seed: int, rep: int) -> np.random.Generator:
-    key = seed & ((1 << 64) - 1)
-    return np.random.Generator(np.random.Philox(key=key, counter=rep << 128))
+    return np.random.Generator(np.random.Philox(key=seed, counter=rep << 128))
 
 
 def _procedure_tables(

@@ -18,18 +18,16 @@ from mtbounds import (
     PValueVector,
     SimConfig,
     associated_matrix,
-    bh_constants,
     bound_vector,
     build_problem,
     by_constants,
+    family_constants,
     fdp_sd_matrix,
     fdp_su_matrix,
     gr_sd_constants,
     kfwer_sd_matrix,
     kfwer_su_matrix,
-    lr_fdp_constants,
     lr_kfwer_constants,
-    rescale,
     row_events,
     run_procedure,
     run_study,
@@ -62,13 +60,7 @@ TABLE1 = {
 
 
 def family_floor(matrix, family):
-    if family == "bh":
-        raw = bh_constants(matrix.n)
-    elif matrix.spec.rate.is_fdp:
-        raw = lr_fdp_constants(matrix.n, matrix.spec.gamma)
-    else:
-        raw = lr_kfwer_constants(matrix.n, matrix.spec.k)
-    return rescale(raw, matrix)[0]
+    return family_constants(family, matrix.n, matrix)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mtbounds import lp
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -232,11 +233,42 @@ class TestSimulateCommand:
         assert len(payload["cells"]) == 10
 
 
+class TestSolverFailure:
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--family", "bh", "--n", "10", "--rate", "fdp-sd",
+         "--gamma", "0.05", "--modified"],
+        ["optimize", "--family", "bh", "--n", "10", "--rate", "fdp-sd", "--gamma", "0.05"],
+        ["verify", "--family", "bh", "--n", "10", "--rate", "fdp-sd", "--gamma", "0.05",
+         "--modified"],
+        ["adjust", "--family", "bh", "--rate", "fdp-sd", "--gamma", "0.05",
+         "--alpha", "0.5", "--modified"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_exits_3(self, argv, cached, bh95_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lp, "solve", lambda problem: lp._failure(problem, 0))
+        if argv[0] == "adjust":
+            argv = argv + ["--input", str(bh95_file)]
+        if cached:
+            argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "solver failed: numeric-failure" in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, seed, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "5", "--d", "1", "--reps", "10",
+                             "--seed", seed, "--threads", "1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
     def test_missing_n(self, capsys):
         with pytest.raises(SystemExit) as exc:

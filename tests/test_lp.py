@@ -11,16 +11,15 @@ from mtbounds import (
     bound_vector,
     build_problem,
     diagnostics,
+    family_constants,
     fdp_sd_matrix,
     fdp_su_matrix,
     kfwer_sd_matrix,
     kfwer_su_matrix,
-    lr_fdp_constants,
-    lr_kfwer_constants,
-    rescale,
     solve,
     solve_cached,
 )
+from mtbounds import lp
 from mtbounds.lp import SOLVER_VERSION, cache_key
 from mtbounds.matrices import AssociatedMatrix, ErrorRateSpec, Rate
 
@@ -41,13 +40,7 @@ def scipy_optimum(matrix, floor, weights=None):
 
 
 def rescaled_floor(matrix, family="bh"):
-    if family == "bh":
-        raw = bh_constants(matrix.n)
-    elif matrix.spec.rate.is_fdp:
-        raw = lr_fdp_constants(matrix.n, matrix.spec.gamma)
-    else:
-        raw = lr_kfwer_constants(matrix.n, matrix.spec.k)
-    return rescale(raw, matrix)[0]
+    return family_constants(family, matrix.n, matrix)
 
 
 def check_solution_invariants(matrix, floor, solution):
@@ -195,24 +188,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_problem(fdp_su_matrix(5, 0.05), bh_constants(6))
 
-    def test_cap_below_floor(self):
-        matrix = fdp_sd_matrix(5, 0.05)
-        floor = rescaled_floor(matrix, "bh")
-        with pytest.raises(ValueError):
-            build_problem(matrix, floor, cap=float(floor.values[-1]) / 2)
-
-    def test_cap_respected(self):
-        # floor tops out at 1/3, the free optimum at 1.0; a cap between the
-        # two must bind
-        matrix = fdp_sd_matrix(10, 0.05)
-        floor = rescaled_floor(matrix, "bh")
-        cap = 0.4
-        solution = solve(build_problem(matrix, floor, cap=cap))
-        assert solution.status is SolveStatus.OPTIMAL
-        assert np.max(solution.xi.values) <= cap + 1e-12
-        free = solve(build_problem(matrix, floor))
-        assert np.max(free.xi.values) > cap
-
 
 class TestDeterminismAndDiagnostics:
     def test_bit_identical_resolve(self):
@@ -277,3 +252,18 @@ class TestCache:
         refreshed = solve_cached(problem, tmp_path)
         assert refreshed.solver_version == SOLVER_VERSION
         assert SOLVER_VERSION in path.read_text()
+
+    def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        matrix = fdp_su_matrix(8, 0.05)
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        calls = []
+
+        def failing(p):
+            calls.append(p)
+            return lp._failure(p, 0)
+
+        monkeypatch.setattr(lp, "solve", failing)
+        for _ in range(2):
+            assert solve_cached(problem, tmp_path).status is SolveStatus.NUMERIC_FAILURE
+        assert list(tmp_path.iterdir()) == []
+        assert len(calls) == 2  # the failure was not served from the cache

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +11,7 @@ from mtbounds import (
     associated_matrix,
     bh_constants,
     bound_vector,
-    fdp_sd_aux,
     fdp_sd_matrix,
-    fdp_su_aux,
     fdp_su_matrix,
     is_feasible,
     kfwer_sd_matrix,
@@ -20,6 +20,7 @@ from mtbounds import (
     rescale,
     row_events,
 )
+from mtbounds.matrices import _event_system
 
 GAMMAS = (0.0, 0.05, 0.1, 0.25)
 
@@ -74,25 +75,31 @@ class TestKfwerSd:
         assert np.count_nonzero(A) == 3
 
 
+def column_levels(events):
+    """Level paired with each column 1..usable of a step-up row: the lowest
+    event level whose column reaches it; usable is the last event column."""
+    return [min(lvl for lvl, col in events if col >= l)
+            for l in range(1, events[-1][1] + 1)]
+
+
 class TestFdpSuAux:
+    """Event systems of the FDP step-up rows."""
+
     def test_row_one(self):
-        aux = fdp_su_aux(50, 0.05, 1)
-        assert aux.usable == 19
-        assert aux.n_events == 1
-        assert aux.event_cols.tolist() == [19]
+        events = row_events(ErrorRateSpec.fdp_su(50, 0.05), 1)
+        assert events == [(1, 19)]  # one event; column 19 is the last usable
 
     def test_row_32(self):
-        aux = fdp_su_aux(50, 0.05, 32)
-        assert aux.n_events == 32
-        assert aux.event_cols[0] == 19
-        assert aux.event_cols[1:].tolist() == [18 + k for k in range(2, 33)]
+        events = row_events(ErrorRateSpec.fdp_su(50, 0.05), 32)
+        assert [lvl for lvl, _ in events] == list(range(1, 33))
+        assert events[0][1] == 19
+        assert [col for _, col in events[1:]] == [18 + k for k in range(2, 33)]
 
     def test_gamma_zero(self):
-        aux = fdp_su_aux(10, 0.0, 5)
-        assert aux.usable == 10
-        assert aux.n_events == 5
-        assert aux.levels.tolist() == [max(l - 5, 1) for l in range(1, 11)]
-        assert aux.event_cols.tolist() == [6, 7, 8, 9, 10]
+        events = row_events(ErrorRateSpec.fdp_su(10, 0.0), 5)
+        assert [lvl for lvl, _ in events] == [1, 2, 3, 4, 5]
+        assert [col for _, col in events] == [6, 7, 8, 9, 10]
+        assert column_levels(events) == [max(l - 5, 1) for l in range(1, 11)]
 
     @given(
         n=st.integers(1, 200),
@@ -101,12 +108,13 @@ class TestFdpSuAux:
     )
     def test_level_structure(self, n, gamma, data):
         i = data.draw(st.integers(1, n))
-        aux = fdp_su_aux(n, gamma, i)
-        levels = aux.levels
+        events = row_events(ErrorRateSpec.fdp_su(n, gamma), i)
+        assert [lvl for lvl, _ in events] == list(range(1, len(events) + 1))
+        levels = np.array(column_levels(events))
         assert levels[0] == 1
         assert np.all(np.diff(levels) >= 0)
         assert np.all(np.diff(levels) <= 1)
-        cols = aux.event_cols
+        cols = np.array([col for _, col in events])
         assert np.all(np.diff(cols) >= 1)
         assert cols[-1] <= n
         # every event column is usable at this row count
@@ -130,21 +138,27 @@ class TestFdpSuMatrix:
         assert row_sums_match(fdp_su_matrix(n, gamma))
 
 
+def sd_column_map(n, gamma, i):
+    """Column of each level 1..floor(gamma*n)+1 in row i of the FDP step-down
+    system, whether or not the row holds that level."""
+    _, _, column = _event_system(ErrorRateSpec.fdp_sd(n, gamma))
+    return [int(column(lvl, i)) for lvl in range(1, int(np.floor(gamma * n)) + 2)]
+
+
 class TestFdpSdAux:
+    """Event systems of the FDP step-down rows."""
+
     def test_small_gamma(self):
-        aux = fdp_sd_aux(10, 0.05, 4)
-        assert aux.col_map.tolist() == [7]
-        assert aux.n_events == 1
+        assert row_events(ErrorRateSpec.fdp_sd(10, 0.05), 4) == [(1, 7)]
+        assert sd_column_map(10, 0.05, 4) == [7]
 
     def test_gamma_zero(self):
-        aux = fdp_sd_aux(10, 0.0, 4)
-        assert aux.col_map.tolist() == [7]
-        assert aux.n_events == 1
+        assert row_events(ErrorRateSpec.fdp_sd(10, 0.0), 4) == [(1, 7)]
+        assert sd_column_map(10, 0.0, 4) == [7]
 
     def test_row_n(self):
-        aux = fdp_sd_aux(50, 0.05, 50)
-        assert aux.col_map.tolist() == [1, 2, 3]
-        assert aux.n_events == 1
+        assert row_events(ErrorRateSpec.fdp_sd(50, 0.05), 50) == [(1, 1)]
+        assert sd_column_map(50, 0.05, 50) == [1, 2, 3]
 
     @given(
         n=st.integers(1, 200),
@@ -153,11 +167,13 @@ class TestFdpSdAux:
     )
     def test_bounds(self, n, gamma, data):
         i = data.draw(st.integers(1, n))
-        aux = fdp_sd_aux(n, gamma, i)
+        events = row_events(ErrorRateSpec.fdp_sd(n, gamma), i)
         lmax = int(np.floor(gamma * n)) + 1
-        assert aux.col_map.size == lmax
-        assert np.all(aux.col_map >= 1) and np.all(aux.col_map <= n)
-        assert 1 <= aux.n_events <= min(lmax, i)
+        col_map = sd_column_map(n, gamma, i)
+        assert len(col_map) == lmax
+        assert all(1 <= col <= n for col in col_map)
+        assert 1 <= len(events) <= min(lmax, i)
+        assert events == [(lvl, col_map[lvl - 1]) for lvl in range(1, len(events) + 1)]
 
 
 class TestFdpSdMatrix:
@@ -277,6 +293,50 @@ class TestRowEvents:
                 else:
                     row[col - 1] += i * (1.0 / lvl - 1.0 / nxt)
             assert np.allclose(row, A.entries[i - 1], atol=1e-12)
+
+
+# sha256 of the entries' bytes, concatenated over HASH_GAMMAS for the FDP
+# rates and over k in {1, 2, n} for the kFWER rates. The matrices must stay
+# bit-identical to these values whatever code builds them; unlike the
+# row-event checks above, this does not read the event systems.
+HASH_GAMMAS = (0.0, 0.05, 0.1, 0.25, 0.9)
+MATRIX_SHA256 = {
+    ('kfwer-su', 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ('kfwer-su', 2): "423b80fb14589e8d109ecce93d08f47e51d17a774af91bb0453482cfc642c0a1",
+    ('kfwer-su', 7): "d04cc885409139e8d7f46246ef1502f11b38b322934893f0d3c335299e2db2e4",
+    ('kfwer-su', 50): "be5f03b97c2722d9ad750d1ac537bade95d0d8375885dc98b2ae1ad1725666ce",
+    ('kfwer-su', 100): "dc59751f01a77eeacf2b0e1479146b81afe49220a4035bce20a48571233b5add",
+    ('kfwer-su', 237): "22115645b1b48867dd4c544d5cb7d809a7c5504e950beae8917453ca8e389424",
+    ('kfwer-sd', 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ('kfwer-sd', 2): "0fe0fec5e0f0a3301a384630d625ce9c0e08546d5014c832d59a635c1def3471",
+    ('kfwer-sd', 7): "208400cb5c57238f88f6c84d72f361484b26883433ff651ae992dae1fe705db9",
+    ('kfwer-sd', 50): "47cceb68e80da5db69749fcdbca787342591687a1b6c892c6f41577d0926583b",
+    ('kfwer-sd', 100): "aab3657c04d172f04e22e3a184d97f4ebdc949ceaa8f4c66bd011a204375474f",
+    ('kfwer-sd', 237): "7804080600799f76bd4cffe725b5cfdc8497a991d1d10c8bc35af01936cfc8d5",
+    ('fdp-su', 1): "6e91e92205f42beb0df4ddf13cf0af352b29ffd2de9465348cdb1447a324e828",
+    ('fdp-su', 2): "08920e069879bcbd1de04d76d5092efc480e5f9ed67371dd454e608b87668f53",
+    ('fdp-su', 7): "9b09067b61a8671dfe55adb0c1c2ae10bea25826202bb4aedfa75f1a9d4b8031",
+    ('fdp-su', 50): "8bec34b5587263eca08450b3f82c6579121fb2311c3a557f563566213b5c0cc1",
+    ('fdp-su', 100): "b4ac732048e6ba1a0a85b3206d83ace8d1a6d9a6205d69f991645bf70774d65e",
+    ('fdp-su', 237): "29b9b930739455699cafaa4a94646919da929a6dce423eeda859c61c556185e5",
+    ('fdp-sd', 1): "6e91e92205f42beb0df4ddf13cf0af352b29ffd2de9465348cdb1447a324e828",
+    ('fdp-sd', 2): "bd8c5c7dd34aa434c405e6047d27ebf83b753046904cf826145a490b6cbb21f0",
+    ('fdp-sd', 7): "736a59bef32a028f98054627fb10e913065137090f3c4c04b50e8656483dc09d",
+    ('fdp-sd', 50): "bdb8bcd8c3a64b6b4f765fefadeba18c8c31adba353ebe20c07ba0f084572536",
+    ('fdp-sd', 100): "7324e77b81c3d2764093995d15e8edaedbd27658140686d010b2332bfabfc984",
+    ('fdp-sd', 237): "8e51de984af9d7ec57cb201d3b5fc8af7af5beb33c2b5a760cd50bdc8f8ef079",
+}
+
+
+@pytest.mark.parametrize("rate,n", sorted(MATRIX_SHA256))
+def test_entries_bit_identical(rate, n):
+    params = HASH_GAMMAS if rate.startswith("fdp") else sorted({1, min(2, n), n})
+    build = {"kfwer-su": kfwer_su_matrix, "kfwer-sd": kfwer_sd_matrix,
+             "fdp-su": fdp_su_matrix, "fdp-sd": fdp_sd_matrix}[rate]
+    digest = hashlib.sha256()
+    for param in params:
+        digest.update(build(n, param).entries.tobytes())
+    assert digest.hexdigest() == MATRIX_SHA256[(rate, n)]
 
 
 def test_spec_validation():

@@ -182,3 +182,7 @@ class TestConfig:
             SimConfig(n=5, reps=0)
         with pytest.raises(ValueError):
             SimConfig(n=5, effects=(float("nan"),))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                SimConfig(n=5, seed=seed)
+        assert SimConfig(n=5, seed=2**64 - 1).seed == 2**64 - 1
