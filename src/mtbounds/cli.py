@@ -83,6 +83,8 @@ def cmd_verify(args) -> int:
     spec = _rate_spec(args)
     matrix = associated_matrix(spec)
     if args.input:
+        if args.family is not None or args.modified:
+            raise CommandError("--input takes neither --family nor --modified")
         c = fileio.read_constants(args.input)
         if c.n != args.n:
             raise CommandError(f"constants file has {c.n} entries, expected {args.n}")

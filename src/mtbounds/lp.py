@@ -7,18 +7,19 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-The solver is a self-contained dense primal simplex with Bland's
-anti-cycling pivot rule, which makes repeated solves bit-identical. The
-problem is solved in shifted coordinates z = xi - c: the floor constraints
-become the nonnegativity bounds and the all-slack basis is immediately
-feasible, so no phase-1 is needed.
+The program is solved by HiGHS through ``scipy.optimize.linprog``: A is
+passed as a sparse matrix stacked on the difference rows
+``xi_j - xi_{j+1} <= 0``, and the floor as the variables' lower bounds.
+HiGHS's presolve is off: it did not shorten these solves, and on the dense
+step-up matrices its time grew by a fifth when another process streamed
+memory.
+HiGHS is deterministic, so repeated solves are bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import scipy
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .constants import CriticalVector, Family
 from .matrices import AssociatedMatrix, bound_vector
@@ -45,10 +49,8 @@ __all__ = [
     "cache_key",
 ]
 
-SOLVER_VERSION = "bland-simplex-1"
+SOLVER_VERSION = f"highs-nopresolve-scipy-{scipy.__version__}"
 FEASIBILITY_TOL = 1e-9
-
-logger = logging.getLogger(__name__)
 
 
 class SolveStatus(str, Enum):
@@ -136,56 +138,6 @@ def build_problem(
     return LPProblem(matrix=matrix, floor=floor, weights=w)
 
 
-class _Unbounded(Exception):
-    pass
-
-
-class _IterationLimit(Exception):
-    pass
-
-
-def _simplex_max(rows: np.ndarray, rhs: np.ndarray, obj: np.ndarray) -> tuple[np.ndarray, int]:
-    """Maximize obj @ x subject to rows @ x <= rhs, x >= 0, with rhs >= 0.
-
-    Standard dense tableau; Bland's rule (lowest-index entering column,
-    lowest-basis-index tie break on the ratio test) guarantees termination.
-    """
-    m, nvar = rows.shape
-    width = nvar + m + 1
-    T = np.zeros((m + 1, width))
-    T[:m, :nvar] = rows
-    T[:m, nvar:nvar + m] = np.eye(m)
-    T[:m, -1] = rhs
-    T[m, :nvar] = -obj
-    basis = np.arange(nvar, nvar + m)
-    for it in range(1, 1001 + 50 * width):
-        negative = np.flatnonzero(T[m, :nvar + m] < -FEASIBILITY_TOL)
-        if negative.size == 0:
-            break
-        enter = int(negative[0])
-        col = T[:m, enter]
-        positive = col > FEASIBILITY_TOL
-        if not positive.any():
-            raise _Unbounded
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, -1][positive] / col[positive]
-        best = ratios.min()
-        candidates = np.flatnonzero(ratios <= best)
-        leave = int(candidates[np.argmin(basis[candidates])])
-        pivot_row = T[leave] / T[leave, enter]
-        T -= np.outer(T[:, enter], pivot_row)
-        T[leave] = pivot_row
-        basis[leave] = enter
-        np.maximum(T[:m, -1], 0.0, out=T[:m, -1])  # degeneracy dribble
-        if it % 1000 == 0:
-            logger.info("simplex iteration %d, objective %.9g", it, T[m, -1])
-    else:
-        raise _IterationLimit
-    x = np.zeros(nvar + m)
-    x[basis] = T[:m, -1]
-    return x[:nvar], it
-
-
 def _failure(problem: LPProblem, iterations: int) -> LPSolution:
     return LPSolution(
         status=SolveStatus.NUMERIC_FAILURE,
@@ -199,27 +151,29 @@ def _failure(problem: LPProblem, iterations: int) -> LPSolution:
 
 
 def solve(problem: LPProblem) -> LPSolution:
-    """Run the simplex and package the optimum with its diagnostics.
+    """Solve the program with HiGHS and package the optimum with its
+    diagnostics.
 
-    Never returns an infeasible point: numeric trouble (cycling cap,
-    unboundedness, post-solve bound violation) yields NUMERIC_FAILURE with
-    ``xi`` set to None.
+    Never returns an infeasible point: a non-optimal HiGHS status, or a
+    post-solve bound or monotonicity violation, yields NUMERIC_FAILURE with
+    ``xi`` set to None. The returned vector dominates the floor exactly.
     """
     A = problem.matrix.entries
     c = problem.floor.values
     n = problem.n
-    mono = -np.eye(n)
-    mono[np.arange(1, n), np.arange(n - 1)] = 1.0
-    rhs = [
-        np.maximum(1.0 - A @ c, 0.0),
-        np.maximum(np.diff(c, prepend=0.0), 0.0),
-    ]
-    try:
-        zeta, iterations = _simplex_max(
-            np.vstack([A, mono]), np.concatenate(rhs), problem.objective_coefficients)
-    except (_Unbounded, _IterationLimit):
-        return _failure(problem, 0)
-    xi = c + np.maximum(zeta, 0.0)
+    steps = sparse.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    result = linprog(
+        -problem.objective_coefficients,
+        A_ub=sparse.vstack([sparse.csr_matrix(A), steps], format="csr"),
+        b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
+        bounds=np.column_stack([c, np.full(n, np.inf)]),
+        method="highs",
+        options={"presolve": False},
+    )
+    iterations = int(result.nit)
+    if result.status != 0:
+        return _failure(problem, iterations)
+    xi = np.maximum(result.x, c)  # HiGHS may end a hair below a bound
     stepped = np.maximum.accumulate(xi)
     if np.max(stepped - xi) > FEASIBILITY_TOL:
         return _failure(problem, iterations)

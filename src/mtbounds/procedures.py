@@ -261,7 +261,8 @@ def family_constants(
     """The level-1 constants of a named family, along the one path
     family -> raw vector -> rescale -> [LP improvement].
 
-    ``by`` and ``gr`` come pre-normalized and ignore the rest. ``bh`` and
+    ``by`` and ``gr`` come pre-normalized, ignore the matrix and have no
+    modified variant (ValueError). ``bh`` and
     ``rs`` are rescaled into the feasible set of ``matrix`` and, when
     ``modified``, improved by the LP (through the cache in ``cache_dir``);
     without a matrix they stay raw. Raw ``rs`` is the Lehmann-Romano kFWER
@@ -272,6 +273,8 @@ def family_constants(
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if family in FDR_FAMILIES:
+        if modified:
+            raise ValueError(f"family {family!r} has no modified variant")
         return by_constants(n) if family == "by" else gr_sd_constants(n)
     if modified and matrix is None:
         raise ValueError("modified constants need an error-rate matrix")

@@ -270,6 +270,23 @@ class TestUsageErrors:
         assert out == ""
         assert "seed" in err
 
+    def test_verify_modified_fdr_family_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "10",
+                             "--gamma", "0.1", "--family", "by", "--modified")
+        assert code == 2
+        assert out == ""
+        assert "no modified variant" in err
+
+    @pytest.mark.parametrize("flags", [["--family", "bh"], ["--modified"]])
+    def test_verify_input_with_family_flags_exits_2(self, tmp_path, flags, capsys):
+        const_file = tmp_path / "constants.csv"
+        const_file.write_text("index,value\n1,0.5\n2,1.0\n")
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+                             "--gamma", "0.1", "--input", str(const_file), *flags)
+        assert code == 2
+        assert out == ""
+        assert "--input" in err
+
     def test_missing_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--rate", "fdp-su", "--gamma", "0.05"])

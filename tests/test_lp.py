@@ -25,18 +25,30 @@ from mtbounds.matrices import AssociatedMatrix, ErrorRateSpec, Rate
 
 
 def scipy_optimum(matrix, floor, weights=None):
-    """Independent LP oracle: same program via scipy's HiGHS solver."""
+    """Certified optimum: a weak-duality upper bound checked in numpy.
+
+    The solver under test also runs on HiGHS, so HiGHS's answer alone would
+    not be an independent check. Here the program is posed densely, with the
+    floor as constraint rows, and only HiGHS's dual multipliers are used:
+    y for ``A xi <= 1``, z for the difference rows ``D xi <= 0`` and w for
+    ``xi >= floor``. Once clipped to be nonnegative they satisfy
+    ``A.T@y + D.T@z - w == a`` to within 1e-9 (checked here), so every
+    feasible xi has ``a@xi <= y.sum() - floor@w`` up to that residual; a
+    feasible xi that reaches this bound is optimal, whatever produced it.
+    """
     A = matrix.entries
     n = matrix.n
     w = np.ones(n) if weights is None else weights * (n / weights.sum())
     a = w @ A
-    mono = -np.eye(n)
-    mono[np.arange(1, n), np.arange(n - 1)] = 1.0
-    A_ub = np.vstack([A, mono, -np.eye(n)])
-    b_ub = np.concatenate([np.ones(n), np.zeros(n), -floor.values])
+    D = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    A_ub = np.vstack([A, D, -np.eye(n)])
+    b_ub = np.concatenate([np.ones(n), np.zeros(n - 1), -floor.values])
     res = linprog(-a, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs")
     assert res.status == 0, res.message
-    return -res.fun
+    duals = np.maximum(-res.ineqlin.marginals, 0.0)
+    y, z, w_floor = duals[:n], duals[n:2 * n - 1], duals[2 * n - 1:]
+    assert np.allclose(A.T @ y + D.T @ z - w_floor, a, rtol=0, atol=1e-9)
+    return float(y.sum() - floor.values @ w_floor)
 
 
 def rescaled_floor(matrix, family="bh"):
@@ -88,16 +100,30 @@ class TestTrivialCases:
         assert np.isnan(solution.m1)
 
 
-class TestAgainstScipy:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 25, 50])
-    @pytest.mark.parametrize("build,param", [
+# (family, build, param, n): every small size, plus two rates at n=300, the
+# largest size of the optimize benchmark.
+OBJECTIVE_CASES = [
+    (family, build, param, n)
+    for family in ("bh", "rs")
+    for build, param in [
         (fdp_su_matrix, 0.05), (fdp_sd_matrix, 0.05),
         (fdp_su_matrix, 0.25), (fdp_sd_matrix, 0.25),
         (kfwer_su_matrix, 1), (kfwer_sd_matrix, 1),
         (kfwer_su_matrix, 2), (kfwer_sd_matrix, 2),
-    ])
-    @pytest.mark.parametrize("family", ["bh", "rs"])
-    def test_objective_matches(self, n, build, param, family):
+    ]
+    for n in (1, 2, 3, 5, 10, 25, 50)
+] + [
+    (family, build, param, 300)
+    for family in ("bh", "rs")
+    for build, param in [(kfwer_su_matrix, 2), (fdp_sd_matrix, 0.05)]
+]
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize(
+        "family,build,param,n", OBJECTIVE_CASES,
+        ids=[f"{f}-{b.__name__}-{p}-{n}" for f, b, p, n in OBJECTIVE_CASES])
+    def test_objective_matches(self, family, build, param, n):
         if build in (kfwer_su_matrix, kfwer_sd_matrix) and param > n:
             pytest.skip("k exceeds n")
         matrix = build(n, param)
