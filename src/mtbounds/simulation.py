@@ -6,9 +6,10 @@ Gaussian p-values and applies every configured procedure. True nulls occupy
 the first ``true_count`` coordinates (mu = 0), the rest sit at ``effect``.
 
 Replication r consumes its own counter block of the Philox stream (key =
-seed, counter = r * 2**128), so results are bit-identical no matter how
-replications are batched or threaded; accumulation happens on per-replication
-arrays with a fixed layout.
+seed, counter = r * 2**128). Its noise is drawn once and shared by every
+(true_count, effect) cell; a batch of replications builds one generator and
+resets its counter per replication. Every count lands in a fixed slot, so
+results are bit-identical however replications are batched or threaded.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +128,6 @@ def two_sided_p(t: float) -> float:
     return float(erfc(abs(t) / _SQRT2))
 
 
-def _two_sided_p_vec(t: np.ndarray) -> np.ndarray:
-    return erfc(np.abs(t) / _SQRT2)
-
-
 def _mean_vector(n: int, true_count: int, effect: float) -> np.ndarray:
     mu = np.full(n, float(effect))
     mu[:true_count] = 0.0
@@ -148,8 +147,21 @@ def sample_statistics(n: int, true_count: int, effect: float, rho: float,
             + _mean_vector(n, true_count, effect))
 
 
-def _replication_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=rep << 128))
+def _replication_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Row r - start holds the first ``width`` standard normals of
+    Philox(key=seed, counter=r << 128), for r in start..stop-1. One generator
+    serves every row: its counter is reset to [0, 0, r, 0] with an empty
+    buffer, which is the state a freshly built generator starts from."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    counter = [0, 0, 0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    z = np.empty((stop - start, width))
+    for row, rep in zip(z, range(start, stop)):
+        counter[2] = rep
+        gen.bit_generator.state = state
+        gen.standard_normal(out=row)
+    return z
 
 
 def _procedure_tables(
@@ -170,31 +182,35 @@ def _procedure_tables(
     return tables, failures
 
 
-def _run_batch(config: SimConfig, tables, truth: np.ndarray, mu: np.ndarray,
-               start: int, stop: int, R: dict[str, np.ndarray], V: dict[str, np.ndarray]) -> None:
+def _run_batch(config: SimConfig, tables, cells: list[tuple[np.ndarray, np.ndarray]],
+               R: np.ndarray, V: np.ndarray, start: int) -> None:
+    """The batch of replications from ``start`` in every cell: the noise is
+    drawn once, and each (truth, mu) cell adds its own means to it. R and V
+    are indexed [cell, procedure, replication]."""
     n = config.n
-    count = stop - start
-    z = np.empty((count, n + 1))
-    for idx in range(count):
-        z[idx] = _replication_rng(config.seed, start + idx).standard_normal(n + 1)
-    t = (math.sqrt(config.rho) * z[:, :1]
-         + math.sqrt(1.0 - config.rho) * z[:, 1:] + mu)
-    p = _two_sided_p_vec(t)
-    order = np.argsort(p, axis=1, kind="stable")
-    ps = np.take_along_axis(p, order, axis=1)
-    false_running = np.cumsum(truth[order], axis=1)
-    rows = np.arange(count)
-    for name, direction, thr in tables:
-        hit = ps <= thr
-        if direction == "su":
-            any_hit = hit.any(axis=1)
-            k = np.where(any_hit, n - np.argmax(hit[:, ::-1], axis=1), 0)
-        else:
-            k = np.argmax(~hit, axis=1)
-            k = np.where(hit.all(axis=1), n, k)
-        false_count = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
-        R[name][start:stop] = k
-        V[name][start:stop] = false_count
+    stop = min(start + _BATCH, config.reps)
+    z = _replication_normals(config.seed, start, stop, n + 1)
+    # in place; x + y == y + x exactly, so this is sqrt(rho)*z0 + sqrt(1-rho)*z
+    noise = z[:, 1:]
+    noise *= math.sqrt(1.0 - config.rho)
+    noise += math.sqrt(config.rho) * z[:, :1]
+    rows = np.arange(stop - start)
+    for c, (truth, mu) in enumerate(cells):
+        p = np.abs(noise + mu)
+        p /= _SQRT2
+        erfc(p, out=p)
+        order = np.argsort(p, axis=1, kind="stable")
+        ps = np.take_along_axis(p, order, axis=1)
+        false_running = np.cumsum(truth[order], axis=1, dtype=R.dtype)
+        for j, (_, direction, thr) in enumerate(tables):
+            hit = ps <= thr
+            if direction == "su":
+                k = np.where(hit.any(axis=1), n - np.argmax(hit[:, ::-1], axis=1), 0)
+            else:
+                k = np.argmax(~hit, axis=1)
+                k = np.where(hit.all(axis=1), n, k)
+            R[c, j, start:stop] = k
+            V[c, j, start:stop] = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
 
 
 def _cell_stats(config: SimConfig, name: str, true_count: int, effect: float,
@@ -241,58 +257,42 @@ def run_study(
     tables, failures = _procedure_tables(config, cache_dir)
     if not tables:
         raise RuntimeError(f"every procedure failed: {failures}")
-    specs = config.roster()
-    parents = _parent_labels(specs)
-    truth_template = np.zeros(config.n, dtype=bool)
-    cells: list[CellStats] = []
-    trace_fh = open(trace, "a", encoding="utf-8") if trace is not None else None
-    try:
-        if trace_fh is not None and trace_fh.tell() == 0:
-            trace_fh.write("n,trueCount,d,rep,procedure,R,V\n")
-        for true_count in config.true_counts:
-            truth = truth_template.copy()
-            truth[:true_count] = True
-            for effect in config.effects:
-                mu = _mean_vector(config.n, true_count, effect)
-                R = {name: np.zeros(config.reps, dtype=np.int64) for name, _, _ in tables}
-                V = {name: np.zeros(config.reps, dtype=np.int64) for name, _, _ in tables}
-                spans = [(s, min(s + _BATCH, config.reps))
-                         for s in range(0, config.reps, _BATCH)]
-                if threads == 1 or len(spans) == 1:
-                    for start, stop in spans:
-                        _run_batch(config, tables, truth, mu, start, stop, R, V)
-                else:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        done = [pool.submit(_run_batch, config, tables, truth, mu,
-                                            start, stop, R, V)
-                                for start, stop in spans]
-                        for fut in done:
-                            fut.result()
-                for name, _, _ in tables:
-                    stats = _cell_stats(config, name, true_count, effect, R[name], V[name])
-                    parent = parents.get(name)
-                    if parent is not None and parent in R:
-                        violations = int(np.count_nonzero(R[name] < R[parent]))
-                        stats = replace(stats, containment_violations=violations)
-                    cells.append(stats)
-                if trace_fh is not None:
-                    for name, _, _ in tables:
-                        for rep in range(config.reps):
-                            trace_fh.write(f"{config.n},{true_count},{effect!r},{rep},"
-                                           f"{name},{R[name][rep]},{V[name][rep]}\n")
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    return SimReport(config=config, cells=tuple(cells), failures=tuple(failures))
-
-
-def _parent_labels(specs: tuple[ProcedureSpec, ...]) -> dict[str, str]:
-    """Map each modified procedure's name to its unmodified twin's name."""
-    out: dict[str, str] = {}
-    by_key = {(s.family, s.rate, s.alpha): s.name for s in specs if not s.modified}
-    for s in specs:
-        if s.modified:
-            parent = by_key.get((s.family, s.rate, s.alpha))
+    grid = [(t, d) for t in config.true_counts for d in config.effects]
+    cells = [(np.arange(config.n) < t, _mean_vector(config.n, t, d)) for t, d in grid]
+    # counts lie in 0..n: the smallest unsigned type holding n stores them exactly
+    R = np.zeros((len(grid), len(tables), config.reps), dtype=np.min_scalar_type(config.n))
+    V = np.zeros_like(R)
+    starts = range(0, config.reps, _BATCH)
+    run = partial(_run_batch, config, tables, cells, R, V)
+    if threads == 1 or len(starts) == 1:  # a worker thread adds its own malloc arena
+        list(map(run, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    index = {name: j for j, (name, _, _) in enumerate(tables)}
+    # each modified procedure is checked against its unmodified twin
+    roster = config.roster()
+    twins = {(s.family, s.rate, s.alpha): s.name for s in roster if not s.modified}
+    parents = {s.name: twins.get((s.family, s.rate, s.alpha)) for s in roster if s.modified}
+    stats: list[CellStats] = []
+    for c, (true_count, effect) in enumerate(grid):
+        for name, j in index.items():
+            cell = _cell_stats(config, name, true_count, effect, R[c, j], V[c, j])
+            parent = index.get(parents.get(name))
             if parent is not None:
-                out[s.name] = parent
-    return out
+                violations = int(np.count_nonzero(R[c, j] < R[c, parent]))
+                cell = replace(cell, containment_violations=violations)
+            stats.append(cell)
+    if trace is not None:  # one join per cell and procedure
+        reps = [str(rep) for rep in range(config.reps)]
+        with open(trace, "a", encoding="utf-8") as fh:
+            if fh.tell() == 0:
+                fh.write("n,trueCount,d,rep,procedure,R,V\n")
+            for c, (true_count, effect) in enumerate(grid):
+                head = repeat(f"{config.n},{true_count},{effect!r}")
+                for name, j in index.items():
+                    rows = zip(head, reps, repeat(name),
+                               map(str, R[c, j].tolist()), map(str, V[c, j].tolist()))
+                    fh.write("\n".join(map(",".join, rows)) + "\n")
+    return SimReport(config=config, cells=tuple(stats), failures=tuple(failures))
+

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from mtbounds import (
     two_sided_p,
 )
 from mtbounds import fileio
-from mtbounds.simulation import _replication_rng
+from mtbounds.simulation import _BATCH, _replication_normals
 
 
 class TestTwoSidedP:
@@ -71,14 +73,24 @@ class TestSampling:
 
 class TestSubstreams:
     def test_replication_stream_fixed(self):
-        a = _replication_rng(42, 7).standard_normal(5)
-        b = _replication_rng(42, 7).standard_normal(5)
+        a = _replication_normals(42, 7, 8, 5)
+        b = _replication_normals(42, 7, 8, 5)
         assert np.array_equal(a, b)
+        # a replication's row does not depend on where its batch starts
+        assert np.array_equal(_replication_normals(42, 0, 8, 5)[7], a[0])
 
     def test_distinct_replications_differ(self):
-        a = _replication_rng(42, 7).standard_normal(5)
-        b = _replication_rng(42, 8).standard_normal(5)
+        a, b = _replication_normals(42, 7, 9, 5)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [42, 2**64 - 1])
+    def test_reset_matches_fresh_generator(self, seed):
+        # the counter reset must land on the stream of a generator built
+        # for that replication, on both sides of a batch boundary
+        z = _replication_normals(seed, 0, _BATCH + 1, 51)
+        for rep in (0, _BATCH - 1, _BATCH):
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=rep << 128))
+            assert np.array_equal(z[rep], fresh.standard_normal(51)), rep
 
 
 def small_config(**overrides):
@@ -96,9 +108,40 @@ class TestRunStudy:
         assert fileio.report_json(r1) == fileio.report_json(r2)
 
     def test_thread_count_does_not_change_results(self):
-        r1 = run_study(small_config(reps=600), threads=1)
-        r4 = run_study(small_config(reps=600), threads=4)
-        assert fileio.report_json(r1) == fileio.report_json(r4)
+        # three batches, the last one ragged, so every thread count >1
+        # reaches the pool
+        config = small_config(reps=2 * _BATCH + 37)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' batch writes
+        try:
+            reports = {threads: fileio.report_json(run_study(config, threads=threads))
+                       for threads in (1, 2, 4)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[1] == reports[2] == reports[4]
+
+    # sha256 of the report and the trace, pinned from the per-cell,
+    # one-generator-per-replication implementation. Two batches with an
+    # all-null cell (NaN power), and counts up to n=256 past uint8.
+    @pytest.mark.parametrize("config, threads, report_sha, trace_sha", [
+        pytest.param(SimConfig(n=10, true_counts=(0, 4, 10), effects=(1.0, 3.0),
+                               reps=_BATCH + 37, seed=2**64 - 1), threads,
+                     "33aee561bb59eec77e5b5961b1718e1df9576dd052cf51231522b2b5af72b4ce",
+                     "b96e33bafb8ea039792ba1d0f56e771cb657788d8f91b78ea150a7dce07d23ad",
+                     id=f"two-batches-threads{threads}")
+        for threads in (1, 2)
+    ] + [
+        pytest.param(SimConfig(n=256, true_counts=(0, 128, 256), effects=(6.0,),
+                               reps=100, seed=5), 1,
+                     "f1bde3b1a6558623d653706bed8dd33e9af422201c1062a9b847086d1bef0ab9",
+                     "480db7da2fcc345bdee216a13809066a9da4ef14f7012fd7962fdbc0136a39be",
+                     id="n256"),
+    ])
+    def test_pinned_digests(self, tmp_path, config, threads, report_sha, trace_sha):
+        path = tmp_path / "trace.csv"
+        report = run_study(config, threads=threads, trace=path)
+        assert hashlib.sha256(fileio.report_json(report).encode()).hexdigest() == report_sha
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
 
     def test_seed_changes_results(self):
         r1 = run_study(small_config(), threads=1)
