@@ -10,6 +10,7 @@ simulate (power study). Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -125,17 +126,10 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        n=args.n,
-        true_counts=tuple(args.true_counts) if args.true_counts else (),
-        effects=tuple(args.d),
-        rho=args.rho,
-        reps=args.reps,
-        alpha=args.alpha if args.alpha is not None else 0.5,
-        gamma=args.gamma if args.gamma is not None else 0.05,
-        fdr_level=args.fdr_level,
-        seed=args.seed,
-    )
+    # SimConfig holds every default: pass only the flags that were given
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)}
+    config = SimConfig(**{name: tuple(value) if isinstance(value, list) else value
+                          for name, value in given.items() if value is not None})
     report = run_study(config, threads=args.threads, cache_dir=args.cache_dir,
                        trace=args.trace)
     text = fileio.report_json(report) if args.format == "json" else fileio.report_csv(report)
@@ -201,15 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo power study")
     common(p, alpha=True, cache=True)
-    p.add_argument("--gamma", type=float, help="FDP exceedance threshold (default 0.05)")
-    p.add_argument("--d", type=float, action="append",
-                   help="effect size; repeat for a grid (default 0.1 1 3)")
+    p.add_argument("--gamma", type=float,
+                   help=f"FDP exceedance threshold (default {SimConfig.gamma})")
+    p.add_argument("--d", dest="effects", metavar="D", type=float, action="append",
+                   help="effect size; repeat for a grid (default "
+                        f"{' '.join(f'{d:g}' for d in SimConfig.effects)})")
     p.add_argument("--true-counts", type=_int_list,
                    help="comma-separated grid of true-null counts")
-    p.add_argument("--rho", type=float, default=0.5, help="equicorrelation (default 0.5)")
-    p.add_argument("--reps", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fdr-level", type=float, default=0.05)
+    p.add_argument("--rho", type=float, help=f"equicorrelation (default {SimConfig.rho})")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--fdr-level", type=float)
     p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
     p.add_argument("--trace", help="append per-replication rejection counts to this file")
     p.set_defaults(func=cmd_simulate)
@@ -219,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not args.d:
-        args.d = [0.1, 1.0, 3.0]
     if args.n is None and args.command != "adjust":
         parser.error(f"{args.command} requires --n")
     try:

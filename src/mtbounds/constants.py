@@ -43,9 +43,9 @@ class Family(str, Enum):
 class CriticalVector:
     """A nondecreasing nonnegative vector of n critical constants.
 
-    Values above 1 are legal here (they are clamped only when compared
-    against p-values). ``params`` records provenance such as gamma, k, the
-    parent family or the rescaling divisor.
+    Values above 1 are legal here (against p-values in [0, 1] they act as
+    1). ``params`` records provenance such as gamma, k, the parent family
+    or the rescaling divisor.
     """
 
     values: np.ndarray

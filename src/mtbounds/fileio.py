@@ -154,8 +154,13 @@ def read_constants(path: str | Path) -> CriticalVector:
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
-        return CriticalVector(np.array(payload["values"], dtype=float))
+        values = json.loads(text).get("values")
+        if not isinstance(values, list):
+            raise InputFormatError(path, 0, "JSON constants need a 'values' list")
+        try:
+            return CriticalVector(np.array(values, dtype=float))
+        except TypeError:  # an entry that is a JSON object
+            raise InputFormatError(path, 0, "'values' must hold numbers") from None
     values = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -1,11 +1,13 @@
-"""Step-up/step-down testing procedures, decision statistics, adjusted
-p-values, and ``family_constants``, the one path from a named constant
-family to feasible constants.
+"""Step-up/step-down testing procedures, adjusted p-values, and
+``family_constants``, the one path from a named constant family to feasible
+constants.
 
-Hypotheses are identified by their 1-based position in the input p-value
-vector. Sorting is stable on (value, original index), so ties are resolved
-reproducibly; rejection counts do not depend on the tie order because the
-step rules only look at order statistics.
+Both step rules are one kernel, ``_rejection_counts``, over sorted p-values:
+it serves ``step_up``/``step_down`` on one vector and the power study on a
+batch of replications alike. Hypotheses are identified by their 1-based
+position in the input p-value vector. Sorting is stable on (value, original
+index), so ties are resolved reproducibly; rejection counts do not depend on
+the tie order because the step rules only look at order statistics.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "step_up",
     "step_down",
     "adjusted_pvalues",
-    "fdp_stats",
     "FAMILIES",
     "ProcedureSpec",
     "family_constants",
@@ -52,12 +53,10 @@ FDR_FAMILIES = FAMILIES[2:]
 
 @dataclass(frozen=True)
 class PValueVector:
-    """Raw p-values with optional hypothesis labels and (for simulation or
-    validation) the truth indicator, True meaning the null holds."""
+    """Raw p-values with optional hypothesis labels."""
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
-    truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -69,12 +68,6 @@ class PValueVector:
         object.__setattr__(self, "values", v)
         if self.labels is not None and len(self.labels) != v.size:
             raise ValueError("labels length must match values")
-        if self.truth is not None:
-            t = np.asarray(self.truth, dtype=bool)
-            if t.shape != v.shape:
-                raise ValueError("truth length must match values")
-            t.setflags(write=False)
-            object.__setattr__(self, "truth", t)
 
     @property
     def n(self) -> int:
@@ -87,19 +80,11 @@ class PValueVector:
 
 @dataclass(frozen=True)
 class DecisionSet:
-    """Outcome of one procedure application.
-
-    ``rejected`` holds 1-based original hypothesis indices; ``cutoff_index``
-    is the number of rejected order statistics (0 = nothing rejected).
-    ``n_false``/``fdp`` are filled only when the truth is known; the FDP is 0
-    when nothing is rejected.
-    """
+    """Outcome of one procedure application: ``rejected`` holds the 1-based
+    original indices of the ``n_rejected`` smallest p-values."""
 
     rejected: frozenset[int]
-    cutoff_index: int
     n_rejected: int
-    n_false: int | None = None
-    fdp: float | None = None
 
 
 @dataclass(frozen=True)
@@ -125,42 +110,39 @@ class AdjustedPValues:
         return out
 
 
-def _applied_thresholds(p: PValueVector, c: CriticalVector) -> np.ndarray:
+def _rejection_counts(sorted_p: np.ndarray, thresholds: np.ndarray,
+                      direction: str) -> np.ndarray:
+    """Rejection counts of a step rule along the last axis of ascending
+    p-values, for one vector or a batch of rows. Step-up ("su") rejects up to
+    the last p-value at or below its threshold, step-down ("sd") up to the
+    first one above it. P-values lie in [0, 1], so a threshold above 1 acts
+    as 1 without a clamp."""
+    hit = sorted_p <= thresholds
+    n = hit.shape[-1]
+    if direction == "su":
+        return np.where(hit.any(axis=-1), n - np.argmax(hit[..., ::-1], axis=-1), 0)
+    return np.where(hit.all(axis=-1), n, np.argmax(~hit, axis=-1))
+
+
+def _step(p: PValueVector, c: CriticalVector, direction: str) -> DecisionSet:
     if c.n != p.n:
         raise ValueError(f"constants have length {c.n}, p-values {p.n}")
-    return np.minimum(c.values, 1.0)  # thresholds above 1 are vacuous
-
-
-def _decision(p: PValueVector, order: np.ndarray, k: int) -> DecisionSet:
-    rejected = frozenset(int(j) + 1 for j in order[:k])
-    n_false = fdp = None
-    if p.truth is not None:
-        n_false = int(np.count_nonzero(p.truth[order[:k]]))
-        fdp = n_false / k if k else 0.0
-    return DecisionSet(rejected=rejected, cutoff_index=k, n_rejected=k,
-                       n_false=n_false, fdp=fdp)
+    order = p.order()
+    k = int(_rejection_counts(p.values[order], c.values, direction))
+    return DecisionSet(rejected=frozenset(int(j) + 1 for j in order[:k]), n_rejected=k)
 
 
 def step_up(p: PValueVector, c: CriticalVector) -> DecisionSet:
     """Reject the k smallest p-values, k the largest index whose order
     statistic sits at or below its constant; nothing if no index qualifies."""
-    thr = _applied_thresholds(p, c)
-    order = p.order()
-    hits = np.flatnonzero(p.values[order] <= thr)
-    k = int(hits[-1]) + 1 if hits.size else 0
-    return _decision(p, order, k)
+    return _step(p, c, "su")
 
 
 def step_down(p: PValueVector, c: CriticalVector) -> DecisionSet:
     """Reject the longest prefix of sorted p-values that stays at or below
     the constants throughout; nothing if the smallest p-value already
     exceeds its constant."""
-    thr = _applied_thresholds(p, c)
-    order = p.order()
-    ok = p.values[order] <= thr
-    misses = np.flatnonzero(~ok)
-    k = int(misses[0]) if misses.size else p.n
-    return _decision(p, order, k)
+    return _step(p, c, "sd")
 
 
 def adjusted_pvalues(p: PValueVector, c: CriticalVector, direction: str) -> AdjustedPValues:
@@ -186,15 +168,6 @@ def adjusted_pvalues(p: PValueVector, c: CriticalVector, direction: str) -> Adju
     else:
         adj = np.maximum.accumulate(ratio)
     return AdjustedPValues(values=np.minimum(adj, 1.0), order=order)
-
-
-def fdp_stats(decision: DecisionSet, truth) -> tuple[int, int, float]:
-    """(false rejections, rejections, false discovery proportion) given the
-    truth indicator; the FDP is 0 when nothing is rejected."""
-    t = np.asarray(truth, dtype=bool)
-    v = sum(1 for j in decision.rejected if t[j - 1])
-    r = decision.n_rejected
-    return v, r, (v / r if r else 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Each replication draws T_i = sqrt(rho)*Z0 + sqrt(1-rho)*Z_i + mu_i (one
 common factor, exact equicorrelated covariance), converts to two-sided
 Gaussian p-values and applies every configured procedure. True nulls occupy
 the first ``true_count`` coordinates (mu = 0), the rest sit at ``effect``.
+The study runs the same pieces that ``sample_statistics`` and
+``two_sided_p`` expose, a batch of replications at a time, and the step
+rules of ``procedures``; it counts false rejections itself.
 
 Replication r consumes its own counter block of the Philox stream (key =
 seed, counter = r * 2**128). Its noise is drawn once and shared by every
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .procedures import ProcedureSpec, feasible_constants, standard_roster
+from .procedures import ProcedureSpec, _rejection_counts, feasible_constants, standard_roster
 
 __all__ = [
     "SimConfig",
@@ -121,17 +124,33 @@ class SimReport:
     failures: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-def two_sided_p(t: float) -> float:
-    """Two-sided Gaussian p-value 2*(1 - Phi(|t|)) = erfc(|t|/sqrt(2))."""
-    if not math.isfinite(t):
-        raise ValueError(f"test statistic must be finite, got {t}")
-    return float(erfc(abs(t) / _SQRT2))
+def two_sided_p(t):
+    """Two-sided Gaussian p-values 2*(1 - Phi(|t|)) = erfc(|t|/sqrt(2)),
+    elementwise; a scalar statistic gives a float. The p-values are computed
+    in the one array that ``abs`` allocates."""
+    p = np.abs(np.atleast_1d(t), dtype=float)
+    if not np.max(p, initial=0.0) < math.inf:  # NaN fails the comparison too
+        raise ValueError("test statistics must be finite")
+    p /= _SQRT2
+    erfc(p, out=p)
+    return p if np.ndim(t) else float(p[0])
 
 
 def _mean_vector(n: int, true_count: int, effect: float) -> np.ndarray:
     mu = np.full(n, float(effect))
     mu[:true_count] = 0.0
     return mu
+
+
+def _noise(z: np.ndarray, rho: float) -> np.ndarray:
+    """The equicorrelated noise sqrt(rho)*z0 + sqrt(1-rho)*z_i, computed in
+    place over the last axis of ``z`` (z0 first) and returned as a view of
+    the n trailing entries. x + y == y + x exactly, so the order of the two
+    terms does not change a bit."""
+    noise = z[..., 1:]
+    noise *= math.sqrt(1.0 - rho)
+    noise += math.sqrt(rho) * z[..., :1]
+    return noise
 
 
 def sample_statistics(n: int, true_count: int, effect: float, rho: float,
@@ -142,9 +161,7 @@ def sample_statistics(n: int, true_count: int, effect: float, rho: float,
         raise ValueError("true_count must lie in 0..n")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    z = rng.standard_normal(n + 1)
-    return (math.sqrt(rho) * z[0] + math.sqrt(1.0 - rho) * z[1:]
-            + _mean_vector(n, true_count, effect))
+    return _noise(rng.standard_normal(n + 1), rho) + _mean_vector(n, true_count, effect)
 
 
 def _replication_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
@@ -177,38 +194,26 @@ def _procedure_tables(
         except Exception as exc:  # noqa: BLE001 - isolate the failed column
             failures.append((spec.name, str(exc)))
             continue
-        thresholds = np.minimum(spec.alpha * base.values, 1.0)
-        tables.append((spec.name, spec.direction, thresholds))
+        tables.append((spec.name, spec.direction, spec.alpha * base.values))
     return tables, failures
 
 
-def _run_batch(config: SimConfig, tables, cells: list[tuple[np.ndarray, np.ndarray]],
+def _run_batch(config: SimConfig, tables, cells: list[tuple[int, np.ndarray]],
                R: np.ndarray, V: np.ndarray, start: int) -> None:
     """The batch of replications from ``start`` in every cell: the noise is
-    drawn once, and each (truth, mu) cell adds its own means to it. R and V
-    are indexed [cell, procedure, replication]."""
-    n = config.n
+    drawn once, and each (true_count, mu) cell adds its own means to it. R
+    and V are indexed [cell, procedure, replication]."""
     stop = min(start + _BATCH, config.reps)
-    z = _replication_normals(config.seed, start, stop, n + 1)
-    # in place; x + y == y + x exactly, so this is sqrt(rho)*z0 + sqrt(1-rho)*z
-    noise = z[:, 1:]
-    noise *= math.sqrt(1.0 - config.rho)
-    noise += math.sqrt(config.rho) * z[:, :1]
+    noise = _noise(_replication_normals(config.seed, start, stop, config.n + 1), config.rho)
     rows = np.arange(stop - start)
-    for c, (truth, mu) in enumerate(cells):
-        p = np.abs(noise + mu)
-        p /= _SQRT2
-        erfc(p, out=p)
+    for c, (true_count, mu) in enumerate(cells):
+        p = two_sided_p(noise + mu)
         order = np.argsort(p, axis=1, kind="stable")
         ps = np.take_along_axis(p, order, axis=1)
-        false_running = np.cumsum(truth[order], axis=1, dtype=R.dtype)
+        # the true nulls are the first true_count hypotheses
+        false_running = np.cumsum(order < true_count, axis=1, dtype=R.dtype)
         for j, (_, direction, thr) in enumerate(tables):
-            hit = ps <= thr
-            if direction == "su":
-                k = np.where(hit.any(axis=1), n - np.argmax(hit[:, ::-1], axis=1), 0)
-            else:
-                k = np.argmax(~hit, axis=1)
-                k = np.where(hit.all(axis=1), n, k)
+            k = _rejection_counts(ps, thr, direction)
             R[c, j, start:stop] = k
             V[c, j, start:stop] = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
 
@@ -246,19 +251,19 @@ def run_study(
 ) -> SimReport:
     """Run the full grid and estimate power and error rates per procedure.
 
-    ``threads`` only affects throughput (default: all logical cores, or the
-    MTBOUNDS_THREADS environment variable); the report is bit-identical for
-    any thread count. ``trace`` appends one CSV row per replication and
-    procedure with the rejection counts, for debugging."""
+    ``threads`` only affects throughput (default: all logical cores); the
+    report is bit-identical for any thread count. ``trace`` appends one CSV
+    row per replication and procedure with the rejection counts, for
+    debugging."""
     if threads is None:
-        threads = int(os.environ.get("MTBOUNDS_THREADS", 0)) or (os.cpu_count() or 1)
+        threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError("threads must be positive")
     tables, failures = _procedure_tables(config, cache_dir)
     if not tables:
         raise RuntimeError(f"every procedure failed: {failures}")
     grid = [(t, d) for t in config.true_counts for d in config.effects]
-    cells = [(np.arange(config.n) < t, _mean_vector(config.n, t, d)) for t, d in grid]
+    cells = [(t, _mean_vector(config.n, t, d)) for t, d in grid]
     # counts lie in 0..n: the smallest unsigned type holding n stores them exactly
     R = np.zeros((len(grid), len(tables), config.reps), dtype=np.min_scalar_type(config.n))
     V = np.zeros_like(R)

@@ -287,6 +287,17 @@ class TestUsageErrors:
         assert out == ""
         assert "--input" in err
 
+    @pytest.mark.parametrize("payload", ["{}", '{"values": {"1": 0.5}}', '{"values": [{}]}'],
+                             ids=["no-values", "values-dict", "object-entry"])
+    def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, capsys):
+        const_file = tmp_path / "constants.json"
+        const_file.write_text(payload)
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+                             "--gamma", "0.1", "--input", str(const_file))
+        assert code == 2
+        assert out == ""
+        assert "'values'" in err
+
     def test_missing_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--rate", "fdp-su", "--gamma", "0.05"])

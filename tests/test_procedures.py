@@ -10,7 +10,6 @@ from mtbounds import (
     adjusted_pvalues,
     bh_constants,
     bound_vector,
-    fdp_stats,
     fdp_su_matrix,
     feasible_constants,
     rescale,
@@ -19,14 +18,15 @@ from mtbounds import (
     step_down,
     step_up,
 )
+from mtbounds.procedures import _rejection_counts
 
 
 def cv(*values):
     return CriticalVector(np.array(values, dtype=float))
 
 
-def pv(*values, truth=None):
-    return PValueVector(np.array(values, dtype=float), truth=truth)
+def pv(*values):
+    return PValueVector(np.array(values, dtype=float))
 
 
 class TestStepUp:
@@ -34,7 +34,6 @@ class TestStepUp:
         d = step_up(pv(1.0, 1.0, 1.0), cv(0.1, 0.2, 0.9))
         assert d.n_rejected == 0
         assert d.rejected == frozenset()
-        assert d.cutoff_index == 0
 
     def test_all_zero_rejects_everything(self):
         d = step_up(pv(0.0, 0.0, 0.0), cv(0.1, 0.2, 0.9))
@@ -64,25 +63,38 @@ class TestStepDown:
         assert d.n_rejected == 3
 
 
-class TestDecisionStats:
-    def test_truth_annotated(self):
-        truth = np.array([False, False, True])
-        d = step_up(pv(0.01, 0.02, 0.03, truth=truth), cv(0.5, 0.5, 0.5))
-        assert d.n_rejected == 3
-        assert d.n_false == 1
-        assert d.fdp == pytest.approx(1 / 3)
+def reference_count(sorted_p, thresholds, direction):
+    """The step rules as defined, one sorted row at a time."""
+    ok = [p <= min(t, 1.0) for p, t in zip(sorted_p, thresholds)]
+    if direction == "su":
+        return max((i + 1 for i, hit in enumerate(ok) if hit), default=0)
+    k = 0
+    while k < len(ok) and ok[k]:
+        k += 1
+    return k
 
-    def test_fdp_stats_counting(self):
-        d = step_up(pv(0.0, 0.0, 0.0), cv(0.5, 0.5, 0.5))
-        v, r, fdp = fdp_stats(d, [True, True, True])
-        assert (v, r, fdp) == (3, 3, 1.0)
-        v, r, fdp = fdp_stats(d, [False, False, True])
-        assert (v, r, fdp) == (1, 3, pytest.approx(1 / 3))
 
-    def test_no_rejections_fdp_zero(self):
-        d = step_up(pv(0.9, 0.9), cv(0.1, 0.1))
-        v, r, fdp = fdp_stats(d, [True, False])
-        assert (v, r, fdp) == (0, 0, 0.0)
+class TestRejectionCounts:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_batch_matches_definition(self, data):
+        n = data.draw(st.integers(1, 10))
+        # a shared grid makes ties among p-values and with thresholds likely
+        grid = st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 1.0])
+        rows = data.draw(st.lists(
+            st.lists(st.one_of(grid, st.floats(0.0, 1.0)), min_size=n, max_size=n),
+            min_size=1, max_size=6))
+        thresholds = np.array(data.draw(st.lists(
+            st.one_of(grid, st.floats(0.0, 2.0)), min_size=n, max_size=n)))
+        # an all-hit row, and a row of ones that hits nothing unless a
+        # threshold reaches 1
+        ps = np.sort(np.array(rows + [[0.0] * n, [1.0] * n]), axis=1)
+        for direction in ("su", "sd"):
+            counts = _rejection_counts(ps, thresholds, direction)
+            assert counts.tolist() == [reference_count(row, thresholds, direction)
+                                       for row in ps.tolist()]
+            assert [int(_rejection_counts(row, thresholds, direction))
+                    for row in ps] == counts.tolist()
 
 
 class TestAdjusted:
@@ -265,7 +277,3 @@ class TestPValueVector:
             pv(0.5, 1.2)
         with pytest.raises(ValueError):
             pv(-0.01)
-
-    def test_truth_length_checked(self):
-        with pytest.raises(ValueError):
-            PValueVector(np.array([0.1, 0.2]), truth=np.array([True]))

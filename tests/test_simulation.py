@@ -29,13 +29,22 @@ class TestTwoSidedP:
 
     def test_matches_stdlib_erfc(self):
         # independent oracle: math.erfc goes through libm, not scipy
-        for t in np.linspace(-6, 6, 101):
-            assert two_sided_p(float(t)) == pytest.approx(
-                math.erfc(abs(t) / math.sqrt(2)), abs=1e-14)
+        ts = np.linspace(-6, 6, 101)
+        expected = [math.erfc(abs(t) / math.sqrt(2)) for t in ts]
+        for t, want in zip(ts, expected):
+            assert two_sided_p(float(t)) == pytest.approx(want, abs=1e-14)
+        # elementwise over an array of any shape, leaving the input alone
+        block = ts.reshape(1, 101).repeat(3, axis=0)
+        p = two_sided_p(block)
+        assert p.shape == (3, 101)
+        assert np.allclose(p, [expected] * 3, rtol=0, atol=1e-14)
+        assert np.array_equal(block[0], ts)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             two_sided_p(float("inf"))
+        with pytest.raises(ValueError):
+            two_sided_p(np.array([[0.5, float("nan")]]))
 
 
 class TestSampling:
@@ -142,6 +151,31 @@ class TestRunStudy:
         report = run_study(config, threads=threads, trace=path)
         assert hashlib.sha256(fileio.report_json(report).encode()).hexdigest() == report_sha
         assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+
+    def test_statistics_match_sample_statistics(self, monkeypatch):
+        # row r of what the study turns into p-values is the draw that
+        # sample_statistics makes from replication r's own generator
+        import mtbounds.simulation as sim
+
+        seen = []
+        real = sim.two_sided_p
+
+        def record(t):
+            seen.append(t.copy())
+            return real(t)
+
+        monkeypatch.setattr(sim, "two_sided_p", record)
+        config = SimConfig(n=7, true_counts=(0, 3), effects=(0.5, 2.0), rho=0.3,
+                           reps=_BATCH + 5, seed=2**63 + 11)
+        run_study(config, threads=1)
+        cells = [(t, d) for t in config.true_counts for d in config.effects]
+        assert len(seen) == 2 * len(cells)  # two batches, every cell in each
+        for c, (true_count, effect) in enumerate(cells):
+            stats = np.concatenate([seen[c], seen[len(cells) + c]])
+            for r in (0, 1, _BATCH - 1, _BATCH, _BATCH + 4):
+                rng = np.random.Generator(np.random.Philox(key=config.seed, counter=r << 128))
+                draw = sample_statistics(config.n, true_count, effect, config.rho, rng)
+                assert np.array_equal(stats[r], draw), (true_count, effect, r)
 
     def test_seed_changes_results(self):
         r1 = run_study(small_config(), threads=1)
