@@ -55,8 +55,7 @@ def cmd_constants(args) -> int:
         raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
     if args.modified and spec is None:
         raise CommandError("--modified requires --rate with family bh or rs")
-    matrix = associated_matrix(spec) if spec is not None else None
-    c = family_constants(args.family, args.n, matrix, args.gamma,
+    c = family_constants(args.family, args.n, spec, args.gamma,
                          modified=args.modified, cache_dir=args.cache_dir)
     if args.alpha is not None:
         c = c.scaled(args.alpha)
@@ -82,7 +81,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _rate_spec(args)
-    matrix = associated_matrix(spec)
     if args.input:
         if args.family is not None or args.modified:
             raise CommandError("--input takes neither --family nor --modified")
@@ -92,9 +90,9 @@ def cmd_verify(args) -> int:
     else:
         if args.family is None:
             raise CommandError("verify needs --input or --family")
-        c = family_constants(args.family, args.n, matrix,
+        c = family_constants(args.family, args.n, spec,
                              modified=args.modified, cache_dir=args.cache_dir)
-    worst = float(np.max(bound_vector(matrix, c)))
+    worst = float(np.max(bound_vector(spec, c)))
     feasible = worst <= 1.0 + lp.FEASIBILITY_TOL
     fileio.write_text(f"max bound {worst:.6f}\nfeasible: {'yes' if feasible else 'no'}\n",
                       args.output)
@@ -224,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         return NUMERIC_ERROR
     except (ValueError, OSError) as exc:  # CommandError and InputFormatError too
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # matrix and optimize allocate n*n floats
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

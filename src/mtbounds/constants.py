@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import AssociatedMatrix, bound_vector
+from .matrices import AssociatedMatrix, ErrorRateSpec, bound_vector
 
 __all__ = [
     "Family",
@@ -138,13 +138,16 @@ def gr_sd_constants(n: int) -> CriticalVector:
     return CriticalVector(np.arange(1, n + 1) / (n * d), Family.GR_SD, {"n": n, "divisor": float(d)})
 
 
-def rescale(c: CriticalVector, matrix: AssociatedMatrix) -> tuple[CriticalVector, float]:
+def rescale(c: CriticalVector,
+            spec: ErrorRateSpec | AssociatedMatrix) -> tuple[CriticalVector, float]:
     """Divide c by D = max(A @ c), the smallest factor making it feasible.
 
-    Returns the rescaled vector (family RESCALED, parent recorded in params)
-    and D. Raises if the bound is identically zero (c cannot be normalized).
+    ``spec`` names A (an ErrorRateSpec, or an AssociatedMatrix whose spec
+    is read); A itself is never built. Returns the rescaled vector (family
+    RESCALED, parent recorded in params) and D. Raises if the bound is
+    identically zero (c cannot be normalized).
     """
-    bounds = bound_vector(matrix, c)
+    bounds = bound_vector(spec, c)
     d = float(np.max(bounds))
     if d <= 0.0:
         raise ValueError("bound vector is identically zero; cannot rescale")

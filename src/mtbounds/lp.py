@@ -69,11 +69,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """The assembled program: matrix, feasible floor and mean-1 weights."""
+    """The assembled program: matrix, feasible floor, mean-1 weights and the
+    floor's bound vector A @ floor."""
 
     matrix: AssociatedMatrix
     floor: CriticalVector
     weights: np.ndarray
+    floor_bounds: np.ndarray
 
     @property
     def n(self) -> int:
@@ -119,7 +121,8 @@ def build_problem(
     n = matrix.n
     if floor.n != n:
         raise ValueError(f"floor has length {floor.n}, matrix is {n}x{n}")
-    worst = float(np.max(bound_vector(matrix, floor)))
+    floor_bounds = bound_vector(matrix, floor)
+    worst = float(np.max(floor_bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise InfeasibleFloorError(f"floor is infeasible: max bound {worst:.12g} > 1")
     if weights is None:
@@ -135,7 +138,8 @@ def build_problem(
             raise ValueError("weights must have positive sum")
         w = w * (n / total)  # mean 1, so uniform weights give plain column sums
     w.setflags(write=False)
-    return LPProblem(matrix=matrix, floor=floor, weights=w)
+    floor_bounds.setflags(write=False)
+    return LPProblem(matrix=matrix, floor=floor, weights=w, floor_bounds=floor_bounds)
 
 
 def _failure(problem: LPProblem, iterations: int) -> LPSolution:
@@ -143,7 +147,7 @@ def _failure(problem: LPProblem, iterations: int) -> LPSolution:
         status=SolveStatus.NUMERIC_FAILURE,
         xi=None,
         objective=float("nan"),
-        floor_objective=float(problem.objective_coefficients @ problem.floor.values),
+        floor_objective=float(problem.weights @ problem.floor_bounds),
         m1=float("nan"),
         m2=float("nan"),
         iterations=iterations,
@@ -158,13 +162,12 @@ def solve(problem: LPProblem) -> LPSolution:
     post-solve bound or monotonicity violation, yields NUMERIC_FAILURE with
     ``xi`` set to None. The returned vector dominates the floor exactly.
     """
-    A = problem.matrix.entries
     c = problem.floor.values
     n = problem.n
     steps = sparse.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
     result = linprog(
         -problem.objective_coefficients,
-        A_ub=sparse.vstack([sparse.csr_matrix(A), steps], format="csr"),
+        A_ub=sparse.vstack([sparse.csr_matrix(problem.matrix.entries), steps], format="csr"),
         b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
         bounds=np.column_stack([c, np.full(n, np.inf)]),
         method="highs",
@@ -178,7 +181,8 @@ def solve(problem: LPProblem) -> LPSolution:
     if np.max(stepped - xi) > FEASIBILITY_TOL:
         return _failure(problem, iterations)
     xi = stepped
-    if float(np.max(A @ xi)) > 1.0 + FEASIBILITY_TOL:
+    xi_bounds = bound_vector(problem.matrix, xi)
+    if float(np.max(xi_bounds)) > 1.0 + FEASIBILITY_TOL:
         return _failure(problem, iterations)
     params = dict(problem.floor.params or {})
     if "parent" in params:
@@ -186,7 +190,9 @@ def solve(problem: LPProblem) -> LPSolution:
     params["parent"] = problem.floor.family.value
     xi_vec = CriticalVector(xi, Family.MODIFIED, params)
     f_floor, f_xi, m1, m2 = diagnostics(problem.matrix, problem.floor, xi_vec,
-                                        weights=problem.weights)
+                                        weights=problem.weights,
+                                        floor_bounds=problem.floor_bounds,
+                                        xi_bounds=xi_bounds)
     return LPSolution(
         status=SolveStatus.OPTIMAL,
         xi=xi_vec,
@@ -203,16 +209,22 @@ def diagnostics(
     floor: CriticalVector,
     xi: CriticalVector,
     weights: np.ndarray | None = None,
+    *,
+    floor_bounds: np.ndarray | None = None,
+    xi_bounds: np.ndarray | None = None,
 ) -> tuple[float, float, float, float]:
-    """(F(floor), F(xi), m1, m2) for any feasible pair."""
+    """(F(floor), F(xi), m1, m2) for any feasible pair.
+
+    F(x) = weights @ (A @ x). The bound vectors A @ floor and A @ xi are
+    computed unless given.
+    """
     w = np.ones(matrix.n) if weights is None else weights
-    a = w @ matrix.entries
-    f_floor = float(a @ floor.values)
-    f_xi = float(a @ xi.values)
+    bf = bound_vector(matrix, floor) if floor_bounds is None else floor_bounds
+    bx = bound_vector(matrix, xi) if xi_bounds is None else xi_bounds
+    f_floor = float(w @ bf)
+    f_xi = float(w @ bx)
     pos = floor.values > 0
     m1 = float(np.max(xi.values[pos] / floor.values[pos])) if pos.any() else float("nan")
-    bf = bound_vector(matrix, floor)
-    bx = bound_vector(matrix, xi)
     rows = bf > 0
     m2 = float(np.max(bx[rows] / bf[rows])) if rows.any() else float("nan")
     return f_floor, f_xi, m1, m2

@@ -7,6 +7,11 @@ exactly i null hypotheses are true, valid under arbitrary dependence of the
 p-values. Constants with ``max(A @ c) <= 1`` therefore control the rate at
 level alpha once multiplied by alpha.
 
+``bound_vector`` computes ``A @ c`` from the rate's event system without
+forming A, in O(n) memory; rescaling, the feasibility check and ``verify``
+use it. Only the LP and the ``matrix`` export build the dense A
+(``associated_matrix``).
+
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
 the raw ``entries`` array uses ordinary 0-based numpy indexing.
@@ -15,7 +20,6 @@ the raw ``entries`` array uses ordinary 0-based numpy indexing.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,66 +139,73 @@ class AssociatedMatrix:
         return self.spec.n
 
 
-def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, Callable]:
+def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
     """The order-statistic event system behind every row of the matrix.
 
-    Returns ``(first, last, column)``: row i holds the levels
+    Returns ``(first, last, cap)``: row i holds the levels
     ``first..last[i-1]`` (none when ``last[i-1] < first``), and level L of
-    the rows in the integer array ``rows`` pairs with the constants at
-    columns ``column(L, rows)``. The kFWER systems start at level k, the
-    tail-FDP systems at level 1.
+    row i pairs with the constant at column ``min(L + n - i, cap[L-1])``.
+    The kFWER systems start at level k, the tail-FDP systems at level 1.
+    ``cap`` is nondecreasing, and ``cap[L-1] - L`` is nondecreasing while
+    ``cap[L-1] < n``; ``last`` rises and then falls, so the rows holding a
+    level are contiguous.
     """
     n = spec.n
     rows = np.arange(1, n + 1)
+    no_cap = np.full(n, n)
     if spec.rate is Rate.KFWER_SU:
-        return spec.k, rows, lambda L, r: n - r + L
+        return spec.k, rows, no_cap
     if spec.rate is Rate.KFWER_SD:
-        return spec.k, np.where(rows >= spec.k, spec.k, 0), lambda L, r: n - r + L
+        return spec.k, np.where(rows >= spec.k, spec.k, 0), no_cap
     gamma = spec.gamma
     if spec.rate is Rate.FDP_SU:
         # Rejecting down to constant l can push the FDP above gamma only from
-        # level floor(gamma*l)+1 on; a row pairs each level with the largest
-        # column that level can reach.
+        # level floor(gamma*l)+1 on; each level pairs with the largest column
+        # it can reach.
         min_level = np.floor(gamma * rows).astype(int) + 1
-        usable = np.searchsorted(min_level, rows, side="right")
-        last = np.maximum(rows - n + usable, min_level[usable - 1])
-        return 1, last, lambda L, r: np.minimum(
-            L + n - r, np.searchsorted(min_level, L, side="right"))
+        cap = np.searchsorted(min_level, rows, side="right")
+        return 1, np.maximum(rows - n + cap, min_level[cap - 1]), cap
     # Step-down: with L false rejections the FDP exceeds gamma only while the
     # rejection count stays below L/gamma, and with i true nulls it is at most
     # n-i+L; level L pairs with the largest such count.
     last = np.minimum(
         np.minimum(rows, math.floor(gamma * n) + 1),
         np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1)
-    return 1, last, lambda L, r: np.minimum(
-        n + L - r, n if gamma == 0.0 else min(n, math.ceil(L / gamma) - 1))
+    if gamma == 0.0:
+        return 1, last, no_cap
+    return 1, last, np.minimum(n, np.ceil(rows / gamma).astype(int) - 1)
 
 
 def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:
-    """Build the matrix for any error-rate spec.
+    """Build the dense matrix for any error-rate spec.
 
     Row i is the generalized Bonferroni bound on the union of its events
     (Lehmann & Romano 2005; Romano & Shaikh 2006): level L < last puts
-    i*(L_next-L)/(L*L_next) on its column, the last level i/L_last. The loop
-    runs over levels and fills every row holding a level at once.
+    i/(L*(L+1)) on its column, the last level i/L. The loop runs over
+    levels. The rows holding a level write it as two strided slices: the
+    capped rows down its column, the others along the diagonal
+    ``L + n - i``. No cell is written twice.
     """
     n = spec.n
-    first, last, column = _event_system(spec)
-    order = np.argsort(-last, kind="stable")  # rows by last level, descending
-    top = int(last[order[0]])
-    # the rows holding level first+j are the first holding[j] rows of order
-    holding = np.searchsorted(-last[order], -np.arange(first, top + 2), side="right")
-    by_last = order + 1
-    row_start = order * n - 1  # flat index of each row's column 0, minus 1
+    first, last, cap = _event_system(spec)
+    # rows los[j]..his[j] (1-based) hold level first+j; the range after the
+    # highest level is empty
+    levels = np.arange(first, last.max() + 2)
+    los = np.searchsorted(np.maximum.accumulate(last), levels) + 1
+    his = n - np.searchsorted(np.maximum.accumulate(last[::-1]), levels)
+    los, his, cap = los.tolist(), his.tolist(), cap.tolist()
+    rows = np.arange(1.0, n + 1)
     A = np.zeros((n, n))
     flat = A.reshape(-1)
-    weights = np.empty(n)
-    for L, held, going_on in zip(range(first, top + 1), holding, holding[1:]):
-        rows = by_last[:held]
-        L_next = L + 1
-        weights[:going_on] = rows[:going_on] * (L_next - L) / (L * L_next)
-        weights[going_on:held] = rows[going_on:] / L
-        flat[row_start[:held] + column(L, rows)] += weights[:held]
+    for L, lo, hi, lo_on, hi_on in zip(levels.tolist(), los, his, los[1:], his[1:]):
+        # rows lo_on..hi_on hold level L+1 as well, the rest end at L
+        weights = rows[lo - 1:hi] / L
+        weights[lo_on - lo:hi_on - lo + 1] = rows[lo_on - 1:hi_on] / (L * (L + 1))
+        # rows below n + L - cap[L-1] take the capped column, the rest the
+        # diagonal column L + n - i at flat index i*(n-1) + L - 1
+        split = min(max(n + L - cap[L - 1], lo), hi + 1)
+        A[lo - 1:split - 1, cap[L - 1] - 1] = weights[:split - lo]
+        flat[split * (n - 1) + L - 1:hi * (n - 1) + L:max(n - 1, 1)] = weights[split - lo:]
     return AssociatedMatrix(spec, A)
 
 
@@ -223,27 +234,52 @@ def _constant_values(c) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def bound_vector(matrix: AssociatedMatrix, c) -> np.ndarray:
-    """A @ c: component i bounds the error rate when i hypotheses are true.
+def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:
+    """A @ c without building A: component i bounds the error rate when i
+    hypotheses are true.
 
-    ``c`` may be a CriticalVector or a plain array of length n.
+    ``spec`` is an ErrorRateSpec or an AssociatedMatrix (its ``spec`` is
+    read); ``c`` a CriticalVector or a plain array of length n. Time is
+    O(nnz(A)), memory O(n). Row i sums c over its levels: the levels before
+    its crossover (where ``cap[L-1] - L`` reaches n - i) sit on their capped
+    columns, which no row changes, so one prefix sum serves every row; the
+    later ones run along the diagonal ``L + n - i``, one dot product of two
+    contiguous slices; the last level adds ``c[col]/L``.
     """
+    spec = getattr(spec, "spec", spec)
+    n = spec.n
     v = _constant_values(c)
-    if v.shape != (matrix.n,):
-        raise ValueError(f"constants must have length {matrix.n}, got shape {v.shape}")
-    return matrix.entries @ v
+    if v.shape != (n,):
+        raise ValueError(f"constants must have length {n}, got shape {v.shape}")
+    first, last, cap = _event_system(spec)
+    rows = np.arange(1, n + 1)
+    levels = rows[first - 1:]
+    w = 1.0 / (levels * (levels + 1.0))
+    # level L sits on its capped column in rows i with cap[L-1] - L < n - i
+    gap = np.where(cap < n, cap - rows, n)[first - 1:]
+    capped = np.concatenate(([0.0], np.cumsum(v[cap[first - 1:] - 1] * w)))
+    ends = np.maximum(last - first, 0)  # each row's last level, counted from first
+    split = np.minimum(np.searchsorted(gap, n - rows), ends)
+    total = capped[split]
+    diagonal = np.flatnonzero(split < ends)
+    starts = first + split[diagonal] + n - diagonal - 2  # 0-based, first diagonal level
+    total[diagonal] += [v[s:s + b - a] @ w[a:b] for s, a, b in zip(
+        starts.tolist(), split[diagonal].tolist(), ends[diagonal].tolist())]
+    final = np.maximum(last, first)
+    total += v[np.minimum(final + n - rows, cap[final - 1]) - 1] / final
+    return np.where(last >= first, rows * total, 0.0)
 
 
-def is_feasible(matrix: AssociatedMatrix, c, tol: float = 0.0) -> bool:
-    """Whether c is nondecreasing, nonnegative and max(A @ c) <= 1 + tol."""
+def is_feasible(spec: ErrorRateSpec | AssociatedMatrix, c, tol: float = 0.0) -> bool:
+    """Whether c is nondecreasing, nonnegative and max(A @ c) <= 1 + tol;
+    ``spec`` and ``c`` as in ``bound_vector``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     v = _constant_values(c)
-    if v.shape != (matrix.n,):
-        raise ValueError(f"constants must have length {matrix.n}, got shape {v.shape}")
+    bounds = bound_vector(spec, v)
     if np.any(v < 0) or np.any(np.diff(v) < 0):
         return False
-    return float(np.max(matrix.entries @ v)) <= 1.0 + tol
+    return float(np.max(bounds)) <= 1.0 + tol
 
 
 def row_events(spec: ErrorRateSpec, i: int) -> list[tuple[int, int]]:
@@ -257,5 +293,6 @@ def row_events(spec: ErrorRateSpec, i: int) -> list[tuple[int, int]]:
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"row must satisfy 1 <= i <= n={spec.n}, got {i}")
-    first, last, column = _event_system(spec)
-    return [(L, int(column(L, i))) for L in range(first, int(last[i - 1]) + 1)]
+    first, last, cap = _event_system(spec)
+    return [(L, int(min(L + spec.n - i, cap[L - 1])))
+            for L in range(first, int(last[i - 1]) + 1)]

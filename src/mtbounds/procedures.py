@@ -225,7 +225,7 @@ class ProcedureSpec:
 def family_constants(
     family: str,
     n: int,
-    matrix: AssociatedMatrix | None = None,
+    spec: ErrorRateSpec | AssociatedMatrix | None = None,
     gamma: float | None = None,
     *,
     modified: bool = False,
@@ -234,14 +234,15 @@ def family_constants(
     """The level-1 constants of a named family, along the one path
     family -> raw vector -> rescale -> [LP improvement].
 
-    ``by`` and ``gr`` come pre-normalized, ignore the matrix and have no
-    modified variant (ValueError). ``bh`` and
-    ``rs`` are rescaled into the feasible set of ``matrix`` and, when
-    ``modified``, improved by the LP (through the cache in ``cache_dir``);
-    without a matrix they stay raw. Raw ``rs`` is the Lehmann-Romano kFWER
-    family for a kFWER matrix and the tail-FDP family otherwise, at the
-    matrix's gamma or at ``gamma``. Raises lp.SolverError when the LP has no
-    optimal solution.
+    ``spec`` names the bound matrix: an ErrorRateSpec, or an
+    AssociatedMatrix whose spec is read. ``by`` and ``gr`` come
+    pre-normalized, ignore it and have no modified variant (ValueError).
+    ``bh`` and ``rs`` are rescaled into the matrix's feasible set without
+    building it and, when ``modified``, improved by the LP (through the
+    cache in ``cache_dir``), which builds it unless it is given; without a
+    spec they stay raw. Raw ``rs`` is the Lehmann-Romano kFWER family for a
+    kFWER rate and the tail-FDP family otherwise, at the spec's gamma or at
+    ``gamma``. Raises lp.SolverError when the LP has no optimal solution.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -249,32 +250,32 @@ def family_constants(
         if modified:
             raise ValueError(f"family {family!r} has no modified variant")
         return by_constants(n) if family == "by" else gr_sd_constants(n)
-    if modified and matrix is None:
+    if modified and spec is None:
         raise ValueError("modified constants need an error-rate matrix")
-    spec = None if matrix is None else matrix.spec
+    rate = getattr(spec, "spec", spec)
     if family == "bh":
         raw = bh_constants(n)
-    elif spec is not None and not spec.rate.is_fdp:
-        raw = lr_kfwer_constants(n, spec.k)
+    elif rate is not None and not rate.rate.is_fdp:
+        raw = lr_kfwer_constants(n, rate.k)
     else:
-        if spec is not None:
-            gamma = spec.gamma
+        if rate is not None:
+            gamma = rate.gamma
         if gamma is None:
             raise ValueError("family 'rs' needs gamma or an error-rate matrix")
         raw = lr_fdp_constants(n, gamma)
-    if matrix is None:
+    if rate is None:
         return raw
-    floor, _ = rescale(raw, matrix)
+    floor, _ = rescale(raw, rate)
     if not modified:
         return floor
+    matrix = spec if isinstance(spec, AssociatedMatrix) else associated_matrix(rate)
     return lp.solve_checked(lp.build_problem(matrix, floor), cache_dir).xi
 
 
 def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:
     """The level-1 constants of the procedure (see ``family_constants``).
     Multiply by alpha to obtain the applied thresholds."""
-    matrix = associated_matrix(spec.rate) if spec.rate is not None else None
-    return family_constants(spec.family, spec.n, matrix, modified=spec.modified,
+    return family_constants(spec.family, spec.n, spec.rate, modified=spec.modified,
                             cache_dir=cache_dir)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mtbounds import lp
+from mtbounds import cli, lp, matrices, procedures
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -302,3 +302,55 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--rate", "fdp-su", "--gamma", "0.05"])
         assert exc.value.code == 2
+
+
+def never_build(spec):
+    raise AssertionError(f"dense matrix built for {spec}")
+
+
+class TestMatrixFree:
+    """Commands that only need A @ c never build the dense matrix."""
+
+    @pytest.mark.parametrize("argv", [
+        ["adjust", "--family", "bh", "--rate", "fdp-su", "--gamma", "0.05", "--alpha", "0.5"],
+        ["adjust", "--family", "rs", "--rate", "kfwer-sd", "--k", "2", "--alpha", "0.1"],
+        ["verify", "--family", "rs", "--n", "15", "--rate", "fdp-sd", "--gamma", "0.1"],
+        ["verify", "--family", "bh", "--n", "15", "--rate", "kfwer-su", "--k", "2"],
+        ["constants", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.05"],
+        ["constants", "--family", "rs", "--n", "15", "--rate", "kfwer-su", "--k", "1"],
+    ], ids=lambda argv: "-".join(argv[:5:2]))
+    def test_no_dense_build(self, argv, bh95_file, monkeypatch, capsys):
+        for module in (cli, matrices, procedures):
+            monkeypatch.setattr(module, "associated_matrix", never_build)
+        if argv[0] == "adjust":
+            argv = argv + ["--input", str(bh95_file)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_verify_input_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "associated_matrix", never_build)
+        const_file = tmp_path / "constants.csv"
+        const_file.write_text("index,value\n1,0.25\n2,0.5\n")
+        code, out, _ = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+                           "--gamma", "0.1", "--input", str(const_file))
+        assert code == 0
+        assert out == "max bound 0.750000\nfeasible: yes\n"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--n", "20000", "--rate", "fdp-su", "--gamma", "0.05"],
+        ["optimize", "--family", "bh", "--n", "20000", "--rate", "fdp-sd", "--gamma", "0.05"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2(self, argv, monkeypatch, capsys):
+        def out_of_memory(spec):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                              "(20000, 20000) and data type float64")
+
+        monkeypatch.setattr(cli, "associated_matrix", out_of_memory)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: out of memory: Unable to allocate 2.98 GiB for an array "
+                       "with shape (20000, 20000) and data type float64\n")

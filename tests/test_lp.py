@@ -293,3 +293,22 @@ class TestCache:
             assert solve_cached(problem, tmp_path).status is SolveStatus.NUMERIC_FAILURE
         assert list(tmp_path.iterdir()) == []
         assert len(calls) == 2  # the failure was not served from the cache
+
+
+def test_each_bound_vector_computed_once_per_solve(monkeypatch):
+    """build_problem computes A @ floor and solve A @ xi; the diagnostics
+    reuse both."""
+    matrix = fdp_su_matrix(30, 0.05)
+    floor = rescaled_floor(matrix, "bh")
+    calls = []
+
+    def counting(spec, c):
+        calls.append(spec)
+        return bound_vector(spec, c)
+
+    monkeypatch.setattr(lp, "bound_vector", counting)
+    solution = solve(build_problem(matrix, floor))
+    assert solution.status is SolveStatus.OPTIMAL
+    assert len(calls) == 2
+    assert solution.m2 == pytest.approx(
+        np.max(bound_vector(matrix, solution.xi) / bound_vector(matrix, floor)), rel=1e-12)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mtbounds import (
     CriticalVector,
+    Family,
     ErrorRateSpec,
     Rate,
     associated_matrix,
@@ -16,6 +17,7 @@ from mtbounds import (
     is_feasible,
     kfwer_sd_matrix,
     kfwer_su_matrix,
+    lr_fdp_constants,
     lr_kfwer_constants,
     rescale,
     row_events,
@@ -141,8 +143,8 @@ class TestFdpSuMatrix:
 def sd_column_map(n, gamma, i):
     """Column of each level 1..floor(gamma*n)+1 in row i of the FDP step-down
     system, whether or not the row holds that level."""
-    _, _, column = _event_system(ErrorRateSpec.fdp_sd(n, gamma))
-    return [int(column(lvl, i)) for lvl in range(1, int(np.floor(gamma * n)) + 2)]
+    _, _, cap = _event_system(ErrorRateSpec.fdp_sd(n, gamma))
+    return [int(min(lvl + n - i, cap[lvl - 1])) for lvl in range(1, int(np.floor(gamma * n)) + 2)]
 
 
 class TestFdpSdAux:
@@ -356,3 +358,65 @@ def test_entries_immutable():
     A = fdp_su_matrix(5, 0.1)
     with pytest.raises(ValueError):
         A.entries[0, 0] = 7.0
+
+
+# The structured A @ c against the dense product, over the hash grid plus
+# gammas whose 1/gamma is not an integer or lies close to 1.
+STRUCTURE_GAMMAS = HASH_GAMMAS + (0.5, 0.99, 1 / 3)
+STRUCTURE_NS = (1, 2, 3, 7, 50, 237, 1000)
+
+
+def structure_specs(rate, n):
+    if rate.startswith("fdp"):
+        return [ErrorRateSpec(Rate(rate), n, gamma=g) for g in STRUCTURE_GAMMAS]
+    return [ErrorRateSpec(Rate(rate), n, k=k) for k in sorted({1, min(2, n), n})]
+
+
+def structure_constants(spec):
+    n = spec.n
+    rs = (lr_fdp_constants(n, spec.gamma) if spec.rate.is_fdp
+          else lr_kfwer_constants(n, spec.k))
+    step = np.zeros(n)
+    step[n // 2:] = 1.0
+    uniforms = np.sort(np.random.default_rng(n).uniform(size=n))
+    return {"bh": bh_constants(n).values, "rs": rs.values, "uniforms": uniforms,
+            "zeros": np.zeros(n), "step": step}
+
+
+@pytest.mark.parametrize("n", STRUCTURE_NS)
+@pytest.mark.parametrize("rate", [r.value for r in Rate])
+def test_bound_vector_matches_dense_product(rate, n):
+    for spec in structure_specs(rate, n):
+        A = associated_matrix(spec).entries
+        for name, c in structure_constants(spec).items():
+            b = bound_vector(spec, c)
+            assert np.all(np.abs(b - A @ c) <= 1e-14 * (np.abs(A) @ np.abs(c))), (spec, name)
+            assert np.array_equal(bound_vector(associated_matrix(spec), c), b)
+
+
+@pytest.mark.parametrize("n", STRUCTURE_NS)
+@pytest.mark.parametrize("rate", [r.value for r in Rate])
+def test_event_system_structure(rate, n):
+    """The premises of the structured product and the level-wise builder:
+    cap is nondecreasing, cap[L-1] - L is nondecreasing while cap[L-1] < n
+    (one crossover per row), and the rows holding a level are contiguous
+    (last rises, then falls)."""
+    for spec in structure_specs(rate, n):
+        first, last, cap = _event_system(spec)
+        assert np.all(np.diff(cap) >= 0)
+        below = cap < n
+        assert np.all(np.diff((cap - np.arange(1, n + 1))[below]) >= 0)
+        assert np.all(below[:np.count_nonzero(below)])
+        peak = int(np.argmax(last))
+        assert np.all(np.diff(last[:peak + 1]) >= 0) and np.all(np.diff(last[peak:]) <= 0)
+        assert np.all(last <= np.arange(1, n + 1))
+
+
+def test_rescale_reads_the_spec():
+    spec = ErrorRateSpec.fdp_su(40, 0.1)
+    from_spec, d_spec = rescale(bh_constants(40), spec)
+    from_matrix, d_matrix = rescale(bh_constants(40), associated_matrix(spec))
+    assert d_spec == d_matrix
+    assert np.array_equal(from_spec.values, from_matrix.values)
+    assert from_spec.family is Family.RESCALED
+    assert is_feasible(spec, from_spec, tol=1e-12)
