@@ -100,6 +100,8 @@ def cmd_verify(args) -> int:
 
 
 def _procedure_spec(args) -> ProcedureSpec:
+    if args.alpha is None:
+        raise CommandError("adjust requires --alpha")
     if args.family in FDR_FAMILIES:
         if args.rate is not None:
             raise CommandError(f"family {args.family!r} does not take --rate")
@@ -223,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # CommandError and InputFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except MemoryError as exc:  # matrix and optimize allocate n*n floats
+    except MemoryError as exc:  # matrix holds n*n floats, a step-up LP about n*n/2 nonzeros
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -7,12 +7,12 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-The program is solved by HiGHS through ``scipy.optimize.linprog``: A is
-passed as a sparse matrix stacked on the difference rows
-``xi_j - xi_{j+1} <= 0``, and the floor as the variables' lower bounds.
-HiGHS's presolve is off: it did not shorten these solves, and on the dense
-step-up matrices its time grew by a fifth when another process streamed
-memory.
+The program is solved by HiGHS through ``scipy.optimize.linprog``: A's
+sparse rows, assembled from the event system without a dense intermediate,
+are stacked on the difference rows ``xi_j - xi_{j+1} <= 0``, and the floor
+is passed as the variables' lower bounds. HiGHS's presolve is off: it did
+not shorten these solves, and on the step-up matrices, about half full, its
+time grew by a fifth when another process streamed memory.
 HiGHS is deterministic, so repeated solves are bit-identical.
 """
 
@@ -55,7 +55,6 @@ FEASIBILITY_TOL = 1e-9
 
 class SolveStatus(str, Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     NUMERIC_FAILURE = "numeric-failure"
 
 
@@ -85,7 +84,7 @@ class LPProblem:
     def objective_coefficients(self) -> np.ndarray:
         """a_j = sum_i weights_i * A_ij; plain column sums under uniform
         weights."""
-        return self.weights @ self.matrix.entries
+        return self.weights @ self.matrix.rows
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def solve(problem: LPProblem) -> LPSolution:
     steps = sparse.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
     result = linprog(
         -problem.objective_coefficients,
-        A_ub=sparse.vstack([sparse.csr_matrix(problem.matrix.entries), steps], format="csr"),
+        A_ub=sparse.vstack([problem.matrix.rows, steps], format="csr"),
         b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
         bounds=np.column_stack([c, np.full(n, np.inf)]),
         method="highs",

@@ -9,8 +9,8 @@ level alpha once multiplied by alpha.
 
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory; rescaling, the feasibility check and ``verify``
-use it. Only the LP and the ``matrix`` export build the dense A
-(``associated_matrix``).
+use it. The LP reads the sparse ``rows`` of an ``AssociatedMatrix``, built
+from the same event system; only the ``matrix`` export reads ``entries``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Rate",
@@ -118,25 +120,43 @@ class ErrorRateSpec:
 
 @dataclass(frozen=True)
 class AssociatedMatrix:
-    """The nonnegative bound matrix for one error-rate spec.
-
-    ``entries[i-1, j-1]`` is the coefficient of constant c_j in the bound on
-    the error rate when i hypotheses are true. Entries are immutable.
+    """The nonnegative bound matrix for one error-rate spec, a function of
+    ``spec`` alone. Each view is built once, on first read: ``rows`` (sparse)
+    and ``entries``, the read-only dense array whose ``[i-1, j-1]`` entry is
+    the coefficient of constant c_j in the bound when i hypotheses are true.
     """
 
     spec: ErrorRateSpec
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.spec.n, self.spec.n):
-            raise ValueError(f"entries must be {self.spec.n}x{self.spec.n}, got {e.shape}")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @cached_property
+    def rows(self) -> sparse.csr_matrix:
+        """A in canonical CSR form, assembled row by row from the event system.
+
+        Row i is the generalized Bonferroni bound on the union of its events
+        (Lehmann & Romano 2005; Romano & Shaikh 2006): level L < last puts
+        i/(L*(L+1)) on its column, the last level i/L. A row's columns
+        increase with its levels, and every weight is positive, so the rows
+        are sorted, free of duplicates and of explicit zeros.
+        """
+        n = self.spec.n
+        first, last, cap = _event_system(self.spec)
+        counts = np.maximum(last - first + 1, 0)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        i = np.repeat(np.arange(1, n + 1), counts)
+        levels = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - first, counts)
+        data = i / np.where(levels == last[i - 1], levels, levels * (levels + 1))
+        columns = np.minimum(levels + n - i, cap[levels - 1]) - 1
+        return sparse.csr_matrix((data, columns, indptr), shape=(n, n))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        dense = self.rows.toarray()
+        dense.setflags(write=False)
+        return dense
 
 
 def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
@@ -177,36 +197,8 @@ def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:
-    """Build the dense matrix for any error-rate spec.
-
-    Row i is the generalized Bonferroni bound on the union of its events
-    (Lehmann & Romano 2005; Romano & Shaikh 2006): level L < last puts
-    i/(L*(L+1)) on its column, the last level i/L. The loop runs over
-    levels. The rows holding a level write it as two strided slices: the
-    capped rows down its column, the others along the diagonal
-    ``L + n - i``. No cell is written twice.
-    """
-    n = spec.n
-    first, last, cap = _event_system(spec)
-    # rows los[j]..his[j] (1-based) hold level first+j; the range after the
-    # highest level is empty
-    levels = np.arange(first, last.max() + 2)
-    los = np.searchsorted(np.maximum.accumulate(last), levels) + 1
-    his = n - np.searchsorted(np.maximum.accumulate(last[::-1]), levels)
-    los, his, cap = los.tolist(), his.tolist(), cap.tolist()
-    rows = np.arange(1.0, n + 1)
-    A = np.zeros((n, n))
-    flat = A.reshape(-1)
-    for L, lo, hi, lo_on, hi_on in zip(levels.tolist(), los, his, los[1:], his[1:]):
-        # rows lo_on..hi_on hold level L+1 as well, the rest end at L
-        weights = rows[lo - 1:hi] / L
-        weights[lo_on - lo:hi_on - lo + 1] = rows[lo_on - 1:hi_on] / (L * (L + 1))
-        # rows below n + L - cap[L-1] take the capped column, the rest the
-        # diagonal column L + n - i at flat index i*(n-1) + L - 1
-        split = min(max(n + L - cap[L - 1], lo), hi + 1)
-        A[lo - 1:split - 1, cap[L - 1] - 1] = weights[:split - lo]
-        flat[split * (n - 1) + L - 1:hi * (n - 1) + L:max(n - 1, 1)] = weights[split - lo:]
-    return AssociatedMatrix(spec, A)
+    """The bound matrix of any error-rate spec; nothing is built yet."""
+    return AssociatedMatrix(spec)
 
 
 def kfwer_su_matrix(n: int, k: int) -> AssociatedMatrix:

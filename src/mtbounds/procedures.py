@@ -239,10 +239,11 @@ def family_constants(
     pre-normalized, ignore it and have no modified variant (ValueError).
     ``bh`` and ``rs`` are rescaled into the matrix's feasible set without
     building it and, when ``modified``, improved by the LP (through the
-    cache in ``cache_dir``), which builds it unless it is given; without a
-    spec they stay raw. Raw ``rs`` is the Lehmann-Romano kFWER family for a
-    kFWER rate and the tail-FDP family otherwise, at the spec's gamma or at
-    ``gamma``. Raises lp.SolverError when the LP has no optimal solution.
+    cache in ``cache_dir``), which reads the matrix's sparse rows only on a
+    cache miss; without a spec they stay raw. Raw ``rs`` is the
+    Lehmann-Romano kFWER family for a kFWER rate and the tail-FDP family
+    otherwise, at the spec's gamma or at ``gamma``. Raises lp.SolverError
+    when the LP has no optimal solution.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -268,8 +269,7 @@ def family_constants(
     floor, _ = rescale(raw, rate)
     if not modified:
         return floor
-    matrix = spec if isinstance(spec, AssociatedMatrix) else associated_matrix(rate)
-    return lp.solve_checked(lp.build_problem(matrix, floor), cache_dir).xi
+    return lp.solve_checked(lp.build_problem(associated_matrix(rate), floor), cache_dir).xi
 
 
 def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:

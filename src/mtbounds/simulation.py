@@ -82,6 +82,8 @@ class SimConfig:
             raise ValueError("reps must be positive")
         if not 0.0 < self.alpha < 1.0 or not 0.0 <= self.gamma < 1.0:
             raise ValueError("alpha must lie in (0,1) and gamma in [0,1)")
+        if not 0.0 < self.fdr_level < 1.0:
+            raise ValueError(f"fdr_level must lie in (0, 1), got {self.fdr_level}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 

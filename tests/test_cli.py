@@ -287,6 +287,14 @@ class TestUsageErrors:
         assert out == ""
         assert "--input" in err
 
+    @pytest.mark.parametrize("flags", [["--rate", "fdp-su", "--gamma", "0.05", "--family", "bh"],
+                                       ["--family", "by"]], ids=["bh", "by"])
+    def test_adjust_without_alpha_exits_2(self, bh95_file, flags, capsys):
+        code, out, err = run(capsys, "adjust", "--input", str(bh95_file), *flags)
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err
+
     @pytest.mark.parametrize("payload", ["{}", '{"values": {"1": 0.5}}', '{"values": [{}]}'],
                              ids=["no-values", "values-dict", "object-entry"])
     def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, capsys):
@@ -336,6 +344,35 @@ class TestMatrixFree:
                            "--gamma", "0.1", "--input", str(const_file))
         assert code == 0
         assert out == "max bound 0.750000\nfeasible: yes\n"
+
+
+def never_read(matrix):
+    raise AssertionError(f"matrix view read for {matrix.spec}")
+
+
+class TestSparseLP:
+    """The LP reads A's sparse rows and never its dense entries; a cache hit
+    reads neither."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.05"],
+        ["optimize", "--family", "rs", "--n", "15", "--rate", "kfwer-sd", "--k", "2"],
+        ["adjust", "--family", "bh", "--rate", "fdp-sd", "--gamma", "0.05", "--alpha", "0.5",
+         "--modified"],
+        ["adjust", "--family", "rs", "--rate", "kfwer-su", "--k", "2", "--alpha", "0.1",
+         "--modified"],
+        ["constants", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.1",
+         "--modified"],
+    ], ids=lambda argv: "-".join(argv[:5:2]))
+    def test_cold_and_warm(self, argv, bh95_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(matrices.AssociatedMatrix, "entries", property(never_read))
+        argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+        if argv[0] == "adjust":
+            argv += ["--input", str(bh95_file)]
+        cold = run(capsys, *argv)
+        assert cold[0] == 0 and cold[2] == ""
+        monkeypatch.setattr(matrices.AssociatedMatrix, "rows", property(never_read))
+        assert run(capsys, *argv) == cold
 
 
 class TestOutOfMemory:

@@ -21,7 +21,6 @@ from mtbounds import (
 )
 from mtbounds import lp
 from mtbounds.lp import SOLVER_VERSION, cache_key
-from mtbounds.matrices import AssociatedMatrix, ErrorRateSpec, Rate
 
 
 def scipy_optimum(matrix, floor, weights=None):
@@ -66,7 +65,7 @@ def check_solution_invariants(matrix, floor, solution):
 
 class TestTrivialCases:
     def test_single_variable(self):
-        matrix = AssociatedMatrix(ErrorRateSpec.kfwer_su(1, 1), np.array([[1.0]]))
+        matrix = kfwer_su_matrix(1, 1)
         floor = CriticalVector(np.array([0.5]))
         solution = solve(build_problem(matrix, floor))
         assert solution.xi.values.tolist() == [1.0]

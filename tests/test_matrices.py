@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from mtbounds import (
     CriticalVector,
@@ -339,6 +340,23 @@ def test_entries_bit_identical(rate, n):
     for param in params:
         digest.update(build(n, param).entries.tobytes())
     assert digest.hexdigest() == MATRIX_SHA256[(rate, n)]
+
+
+@pytest.mark.parametrize("rate,n", sorted(MATRIX_SHA256))
+def test_rows_are_the_csr_of_entries(rate, n):
+    """With the pins above, the sparse rows HiGHS reads are those of the
+    pinned dense matrices, bit for bit."""
+    params = HASH_GAMMAS if rate.startswith("fdp") else sorted({1, min(2, n), n})
+    build = {"kfwer-su": kfwer_su_matrix, "kfwer-sd": kfwer_sd_matrix,
+             "fdp-su": fdp_su_matrix, "fdp-sd": fdp_sd_matrix}[rate]
+    for param in params:
+        matrix = build(n, param)
+        rows, reference = matrix.rows, sparse.csr_matrix(matrix.entries)
+        assert rows.has_canonical_format
+        assert np.array_equal(rows.indptr, reference.indptr)
+        assert np.array_equal(rows.indices, reference.indices)
+        assert np.array_equal(rows.data.view(np.uint64), reference.data.view(np.uint64))
+        assert matrix.rows is rows
 
 
 def test_spec_validation():

@@ -262,4 +262,7 @@ class TestConfig:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 SimConfig(n=5, seed=seed)
+        for level in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match="fdr_level"):
+                SimConfig(n=5, fdr_level=level)
         assert SimConfig(n=5, seed=2**64 - 1).seed == 2**64 - 1
