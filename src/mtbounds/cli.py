@@ -31,14 +31,7 @@ class CommandError(ValueError):
 def _rate_spec(args) -> ErrorRateSpec:
     if args.rate is None:
         raise CommandError("--rate is required for this command")
-    rate = Rate(args.rate)
-    if rate.is_fdp:
-        if args.gamma is None:
-            raise CommandError(f"--gamma is required for rate {rate.value}")
-        return ErrorRateSpec(rate, args.n, gamma=args.gamma)
-    if args.k is None:
-        raise CommandError(f"--k is required for rate {rate.value}")
-    return ErrorRateSpec(rate, args.n, k=args.k)
+    return ErrorRateSpec(Rate(args.rate), args.n, k=args.k, gamma=args.gamma)
 
 
 def cmd_matrix(args) -> int:
@@ -53,8 +46,6 @@ def cmd_constants(args) -> int:
     spec = _rate_spec(args) if args.rate else None
     if spec is not None and args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
-    if args.modified and spec is None:
-        raise CommandError("--modified requires --rate with family bh or rs")
     c = family_constants(args.family, args.n, spec, args.gamma,
                          modified=args.modified, cache_dir=args.cache_dir)
     if args.alpha is not None:
@@ -102,12 +93,9 @@ def cmd_verify(args) -> int:
 def _procedure_spec(args) -> ProcedureSpec:
     if args.alpha is None:
         raise CommandError("adjust requires --alpha")
-    if args.family in FDR_FAMILIES:
-        if args.rate is not None:
-            raise CommandError(f"family {args.family!r} does not take --rate")
-        return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha)
     return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
-                         rate=_rate_spec(args), modified=args.modified)
+                         rate=_rate_spec(args) if args.rate else None,
+                         modified=args.modified)
 
 
 def cmd_adjust(args) -> int:
@@ -115,8 +103,6 @@ def cmd_adjust(args) -> int:
     if args.n is None:
         args.n = p.n
     spec = _procedure_spec(args)
-    if spec.n != p.n:
-        raise CommandError(f"procedure is for n={spec.n}, input has {p.n} p-values")
     decision, adjusted = run_procedure(p, spec, cache_dir=args.cache_dir)
     header = f"{spec.name} alpha={spec.alpha!r} n={spec.n}"
     text = (fileio.decisions_json(p, decision, adjusted, header) if args.format == "json"

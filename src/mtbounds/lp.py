@@ -153,6 +153,12 @@ def _failure(problem: LPProblem, iterations: int) -> LPSolution:
     )
 
 
+def _feasible_bounds(problem: LPProblem, xi) -> np.ndarray | None:
+    """A @ xi, or None when a bound exceeds 1 + FEASIBILITY_TOL."""
+    bounds = bound_vector(problem.matrix, xi)
+    return bounds if float(np.max(bounds)) <= 1.0 + FEASIBILITY_TOL else None
+
+
 def solve(problem: LPProblem) -> LPSolution:
     """Solve the program with HiGHS and package the optimum with its
     diagnostics.
@@ -180,8 +186,8 @@ def solve(problem: LPProblem) -> LPSolution:
     if np.max(stepped - xi) > FEASIBILITY_TOL:
         return _failure(problem, iterations)
     xi = stepped
-    xi_bounds = bound_vector(problem.matrix, xi)
-    if float(np.max(xi_bounds)) > 1.0 + FEASIBILITY_TOL:
+    xi_bounds = _feasible_bounds(problem, xi)
+    if xi_bounds is None:
         return _failure(problem, iterations)
     params = dict(problem.floor.params or {})
     if "parent" in params:
@@ -255,8 +261,8 @@ def _solution_to_json(solution: LPSolution) -> dict:
     return {
         "solver_version": solution.solver_version,
         "status": solution.status.value,
-        "xi": None if solution.xi is None else solution.xi.values.tolist(),
-        "xi_params": None if solution.xi is None else dict(solution.xi.params or {}),
+        "xi": solution.xi.values.tolist(),
+        "xi_params": dict(solution.xi.params or {}),
         "objective": encode(solution.objective),
         "floor_objective": solution.floor_objective,
         "m1": encode(solution.m1),
@@ -265,45 +271,50 @@ def _solution_to_json(solution: LPSolution) -> dict:
     }
 
 
-def _solution_from_json(payload: dict) -> LPSolution:
+def _cached_solution(path: Path, problem: LPProblem) -> LPSolution | None:
+    """The entry at ``path``, if it decodes under this solver version and
+    its xi has length n, dominates the floor and passes solve's bound check."""
     def decode(x) -> float:
         return float("nan") if x is None else float(x)
 
-    xi = None
-    if payload["xi"] is not None:
+    try:
+        payload = json.loads(path.read_text())
         xi = CriticalVector(np.array(payload["xi"], dtype=float), Family.MODIFIED,
                             payload.get("xi_params") or None)
-    return LPSolution(
-        status=SolveStatus(payload["status"]),
-        xi=xi,
-        objective=decode(payload["objective"]),
-        floor_objective=float(payload["floor_objective"]),
-        m1=decode(payload["m1"]),
-        m2=decode(payload["m2"]),
-        iterations=int(payload["iterations"]),
-        solver_version=payload["solver_version"],
-    )
+        solution = LPSolution(
+            status=SolveStatus(payload["status"]),
+            xi=xi,
+            objective=decode(payload["objective"]),
+            floor_objective=float(payload["floor_objective"]),
+            m1=decode(payload["m1"]),
+            m2=decode(payload["m2"]),
+            iterations=int(payload["iterations"]),
+            solver_version=payload["solver_version"],
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    valid = (solution.solver_version == SOLVER_VERSION and xi.n == problem.n
+             and np.all(xi.values >= problem.floor.values)
+             and _feasible_bounds(problem, xi) is not None)
+    return solution if valid else None
 
 
 def solve_cached(problem: LPProblem, cache_dir: str | Path) -> LPSolution:
     """solve() with an on-disk JSON cache keyed by ``cache_key``.
 
     Cached vectors round-trip bit-for-bit (JSON stores shortest-roundtrip
-    decimals). Entries written by a different solver version are re-solved
-    and overwritten. Only optimal solutions are stored, each written to a
-    temporary file and renamed into place, so a reader never sees a partial
-    entry and a failed solve is tried again next time.
+    decimals). An entry that does not decode, comes from another solver
+    version, or whose xi has the wrong length, falls below the floor or
+    breaks a bound is re-solved and overwritten. Only optimal solutions are
+    stored, each written to a temporary file and renamed into place, so a
+    reader never sees a partial entry and a failed solve is tried again.
     """
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"{cache_key(problem)}.json"
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        if payload and payload.get("solver_version") == SOLVER_VERSION:
-            return _solution_from_json(payload)
+    cached = _cached_solution(path, problem)
+    if cached is not None:
+        return cached
     solution = solve(problem)
     if solution.status is SolveStatus.OPTIMAL:
         fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.stem, suffix=".tmp")

@@ -146,9 +146,11 @@ class AssociatedMatrix:
         first, last, cap = _event_system(self.spec)
         counts = np.maximum(last - first + 1, 0)
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        i = np.repeat(np.arange(1, n + 1), counts)
-        levels = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - first, counts)
-        data = i / np.where(levels == last[i - 1], levels, levels * (levels + 1))
+        index = np.int32 if indptr[-1] < 2**31 else np.int64
+        last, cap, indptr = last.astype(index), cap.astype(index), indptr.astype(index)
+        i = np.repeat(np.arange(1, n + 1, dtype=index), counts)
+        levels = np.arange(indptr[-1], dtype=index) - np.repeat(indptr[:-1] - first, counts)
+        data = i / np.where(levels == last[i - 1], levels, levels * (levels + 1.0))
         columns = np.minimum(levels + n - i, cap[levels - 1]) - 1
         return sparse.csr_matrix((data, columns, indptr), shape=(n, n))
 

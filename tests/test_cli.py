@@ -306,6 +306,40 @@ class TestUsageErrors:
         assert out == ""
         assert "'values'" in err
 
+    @pytest.mark.parametrize("family", ["by", "gr"])
+    def test_adjust_modified_fdr_family_exits_2(self, bh95_file, family, capsys):
+        code, out, err = run(capsys, "adjust", "--input", str(bh95_file), "--family", family,
+                             "--alpha", "0.05", "--modified")
+        assert (code, out) == (2, "")
+        assert "no modified variant" in err
+
+    RATE_COMMANDS = {
+        "matrix": ["--n", "3"],
+        "constants": ["--n", "10", "--family", "bh"],
+        "optimize": ["--n", "10", "--family", "bh"],
+        "verify": ["--n", "10", "--family", "bh"],
+        "adjust": ["--family", "bh", "--alpha", "0.5"],
+    }
+
+    @pytest.mark.parametrize("rate", [["--rate", "kfwer-su", "--k", "1", "--gamma", "0.1"],
+                                      ["--rate", "fdp-su", "--gamma", "0.05", "--k", "2"]],
+                             ids=["kfwer-gamma", "fdp-k"])
+    @pytest.mark.parametrize("command", sorted(RATE_COMMANDS))
+    def test_parameter_of_other_rate_exits_2(self, command, rate, bh95_file, capsys):
+        argv = [command, *self.RATE_COMMANDS[command], *rate]
+        if command == "adjust":
+            argv += ["--input", str(bh95_file)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "does not take" in err
+
+    def test_adjust_n_mismatch_exits_2(self, bh95_file, capsys):
+        code, out, err = run(capsys, "adjust", "--input", str(bh95_file), "--n", "3",
+                             "--rate", "fdp-su", "--gamma", "0.05", "--family", "bh",
+                             "--alpha", "0.5")
+        assert (code, out) == (2, "")
+        assert "procedure is for n=3, got 15 p-values" in err
+
     def test_missing_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--rate", "fdp-su", "--gamma", "0.05"])

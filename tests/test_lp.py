@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +279,23 @@ class TestCache:
         refreshed = solve_cached(problem, tmp_path)
         assert refreshed.solver_version == SOLVER_VERSION
         assert SOLVER_VERSION in path.read_text()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda entry: {"solver_version": entry["solver_version"]},
+        lambda entry: {**entry, "xi": entry["xi"][:2]},
+        lambda entry: {**entry, "xi": [0.0] * len(entry["xi"])},
+        lambda entry: {**entry, "xi": [1.0] * len(entry["xi"])},
+    ], ids=["no-xi", "short-xi", "below-floor", "infeasible"])
+    def test_bad_entry_is_resolved(self, tmp_path, corrupt):
+        matrix = fdp_su_matrix(10, 0.05)
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        clean = solve_cached(problem, tmp_path)
+        path = next(tmp_path.glob("*.json"))
+        entry = path.read_text()
+        path.write_text(json.dumps(corrupt(json.loads(entry))))
+        refreshed = solve_cached(problem, tmp_path)
+        assert np.array_equal(refreshed.xi.values, clean.xi.values)
+        assert path.read_text() == entry
 
     def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
         matrix = fdp_su_matrix(8, 0.05)
