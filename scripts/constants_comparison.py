@@ -11,13 +11,13 @@ Example:
 
 import argparse
 
-from mtbounds import build_problem, family_constants, fdp_sd_matrix, fdp_su_matrix, solve_checked
+from mtbounds import build_problem, family_constants, fdp_sd_matrix, fdp_su_matrix, solve
 
 
 def comparison_row(n, gamma, family, direction):
     matrix = (fdp_su_matrix if direction == "su" else fdp_sd_matrix)(n, gamma)
     floor = family_constants(family, n, matrix)
-    solution = solve_checked(build_problem(matrix, floor))
+    solution = solve(build_problem(matrix, floor))
     return solution.floor_objective, solution.objective, solution.m1, solution.m2
 
 

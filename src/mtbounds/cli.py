@@ -46,7 +46,7 @@ def cmd_constants(args) -> int:
     spec = _rate_spec(args) if args.rate else None
     if spec is not None and args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
-    c = family_constants(args.family, args.n, spec, args.gamma,
+    c = family_constants(args.family, args.n, spec, None if spec else args.gamma,
                          modified=args.modified, cache_dir=args.cache_dir)
     if args.alpha is not None:
         c = c.scaled(args.alpha)
@@ -63,7 +63,7 @@ def cmd_optimize(args) -> int:
     floor = family_constants(args.family, args.n, matrix)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
     problem = lp.build_problem(matrix, floor, weights=weights)
-    solution = lp.solve_checked(problem, args.cache_dir)
+    solution = lp.solve_cached(problem, args.cache_dir)
     text = (fileio.solution_json(problem, solution) if args.format == "json"
             else fileio.solution_csv(problem, solution))
     fileio.write_text(text, args.output)
@@ -203,6 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.n is None and args.command != "adjust":
         parser.error(f"{args.command} requires --n")
+    if vars(args).get("rate", "") is None:  # a rate command run without --rate
+        if args.k is not None:
+            parser.error("--k requires --rate")
+        if args.gamma is not None and args.command != "constants":  # raw rs reads it
+            parser.error("--gamma requires --rate")
     try:
         return args.func(args)
     except (lp.SolverError, lp.InfeasibleFloorError) as exc:

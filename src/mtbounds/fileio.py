@@ -188,9 +188,8 @@ def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
         f"# M2: {_fmt(solution.m2)}",
         "index,floor,xi",
     ]
-    xi = solution.xi.values if solution.xi is not None else [float("nan")] * problem.n
     lines += [f"{i},{_fmt(f)},{_fmt(x)}"
-              for i, (f, x) in enumerate(zip(problem.floor.values, xi), start=1)]
+              for i, (f, x) in enumerate(zip(problem.floor.values, solution.xi.values), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -206,11 +205,11 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
         "solver": solution.solver_version,
         "status": solution.status.value,
         "F_floor": solution.floor_objective,
-        "F_xi": None if math.isnan(solution.objective) else solution.objective,
+        "F_xi": solution.objective,
         "M1": None if math.isnan(solution.m1) else solution.m1,
         "M2": None if math.isnan(solution.m2) else solution.m2,
         "floor": [float(v) for v in problem.floor.values],
-        "xi": None if solution.xi is None else [float(v) for v in solution.xi.values],
+        "xi": [float(v) for v in solution.xi.values],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -14,6 +14,10 @@ is passed as the variables' lower bounds. HiGHS's presolve is off: it did
 not shorten these solves, and on the step-up matrices, about half full, its
 time grew by a fifth when another process streamed memory.
 HiGHS is deterministic, so repeated solves are bit-identical.
+
+xi is the program's one product: the objective, M1, M2 and provenance are
+functions of A, the floor and xi. ``_solution`` alone accepts a candidate
+xi, from HiGHS or from the cache, and raises SolverError on a rejection.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "solve",
     "diagnostics",
     "solve_cached",
-    "solve_checked",
     "cache_key",
 ]
 
@@ -55,7 +58,6 @@ FEASIBILITY_TOL = 1e-9
 
 class SolveStatus(str, Enum):
     OPTIMAL = "optimal"
-    NUMERIC_FAILURE = "numeric-failure"
 
 
 class InfeasibleFloorError(ValueError):
@@ -63,7 +65,7 @@ class InfeasibleFloorError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The solver returned no optimal vector."""
+    """No optimal vector, or one that fails the acceptance check."""
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,23 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Solver output. ``xi`` is None unless status is OPTIMAL.
+    """An accepted optimum: xi with the diagnostics derived from it.
 
     m1 = max xi_i / floor_i over floor_i > 0 (nan if the floor is zero);
     m2 = max (A xi)_i / (A floor)_i over rows with positive floor bound.
     Both are vertex diagnostics: the objective value is the unique part of
-    the optimum, the maximizing vertex need not be.
+    the optimum, the maximizing vertex need not be. ``iterations`` is 0 for
+    a cache hit.
     """
 
-    status: SolveStatus
-    xi: CriticalVector | None
+    xi: CriticalVector
     objective: float
     floor_objective: float
     m1: float
     m2: float
     iterations: int
-    solver_version: str = SOLVER_VERSION
+    status = SolveStatus.OPTIMAL  # class attributes, not fields
+    solver_version = SOLVER_VERSION
 
 
 def build_problem(
@@ -141,31 +144,45 @@ def build_problem(
     return LPProblem(matrix=matrix, floor=floor, weights=w, floor_bounds=floor_bounds)
 
 
-def _failure(problem: LPProblem, iterations: int) -> LPSolution:
-    return LPSolution(
-        status=SolveStatus.NUMERIC_FAILURE,
-        xi=None,
-        objective=float("nan"),
-        floor_objective=float(problem.weights @ problem.floor_bounds),
-        m1=float("nan"),
-        m2=float("nan"),
-        iterations=iterations,
-    )
+def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution:
+    """Accept the candidate ``xi`` for ``problem`` and package it as the
+    MODIFIED vector with its provenance and diagnostics.
 
-
-def _feasible_bounds(problem: LPProblem, xi) -> np.ndarray | None:
-    """A @ xi, or None when a bound exceeds 1 + FEASIBILITY_TOL."""
-    bounds = bound_vector(problem.matrix, xi)
-    return bounds if float(np.max(bounds)) <= 1.0 + FEASIBILITY_TOL else None
+    Raises SolverError unless xi is finite, nondecreasing, of length n, at
+    or above the floor and has max(A @ xi) <= 1 + FEASIBILITY_TOL.
+    """
+    params = dict(problem.floor.params or {})
+    if "parent" in params:
+        params["origin"] = params.pop("parent")
+    params["parent"] = problem.floor.family.value
+    try:  # CriticalVector checks finite, nonnegative and nondecreasing
+        vec = CriticalVector(xi, Family.MODIFIED, params)
+    except ValueError as exc:
+        raise SolverError(f"solver failed: {exc}") from None
+    if vec.n != problem.n:
+        raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.n}")
+    if np.any(vec.values < problem.floor.values):
+        raise SolverError("solver failed: xi falls below the floor")
+    bounds = bound_vector(problem.matrix, vec)
+    worst = float(np.max(bounds))
+    if worst > 1.0 + FEASIBILITY_TOL:
+        raise SolverError(f"solver failed: xi is infeasible, max bound {worst:.12g} > 1")
+    f_floor, f_xi, m1, m2 = diagnostics(problem.matrix, problem.floor, vec,
+                                        weights=problem.weights,
+                                        floor_bounds=problem.floor_bounds,
+                                        xi_bounds=bounds)
+    return LPSolution(xi=vec, objective=f_xi, floor_objective=f_floor, m1=m1, m2=m2,
+                      iterations=iterations)
 
 
 def solve(problem: LPProblem) -> LPSolution:
     """Solve the program with HiGHS and package the optimum with its
     diagnostics.
 
-    Never returns an infeasible point: a non-optimal HiGHS status, or a
-    post-solve bound or monotonicity violation, yields NUMERIC_FAILURE with
-    ``xi`` set to None. The returned vector dominates the floor exactly.
+    Never returns an infeasible point: a non-optimal HiGHS status, a
+    monotonicity violation beyond FEASIBILITY_TOL, or a vector that fails
+    ``_solution``'s check raises SolverError. The returned vector dominates
+    the floor exactly.
     """
     c = problem.floor.values
     n = problem.n
@@ -178,35 +195,13 @@ def solve(problem: LPProblem) -> LPSolution:
         method="highs",
         options={"presolve": False},
     )
-    iterations = int(result.nit)
     if result.status != 0:
-        return _failure(problem, iterations)
+        raise SolverError(f"solver failed: {result.message}")
     xi = np.maximum(result.x, c)  # HiGHS may end a hair below a bound
     stepped = np.maximum.accumulate(xi)
     if np.max(stepped - xi) > FEASIBILITY_TOL:
-        return _failure(problem, iterations)
-    xi = stepped
-    xi_bounds = _feasible_bounds(problem, xi)
-    if xi_bounds is None:
-        return _failure(problem, iterations)
-    params = dict(problem.floor.params or {})
-    if "parent" in params:
-        params["origin"] = params.pop("parent")
-    params["parent"] = problem.floor.family.value
-    xi_vec = CriticalVector(xi, Family.MODIFIED, params)
-    f_floor, f_xi, m1, m2 = diagnostics(problem.matrix, problem.floor, xi_vec,
-                                        weights=problem.weights,
-                                        floor_bounds=problem.floor_bounds,
-                                        xi_bounds=xi_bounds)
-    return LPSolution(
-        status=SolveStatus.OPTIMAL,
-        xi=xi_vec,
-        objective=f_xi,
-        floor_objective=f_floor,
-        m1=m1,
-        m2=m2,
-        iterations=iterations,
-    )
+        raise SolverError("solver failed: xi is not nondecreasing")
+    return _solution(problem, stepped, int(result.nit))
 
 
 def diagnostics(
@@ -254,84 +249,39 @@ def cache_key(problem: LPProblem) -> str:
     return h.hexdigest()
 
 
-def _solution_to_json(solution: LPSolution) -> dict:
-    def encode(x: float):
-        return None if np.isnan(x) else x
+def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution:
+    """solve() through an on-disk JSON cache keyed by ``cache_key``; with
+    ``cache_dir`` None or empty, solve() alone.
 
-    return {
-        "solver_version": solution.solver_version,
-        "status": solution.status.value,
-        "xi": solution.xi.values.tolist(),
-        "xi_params": dict(solution.xi.params or {}),
-        "objective": encode(solution.objective),
-        "floor_objective": solution.floor_objective,
-        "m1": encode(solution.m1),
-        "m2": encode(solution.m2),
-        "iterations": solution.iterations,
-    }
-
-
-def _cached_solution(path: Path, problem: LPProblem) -> LPSolution | None:
-    """The entry at ``path``, if it decodes under this solver version and
-    its xi has length n, dominates the floor and passes solve's bound check."""
-    def decode(x) -> float:
-        return float("nan") if x is None else float(x)
-
-    try:
-        payload = json.loads(path.read_text())
-        xi = CriticalVector(np.array(payload["xi"], dtype=float), Family.MODIFIED,
-                            payload.get("xi_params") or None)
-        solution = LPSolution(
-            status=SolveStatus(payload["status"]),
-            xi=xi,
-            objective=decode(payload["objective"]),
-            floor_objective=float(payload["floor_objective"]),
-            m1=decode(payload["m1"]),
-            m2=decode(payload["m2"]),
-            iterations=int(payload["iterations"]),
-            solver_version=payload["solver_version"],
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    valid = (solution.solver_version == SOLVER_VERSION and xi.n == problem.n
-             and np.all(xi.values >= problem.floor.values)
-             and _feasible_bounds(problem, xi) is not None)
-    return solution if valid else None
-
-
-def solve_cached(problem: LPProblem, cache_dir: str | Path) -> LPSolution:
-    """solve() with an on-disk JSON cache keyed by ``cache_key``.
-
-    Cached vectors round-trip bit-for-bit (JSON stores shortest-roundtrip
-    decimals). An entry that does not decode, comes from another solver
-    version, or whose xi has the wrong length, falls below the floor or
-    breaks a bound is re-solved and overwritten. Only optimal solutions are
-    stored, each written to a temporary file and renamed into place, so a
-    reader never sees a partial entry and a failed solve is tried again.
+    An entry holds the solver version and xi (entries with more fields are
+    read the same way). A hit passes xi through the acceptance check of a
+    fresh optimum, which recomputes the objective, M1, M2 and provenance,
+    and reports 0 iterations; cached vectors round-trip bit-for-bit (JSON
+    stores shortest-roundtrip decimals). An entry that does not decode,
+    comes from another solver version or whose xi fails the check is
+    re-solved and overwritten. Only accepted solutions are stored, each
+    written to a temporary file and renamed into place, so a reader never
+    sees a partial entry and a failed solve is tried again.
     """
+    if not cache_dir:
+        return solve(problem)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"{cache_key(problem)}.json"
-    cached = _cached_solution(path, problem)
-    if cached is not None:
-        return cached
+    try:
+        entry = json.loads(path.read_text())
+        if entry["solver_version"] == SOLVER_VERSION:
+            return _solution(problem, np.array(entry["xi"], dtype=float), 0)
+    except (OSError, ValueError, KeyError, TypeError, SolverError):
+        pass  # a miss: re-solve and overwrite
     solution = solve(problem)
-    if solution.status is SolveStatus.OPTIMAL:
-        fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.stem, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(_solution_to_json(solution)))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return solution
-
-
-def solve_checked(problem: LPProblem, cache_dir: str | Path | None = None) -> LPSolution:
-    """solve(), through the cache when ``cache_dir`` is set (not None or
-    empty); raises SolverError unless the solution is optimal."""
-    solution = solve_cached(problem, cache_dir) if cache_dir else solve(problem)
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise SolverError(f"solver failed: {solution.status.value}")
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps({"solver_version": SOLVER_VERSION,
+                                 "xi": solution.xi.values.tolist()}))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return solution

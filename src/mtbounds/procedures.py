@@ -242,11 +242,15 @@ def family_constants(
     cache in ``cache_dir``), which reads the matrix's sparse rows only on a
     cache miss; without a spec they stay raw. Raw ``rs`` is the
     Lehmann-Romano kFWER family for a kFWER rate and the tail-FDP family
-    otherwise, at the spec's gamma or at ``gamma``. Raises lp.SolverError
-    when the LP has no optimal solution.
+    otherwise, at the spec's gamma or, without a spec, at ``gamma``; any
+    other use of ``gamma`` raises ValueError. Raises lp.SolverError when
+    the LP has no accepted solution.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if gamma is not None and (family != "rs" or spec is not None):
+        raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
+                         f"got family {family!r}")
     if family in FDR_FAMILIES:
         if modified:
             raise ValueError(f"family {family!r} has no modified variant")
@@ -269,7 +273,7 @@ def family_constants(
     floor, _ = rescale(raw, rate)
     if not modified:
         return floor
-    return lp.solve_checked(lp.build_problem(associated_matrix(rate), floor), cache_dir).xi
+    return lp.solve_cached(lp.build_problem(associated_matrix(rate), floor), cache_dir).xi
 
 
 def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:

@@ -245,7 +245,10 @@ class TestSolverFailure:
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
     def test_exits_3(self, argv, cached, bh95_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(lp, "solve", lambda problem: lp._failure(problem, 0))
+        def failing(problem):
+            raise lp.SolverError("solver failed: numeric-failure")
+
+        monkeypatch.setattr(lp, "solve", failing)
         if argv[0] == "adjust":
             argv = argv + ["--input", str(bh95_file)]
         if cached:
@@ -332,6 +335,38 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "does not take" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1", "--k", "3"],
+        ["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1"],
+        ["constants", "--family", "bh", "--n", "3", "--k", "2"],
+        ["constants", "--family", "rs", "--n", "3", "--gamma", "0.2", "--k", "2"],
+        ["matrix", "--n", "3", "--k", "2"],
+        ["optimize", "--family", "bh", "--n", "3", "--k", "2"],
+        ["verify", "--family", "bh", "--n", "3", "--k", "2"],
+    ], ids=["adjust-by-gamma-k", "adjust-by-gamma", "constants-bh-k", "constants-rs-gamma-k",
+            "matrix-k", "optimize-k", "verify-k"])
+    def test_rate_parameter_without_rate_exits_2(self, argv, bh95_file, capsys):
+        if argv[0] == "adjust":
+            argv = argv + ["--input", str(bh95_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "requires --rate" in out.err
+
+    @pytest.mark.parametrize("family", ["bh", "by", "gr"])
+    def test_constants_gamma_unread_by_family_exits_2(self, family, capsys):
+        code, out, err = run(capsys, "constants", "--family", family, "--n", "3",
+                             "--gamma", "0.2")
+        assert (code, out) == (2, "")
+        assert "gamma is read only by family 'rs'" in err
+
+    def test_constants_rs_gamma_without_rate(self, capsys):
+        code, out, err = run(capsys, "constants", "--family", "rs", "--n", "3", "--gamma", "0.2")
+        assert (code, err) == (0, "")
+        assert out == ("# family: lr-fdp gamma=0.2 n=3\nindex,value\n1,0.3333333333333333\n"
+                       "2,0.5\n3,1.0\n")
 
     def test_adjust_n_mismatch_exits_2(self, bh95_file, capsys):
         code, out, err = run(capsys, "adjust", "--input", str(bh95_file), "--n", "3",

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,7 +286,8 @@ class TestCache:
         lambda entry: {**entry, "xi": entry["xi"][:2]},
         lambda entry: {**entry, "xi": [0.0] * len(entry["xi"])},
         lambda entry: {**entry, "xi": [1.0] * len(entry["xi"])},
-    ], ids=["no-xi", "short-xi", "below-floor", "infeasible"])
+        lambda entry: {**entry, "xi": entry["xi"][:-1] + [None]},
+    ], ids=["no-xi", "short-xi", "below-floor", "infeasible", "null-in-xi"])
     def test_bad_entry_is_resolved(self, tmp_path, corrupt):
         matrix = fdp_su_matrix(10, 0.05)
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
@@ -297,6 +299,60 @@ class TestCache:
         assert np.array_equal(refreshed.xi.values, clean.xi.values)
         assert path.read_text() == entry
 
+    def test_entry_holds_only_version_and_xi(self, tmp_path):
+        matrix = fdp_sd_matrix(12, 0.1)
+        problem = build_problem(matrix, rescaled_floor(matrix, "rs"))
+        fresh = solve_cached(problem, tmp_path)
+        entry = json.loads((tmp_path / f"{cache_key(problem)}.json").read_text())
+        assert entry == {"solver_version": SOLVER_VERSION, "xi": fresh.xi.values.tolist()}
+        hit = solve_cached(problem, tmp_path)
+        assert (fresh.iterations > 0, hit.iterations) == (True, 0)
+
+    def test_forged_fields_are_recomputed(self, tmp_path):
+        matrix = fdp_su_matrix(10, 0.05)
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        fresh = solve_cached(problem, tmp_path)
+        path = next(tmp_path.glob("*.json"))
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "objective": 999.0, "floor_objective": 5.0,
+                                    "m1": 42.0, "m2": 7.0,
+                                    "xi_params": {"parent": "forged"}}))
+        served = solve_cached(problem, tmp_path)
+        assert np.array_equal(served.xi.values, fresh.xi.values)
+        assert ((served.objective, served.floor_objective, served.m1, served.m2)
+                == (fresh.objective, fresh.floor_objective, fresh.m1, fresh.m2))
+        assert served.xi.params == fresh.xi.params
+
+    def test_nine_field_entry_is_a_hit(self, tmp_path, monkeypatch):
+        """Entries that also store the derived fields and the status are
+        served from their xi, without a solve."""
+        matrix = fdp_su_matrix(10, 0.05)
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        fresh = solve(problem)
+        (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
+            "solver_version": SOLVER_VERSION, "status": "optimal",
+            "xi": fresh.xi.values.tolist(), "xi_params": dict(fresh.xi.params),
+            "objective": fresh.objective, "floor_objective": fresh.floor_objective,
+            "m1": fresh.m1, "m2": fresh.m2, "iterations": fresh.iterations,
+        }))
+
+        def no_solve(p):
+            raise AssertionError("solved on a cache hit")
+
+        monkeypatch.setattr(lp, "solve", no_solve)
+        served = solve_cached(problem, tmp_path)
+        assert np.array_equal(served.xi.values, fresh.xi.values)
+        assert ((served.objective, served.m1, served.m2)
+                == (fresh.objective, fresh.m1, fresh.m2))
+
+    @pytest.mark.parametrize("cache_dir", [None, ""])
+    def test_no_cache_dir_solves(self, cache_dir):
+        matrix = fdp_su_matrix(10, 0.05)
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        solution = solve_cached(problem, cache_dir)
+        assert np.array_equal(solution.xi.values, solve(problem).xi.values)
+        assert solution.iterations > 0
+
     def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
         matrix = fdp_su_matrix(8, 0.05)
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
@@ -304,13 +360,23 @@ class TestCache:
 
         def failing(p):
             calls.append(p)
-            return lp._failure(p, 0)
+            raise lp.SolverError("solver failed: numeric-failure")
 
         monkeypatch.setattr(lp, "solve", failing)
         for _ in range(2):
-            assert solve_cached(problem, tmp_path).status is SolveStatus.NUMERIC_FAILURE
+            with pytest.raises(lp.SolverError):
+                solve_cached(problem, tmp_path)
         assert list(tmp_path.iterdir()) == []
         assert len(calls) == 2  # the failure was not served from the cache
+
+
+def test_non_optimal_highs_status_raises(monkeypatch):
+    matrix = fdp_su_matrix(8, 0.05)
+    problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        status=4, message="Numerical difficulties encountered.", nit=7, x=None))
+    with pytest.raises(lp.SolverError, match="Numerical difficulties"):
+        solve(problem)
 
 
 def test_each_bound_vector_computed_once_per_solve(monkeypatch):

@@ -10,8 +10,10 @@ from mtbounds import (
     adjusted_pvalues,
     bh_constants,
     bound_vector,
+    family_constants,
     fdp_su_matrix,
     feasible_constants,
+    lr_fdp_constants,
     rescale,
     run_procedure,
     standard_roster,
@@ -232,6 +234,14 @@ class TestRunProcedure:
         with pytest.raises(ValueError):
             ProcedureSpec(family="bh", n=10, alpha=1.5,
                           rate=ErrorRateSpec.fdp_su(10, 0.05))
+
+    def test_gamma_only_for_raw_rs(self):
+        raw = family_constants("rs", 10, gamma=0.1)
+        assert np.array_equal(raw.values, lr_fdp_constants(10, 0.1).values)
+        for family, spec in [("rs", ErrorRateSpec.fdp_su(10, 0.1)), ("bh", None),
+                             ("by", None), ("gr", None)]:
+            with pytest.raises(ValueError, match="gamma is read only by family 'rs'"):
+                family_constants(family, 10, spec, gamma=0.1)
 
     def test_kfwer_pipeline(self):
         p = pv(0.001, 0.002, 0.2, 0.9)
