@@ -16,7 +16,7 @@ from mtbounds import build_problem, family_constants, fdp_sd_matrix, fdp_su_matr
 
 def comparison_row(n, gamma, family, direction):
     matrix = (fdp_su_matrix if direction == "su" else fdp_sd_matrix)(n, gamma)
-    floor = family_constants(family, n, matrix)
+    floor = family_constants(family, n, matrix.spec)
     solution = solve(build_problem(matrix, floor))
     return solution.floor_objective, solution.objective, solution.m1, solution.m2
 

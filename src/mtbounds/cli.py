@@ -59,10 +59,9 @@ def cmd_optimize(args) -> int:
     spec = _rate_spec(args)
     if args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized; nothing to optimize")
-    matrix = associated_matrix(spec)
-    floor = family_constants(args.family, args.n, matrix)
+    floor = family_constants(args.family, args.n, spec)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
-    problem = lp.build_problem(matrix, floor, weights=weights)
+    problem = lp.build_problem(associated_matrix(spec), floor, weights=weights)
     solution = lp.solve_cached(problem, args.cache_dir)
     text = (fileio.solution_json(problem, solution) if args.format == "json"
             else fileio.solution_csv(problem, solution))
@@ -124,7 +123,10 @@ def cmd_simulate(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    values = [int(part) for part in text.split(",") if part.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

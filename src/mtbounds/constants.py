@@ -71,7 +71,7 @@ class CriticalVector:
 
     def scaled(self, s: float) -> "CriticalVector":
         """The vector s*values with the same provenance, s > 0."""
-        if s <= 0:
+        if not s > 0:  # NaN fails the comparison too
             raise ValueError("scale must be positive")
         params = dict(self.params or {})
         params["scale"] = s * float(params.get("scale", 1.0))

@@ -181,7 +181,7 @@ def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
     lines = [
         f"# spec: {spec.param_text()} floor={problem.floor.family.value}",
         f"# solver: {solution.solver_version}",
-        f"# status: {solution.status.value}",
+        f"# status: {solution.status}",
         f"# F_floor: {_fmt(solution.floor_objective)}",
         f"# F_xi: {_fmt(solution.objective)}",
         f"# M1: {_fmt(solution.m1)}",
@@ -203,7 +203,7 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
         },
         "floor_family": problem.floor.family.value,
         "solver": solution.solver_version,
-        "status": solution.status.value,
+        "status": solution.status,
         "F_floor": solution.floor_objective,
         "F_xi": solution.objective,
         "M1": None if math.isnan(solution.m1) else solution.m1,

@@ -16,8 +16,10 @@ time grew by a fifth when another process streamed memory.
 HiGHS is deterministic, so repeated solves are bit-identical.
 
 xi is the program's one product: the objective, M1, M2 and provenance are
-functions of A, the floor and xi. ``_solution`` alone accepts a candidate
-xi, from HiGHS or from the cache, and raises SolverError on a rejection.
+functions of A, the floor and xi, and are fields of ``LPSolution``.
+``_solution`` alone accepts a candidate xi, from HiGHS or from the cache,
+raises SolverError on a rejection, and derives those fields from the
+floor's bound vector and the one ``A @ xi`` that its check computed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -40,24 +41,18 @@ from .matrices import AssociatedMatrix, bound_vector
 
 __all__ = [
     "SOLVER_VERSION",
-    "SolveStatus",
     "InfeasibleFloorError",
     "SolverError",
     "LPProblem",
     "LPSolution",
     "build_problem",
     "solve",
-    "diagnostics",
     "solve_cached",
     "cache_key",
 ]
 
 SOLVER_VERSION = f"highs-nopresolve-scipy-{scipy.__version__}"
 FEASIBILITY_TOL = 1e-9
-
-
-class SolveStatus(str, Enum):
-    OPTIMAL = "optimal"
 
 
 class InfeasibleFloorError(ValueError):
@@ -93,6 +88,8 @@ class LPProblem:
 class LPSolution:
     """An accepted optimum: xi with the diagnostics derived from it.
 
+    objective = F(xi) and floor_objective = F(floor), where
+    F(x) = weights @ (A @ x);
     m1 = max xi_i / floor_i over floor_i > 0 (nan if the floor is zero);
     m2 = max (A xi)_i / (A floor)_i over rows with positive floor bound.
     Both are vertex diagnostics: the objective value is the unique part of
@@ -106,7 +103,7 @@ class LPSolution:
     m1: float
     m2: float
     iterations: int
-    status = SolveStatus.OPTIMAL  # class attributes, not fields
+    status = "optimal"  # class attributes, not fields
     solver_version = SOLVER_VERSION
 
 
@@ -167,11 +164,13 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
     worst = float(np.max(bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise SolverError(f"solver failed: xi is infeasible, max bound {worst:.12g} > 1")
-    f_floor, f_xi, m1, m2 = diagnostics(problem.matrix, problem.floor, vec,
-                                        weights=problem.weights,
-                                        floor_bounds=problem.floor_bounds,
-                                        xi_bounds=bounds)
-    return LPSolution(xi=vec, objective=f_xi, floor_objective=f_floor, m1=m1, m2=m2,
+    floor, floor_bounds = problem.floor.values, problem.floor_bounds
+    pos = floor > 0
+    m1 = float(np.max(vec.values[pos] / floor[pos])) if pos.any() else float("nan")
+    rows = floor_bounds > 0
+    m2 = float(np.max(bounds[rows] / floor_bounds[rows])) if rows.any() else float("nan")
+    return LPSolution(xi=vec, objective=float(problem.weights @ bounds),
+                      floor_objective=float(problem.weights @ floor_bounds), m1=m1, m2=m2,
                       iterations=iterations)
 
 
@@ -202,32 +201,6 @@ def solve(problem: LPProblem) -> LPSolution:
     if np.max(stepped - xi) > FEASIBILITY_TOL:
         raise SolverError("solver failed: xi is not nondecreasing")
     return _solution(problem, stepped, int(result.nit))
-
-
-def diagnostics(
-    matrix: AssociatedMatrix,
-    floor: CriticalVector,
-    xi: CriticalVector,
-    weights: np.ndarray | None = None,
-    *,
-    floor_bounds: np.ndarray | None = None,
-    xi_bounds: np.ndarray | None = None,
-) -> tuple[float, float, float, float]:
-    """(F(floor), F(xi), m1, m2) for any feasible pair.
-
-    F(x) = weights @ (A @ x). The bound vectors A @ floor and A @ xi are
-    computed unless given.
-    """
-    w = np.ones(matrix.n) if weights is None else weights
-    bf = bound_vector(matrix, floor) if floor_bounds is None else floor_bounds
-    bx = bound_vector(matrix, xi) if xi_bounds is None else xi_bounds
-    f_floor = float(w @ bf)
-    f_xi = float(w @ bx)
-    pos = floor.values > 0
-    m1 = float(np.max(xi.values[pos] / floor.values[pos])) if pos.any() else float("nan")
-    rows = bf > 0
-    m2 = float(np.max(bx[rows] / bf[rows])) if rows.any() else float("nan")
-    return f_floor, f_xi, m1, m2
 
 
 def cache_key(problem: LPProblem) -> str:

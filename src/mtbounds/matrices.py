@@ -8,9 +8,11 @@ p-values. Constants with ``max(A @ c) <= 1`` therefore control the rate at
 level alpha once multiplied by alpha.
 
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
-forming A, in O(n) memory; rescaling, the feasibility check and ``verify``
-use it. The LP reads the sparse ``rows`` of an ``AssociatedMatrix``, built
-from the same event system; only the ``matrix`` export reads ``entries``.
+forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
+the LP's checks of its floor and its optimum compare that maximum with
+``1 + lp.FEASIBILITY_TOL``, the one feasibility test. The LP reads the
+sparse ``rows`` of an ``AssociatedMatrix``, built from the same event
+system; only the ``matrix`` export reads ``entries``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
@@ -37,7 +39,6 @@ __all__ = [
     "fdp_sd_matrix",
     "associated_matrix",
     "bound_vector",
-    "is_feasible",
     "row_events",
 ]
 
@@ -223,11 +224,6 @@ def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
     return associated_matrix(ErrorRateSpec.fdp_sd(n, gamma))
 
 
-def _constant_values(c) -> np.ndarray:
-    values = getattr(c, "values", c)
-    return np.asarray(values, dtype=float)
-
-
 def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:
     """A @ c without building A: component i bounds the error rate when i
     hypotheses are true.
@@ -242,7 +238,7 @@ def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:
     """
     spec = getattr(spec, "spec", spec)
     n = spec.n
-    v = _constant_values(c)
+    v = np.asarray(getattr(c, "values", c), dtype=float)
     if v.shape != (n,):
         raise ValueError(f"constants must have length {n}, got shape {v.shape}")
     first, last, cap = _event_system(spec)
@@ -262,18 +258,6 @@ def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:
     final = np.maximum(last, first)
     total += v[np.minimum(final + n - rows, cap[final - 1]) - 1] / final
     return np.where(last >= first, rows * total, 0.0)
-
-
-def is_feasible(spec: ErrorRateSpec | AssociatedMatrix, c, tol: float = 0.0) -> bool:
-    """Whether c is nondecreasing, nonnegative and max(A @ c) <= 1 + tol;
-    ``spec`` and ``c`` as in ``bound_vector``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    v = _constant_values(c)
-    bounds = bound_vector(spec, v)
-    if np.any(v < 0) or np.any(np.diff(v) < 0):
-        return False
-    return float(np.max(bounds)) <= 1.0 + tol
 
 
 def row_events(spec: ErrorRateSpec, i: int) -> list[tuple[int, int]]:

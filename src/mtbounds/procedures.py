@@ -28,7 +28,7 @@ from .constants import (
     lr_kfwer_constants,
     rescale,
 )
-from .matrices import AssociatedMatrix, ErrorRateSpec, associated_matrix
+from .matrices import ErrorRateSpec, associated_matrix
 
 __all__ = [
     "PValueVector",
@@ -42,7 +42,6 @@ __all__ = [
     "family_constants",
     "feasible_constants",
     "run_procedure",
-    "standard_roster",
 ]
 
 # Constant-family selector names: bh and rs are rescaled into a bound
@@ -225,7 +224,7 @@ class ProcedureSpec:
 def family_constants(
     family: str,
     n: int,
-    spec: ErrorRateSpec | AssociatedMatrix | None = None,
+    spec: ErrorRateSpec | None = None,
     gamma: float | None = None,
     *,
     modified: bool = False,
@@ -234,8 +233,7 @@ def family_constants(
     """The level-1 constants of a named family, along the one path
     family -> raw vector -> rescale -> [LP improvement].
 
-    ``spec`` names the bound matrix: an ErrorRateSpec, or an
-    AssociatedMatrix whose spec is read. ``by`` and ``gr`` come
+    ``spec`` names the bound matrix. ``by`` and ``gr`` come
     pre-normalized, ignore it and have no modified variant (ValueError).
     ``bh`` and ``rs`` are rescaled into the matrix's feasible set without
     building it and, when ``modified``, improved by the LP (through the
@@ -257,23 +255,22 @@ def family_constants(
         return by_constants(n) if family == "by" else gr_sd_constants(n)
     if modified and spec is None:
         raise ValueError("modified constants need an error-rate matrix")
-    rate = getattr(spec, "spec", spec)
     if family == "bh":
         raw = bh_constants(n)
-    elif rate is not None and not rate.rate.is_fdp:
-        raw = lr_kfwer_constants(n, rate.k)
+    elif spec is not None and not spec.rate.is_fdp:
+        raw = lr_kfwer_constants(n, spec.k)
     else:
-        if rate is not None:
-            gamma = rate.gamma
+        if spec is not None:
+            gamma = spec.gamma
         if gamma is None:
             raise ValueError("family 'rs' needs gamma or an error-rate matrix")
         raw = lr_fdp_constants(n, gamma)
-    if rate is None:
+    if spec is None:
         return raw
-    floor, _ = rescale(raw, rate)
+    floor, _ = rescale(raw, spec)
     if not modified:
         return floor
-    return lp.solve_cached(lp.build_problem(associated_matrix(rate), floor), cache_dir).xi
+    return lp.solve_cached(lp.build_problem(associated_matrix(spec), floor), cache_dir).xi
 
 
 def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:
@@ -300,25 +297,3 @@ def run_procedure(
     thresholds = base.scaled(spec.alpha)
     apply = step_up if spec.direction == "su" else step_down
     return apply(p, thresholds), adjusted_pvalues(p, base, spec.direction)
-
-
-def standard_roster(
-    n: int,
-    gamma: float = 0.05,
-    alpha: float = 0.5,
-    fdr_level: float = 0.05,
-) -> tuple[ProcedureSpec, ...]:
-    """The ten-procedure comparison set: the four rescaled tail-FDP
-    procedures with their modified variants (level ``alpha``, parameter
-    ``gamma``) plus the BY step-up and GR step-down FDR procedures at
-    ``fdr_level``."""
-    procs: list[ProcedureSpec] = []
-    for family in ("bh", "rs"):
-        for factory in (ErrorRateSpec.fdp_su, ErrorRateSpec.fdp_sd):
-            rate = factory(n, gamma)
-            for modified in (False, True):
-                procs.append(ProcedureSpec(family=family, n=n, alpha=alpha,
-                                           rate=rate, modified=modified))
-    procs.append(ProcedureSpec(family="by", n=n, alpha=fdr_level))
-    procs.append(ProcedureSpec(family="gr", n=n, alpha=fdr_level))
-    return tuple(procs)

@@ -28,13 +28,13 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .procedures import ProcedureSpec, _rejection_counts, feasible_constants, standard_roster
+from .matrices import ErrorRateSpec
+from .procedures import ProcedureSpec, _rejection_counts, feasible_constants
 
 __all__ = [
     "SimConfig",
     "CellStats",
     "SimReport",
-    "default_true_counts",
     "sample_statistics",
     "two_sided_p",
     "run_study",
@@ -44,16 +44,12 @@ _SQRT2 = math.sqrt(2.0)
 _BATCH = 2048
 
 
-def default_true_counts(n: int) -> tuple[int, ...]:
-    """Quarter-point grid {0, n/4, n/2, 3n/4, n}, rounded and deduplicated."""
-    return tuple(sorted({0, round(n / 4), round(n / 2), round(3 * n / 4), n}))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One study: a single n and grids over true counts and effect sizes, run
-    on the ten-procedure standard roster. ``seed`` keys the Philox streams
-    and must lie in [0, 2**64)."""
+    on the ten-procedure ``roster``. Empty ``true_counts`` ask for the
+    quarter-point grid {0, n/4, n/2, 3n/4, n}, rounded and deduplicated.
+    ``seed`` keys the Philox streams and must lie in [0, 2**64)."""
 
     n: int
     true_counts: tuple[int, ...] = ()
@@ -69,7 +65,9 @@ class SimConfig:
         if self.n < 1:
             raise ValueError("n must be positive")
         if not self.true_counts:
-            object.__setattr__(self, "true_counts", default_true_counts(self.n))
+            n = self.n
+            grid = tuple(sorted({0, round(n / 4), round(n / 2), round(3 * n / 4), n}))
+            object.__setattr__(self, "true_counts", grid)
         if any(not 0 <= t <= self.n for t in self.true_counts):
             raise ValueError("true counts must lie in 0..n")
         if not self.effects:
@@ -88,8 +86,16 @@ class SimConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def roster(self) -> tuple[ProcedureSpec, ...]:
-        return standard_roster(self.n, gamma=self.gamma, alpha=self.alpha,
-                               fdr_level=self.fdr_level)
+        """The four rescaled tail-FDP procedures with their modified variants
+        (level ``alpha``, parameter ``gamma``), then the BY step-up and GR
+        step-down FDR procedures at ``fdr_level``."""
+        procs = [ProcedureSpec(family=family, n=self.n, alpha=self.alpha,
+                               rate=factory(self.n, self.gamma), modified=modified)
+                 for family in ("bh", "rs")
+                 for factory in (ErrorRateSpec.fdp_su, ErrorRateSpec.fdp_sd)
+                 for modified in (False, True)]
+        return (*procs, ProcedureSpec(family="by", n=self.n, alpha=self.fdr_level),
+                ProcedureSpec(family="gr", n=self.n, alpha=self.fdr_level))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ TABLE1 = {
 
 
 def family_floor(matrix, family):
-    return family_constants(family, matrix.n, matrix)
+    return family_constants(family, matrix.n, matrix.spec)
 
 
 @pytest.fixture(scope="module")

@@ -78,6 +78,25 @@ class TestConstantsCommand:
         assert code == 2
         assert "modified" in err
 
+    def test_alpha_scales_values(self, capsys):
+        code, out, _ = run(capsys, "constants", "--family", "by", "--n", "3", "--alpha", "0.05")
+        assert code == 0
+        assert out.splitlines()[0].endswith(" scale=0.05")
+        values = [float(line.split(",")[1]) for line in out.splitlines()[2:]]
+        assert values == pytest.approx([0.1 / 11, 0.2 / 11, 0.3 / 11], abs=1e-15)
+
+    def test_json_format(self, capsys):
+        argv = ["constants", "--family", "bh", "--n", "4", "--rate", "fdp-su", "--gamma", "0.1"]
+        code, csv_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family"] == "rescaled"
+        assert payload["params"] == {"parent": "bh", "divisor": 2.125, "n": 4}
+        assert payload["values"] == [float(line.split(",")[1])
+                                     for line in csv_out.splitlines()[2:]]
+
 
 class TestOptimizeCommand:
     def test_table_values(self, capsys):
@@ -121,6 +140,41 @@ class TestOptimizeCommand:
                             "--n", "10", "--gamma", "0.05", "--weights",
                             str(tmp_path / "missing.txt"))
         assert code2 == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("1\n# note\nabc\n", ":3: not a number: 'abc'"),
+        ("1\n-0.5\n1\n", ":2: weight must be finite and >= 0: -0.5"),
+        ("1\n1\ninf\n", ":3: weight must be finite and >= 0: inf"),
+        ("1\n\n1\n", ":0: expected 3 weights, found 2"),
+    ], ids=["not-a-number", "negative", "infinite", "wrong-count"])
+    def test_bad_weights_file_exits_2(self, tmp_path, text, message, capsys):
+        weights = tmp_path / "weights.txt"
+        weights.write_text(text)
+        code, out, err = run(capsys, "optimize", "--rate", "fdp-sd", "--family", "bh",
+                             "--n", "3", "--gamma", "0.05", "--weights", str(weights))
+        assert (code, out) == (2, "")
+        assert err == f"error: {weights}{message}\n"
+
+    def test_json_format(self, capsys):
+        argv = ["optimize", "--rate", "fdp-sd", "--family", "bh", "--n", "10",
+                "--gamma", "0.05"]
+        code, csv_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        header = {line[2:].split(": ")[0]: line.split(": ")[1]
+                  for line in csv_out.splitlines() if line.startswith("#")}
+        assert payload["spec"] == {"rate": "fdp-sd", "n": 10, "gamma": 0.05}
+        assert payload["floor_family"] == "rescaled"
+        assert (payload["solver"], payload["status"]) == (lp.SOLVER_VERSION, "optimal")
+        assert header["status"] == "optimal"
+        for key in ("F_floor", "F_xi", "M1", "M2"):
+            assert payload[key] == float(header[key])
+        rows = [line.split(",") for line in csv_out.splitlines()
+                if line[0].isdigit()]
+        assert payload["floor"] == [float(r[1]) for r in rows]
+        assert payload["xi"] == [float(r[2]) for r in rows]
 
 
 class TestVerifyCommand:
@@ -195,6 +249,22 @@ class TestAdjustCommand:
                            "--gamma", "0.1", "--alpha", "0.5")
         assert code == 2
         assert ":2:" in err
+
+    def test_blank_and_comment_lines_skipped(self, bh95_file, tmp_path, capsys):
+        argv = ["--family", "by", "--alpha", "0.05"]
+        expected = run(capsys, "adjust", "--input", str(bh95_file), *argv)
+        path = tmp_path / "commented.txt"
+        path.write_text("# BH95\n\n" + "".join(f"{p}\n  \n# next\n" for p in BH95_PVALUES))
+        assert run(capsys, "adjust", "--input", str(path), *argv) == expected
+
+    @pytest.mark.parametrize("text", ["", "# no values\n\n"], ids=["empty", "comments-only"])
+    def test_empty_input_exits_2(self, tmp_path, text, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "adjust", "--input", str(path), "--family", "by",
+                             "--alpha", "0.05")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:0: no p-values found\n"
 
     def test_by_with_rate_exits_2(self, bh95_file, capsys):
         code, _, err = run(capsys, "adjust", "--input", str(bh95_file),
@@ -367,6 +437,57 @@ class TestUsageErrors:
         assert (code, err) == (0, "")
         assert out == ("# family: lr-fdp gamma=0.2 n=3\nindex,value\n1,0.3333333333333333\n"
                        "2,0.5\n3,1.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("index,value\n1,0.5\n2,half\n", ":3: not a number: 'half'"),
+        ("", ":0: no constants found"),
+    ], ids=["not-a-number", "empty"])
+    def test_verify_malformed_csv_constants_exits_2(self, tmp_path, text, message, capsys):
+        const_file = tmp_path / "constants.csv"
+        const_file.write_text(text)
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+                             "--gamma", "0.1", "--input", str(const_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: {const_file}{message}\n"
+
+    def test_verify_input_length_mismatch_exits_2(self, tmp_path, capsys):
+        const_file = tmp_path / "constants.csv"
+        const_file.write_text("index,value\n1,0.5\n2,1.0\n")
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "3",
+                             "--gamma", "0.1", "--input", str(const_file))
+        assert (code, out) == (2, "")
+        assert err == "error: constants file has 2 entries, expected 3\n"
+
+    def test_verify_without_input_or_family_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "3", "--gamma", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: verify needs --input or --family\n"
+
+    @pytest.mark.parametrize("command, message", [
+        ("constants", "is pre-normalized and takes no --rate"),
+        ("optimize", "is pre-normalized; nothing to optimize"),
+    ])
+    @pytest.mark.parametrize("family", ["by", "gr"])
+    def test_fdr_family_with_rate_exits_2(self, command, message, family, capsys):
+        code, out, err = run(capsys, command, "--family", family, "--n", "5",
+                             "--rate", "fdp-su", "--gamma", "0.05")
+        assert (code, out) == (2, "")
+        assert err == f"error: family {family!r} {message}\n"
+
+    @pytest.mark.parametrize("counts", [",", ""], ids=["comma", "empty"])
+    def test_empty_true_counts_exits_2(self, counts, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "8", "--reps", "10", "--true-counts", counts])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert "argument --true-counts: expected a comma-separated list of integers" in out.err
+
+    @pytest.mark.parametrize("alpha", ["nan", "0"])
+    def test_constants_alpha_not_positive_exits_2(self, alpha, capsys):
+        code, out, err = run(capsys, "constants", "--family", "bh", "--n", "10",
+                             "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == "error: scale must be positive\n"
 
     def test_adjust_n_mismatch_exits_2(self, bh95_file, capsys):
         code, out, err = run(capsys, "adjust", "--input", str(bh95_file), "--n", "3",

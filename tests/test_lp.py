@@ -9,11 +9,9 @@ from scipy.optimize import linprog
 from mtbounds import (
     CriticalVector,
     InfeasibleFloorError,
-    SolveStatus,
     bh_constants,
     bound_vector,
     build_problem,
-    diagnostics,
     family_constants,
     fdp_sd_matrix,
     fdp_su_matrix,
@@ -54,11 +52,15 @@ def scipy_optimum(matrix, floor, weights=None):
 
 
 def rescaled_floor(matrix, family="bh"):
-    return family_constants(family, matrix.n, matrix)
+    return family_constants(family, matrix.n, matrix.spec)
+
+
+def no_solve(problem):
+    raise AssertionError("solved on a cache hit")
 
 
 def check_solution_invariants(matrix, floor, solution):
-    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.status == "optimal"
     xi = solution.xi.values
     assert np.all(xi >= floor.values)
     assert np.all(np.diff(xi) >= 0)
@@ -226,13 +228,19 @@ class TestDeterminismAndDiagnostics:
         assert np.array_equal(first.xi.values, second.xi.values)
         assert first.objective == second.objective
 
-    def test_diagnostics_identity_floor(self):
+    def test_diagnostics_identity_floor(self, tmp_path, monkeypatch):
+        """A cache hit passes its xi through the acceptance check, so an
+        entry holding the floor yields the floor's own diagnostics."""
         matrix = fdp_su_matrix(12, 0.1)
         floor = rescaled_floor(matrix, "bh")
-        f_floor, f_xi, m1, m2 = diagnostics(matrix, floor, floor)
-        assert f_floor == f_xi
-        assert m1 == pytest.approx(1.0, abs=0)
-        assert m2 == pytest.approx(1.0, abs=0)
+        problem = build_problem(matrix, floor)
+        (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
+            "solver_version": SOLVER_VERSION, "xi": floor.values.tolist()}))
+        monkeypatch.setattr(lp, "solve", no_solve)
+        solution = solve_cached(problem, tmp_path)
+        assert solution.floor_objective == solution.objective
+        assert solution.m1 == pytest.approx(1.0, abs=0)
+        assert solution.m2 == pytest.approx(1.0, abs=0)
 
     def test_improvement_implies_componentwise_growth(self):
         matrix = fdp_su_matrix(25, 0.05)
@@ -336,9 +344,6 @@ class TestCache:
             "m1": fresh.m1, "m2": fresh.m2, "iterations": fresh.iterations,
         }))
 
-        def no_solve(p):
-            raise AssertionError("solved on a cache hit")
-
         monkeypatch.setattr(lp, "solve", no_solve)
         served = solve_cached(problem, tmp_path)
         assert np.array_equal(served.xi.values, fresh.xi.values)
@@ -392,7 +397,7 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(lp, "bound_vector", counting)
     solution = solve(build_problem(matrix, floor))
-    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.status == "optimal"
     assert len(calls) == 2
     assert solution.m2 == pytest.approx(
         np.max(bound_vector(matrix, solution.xi) / bound_vector(matrix, floor)), rel=1e-12)

@@ -7,6 +7,7 @@ from mtbounds import (
     ErrorRateSpec,
     ProcedureSpec,
     PValueVector,
+    SimConfig,
     adjusted_pvalues,
     bh_constants,
     bound_vector,
@@ -16,7 +17,6 @@ from mtbounds import (
     lr_fdp_constants,
     rescale,
     run_procedure,
-    standard_roster,
     step_down,
     step_up,
 )
@@ -272,7 +272,7 @@ class TestRunProcedure:
 
 class TestRoster:
     def test_standard_roster_shape(self):
-        roster = standard_roster(10)
+        roster = SimConfig(n=10).roster()
         assert len(roster) == 10
         names = [s.name for s in roster]
         assert names.count("FDR-BY-SU") == 1

@@ -7,7 +7,6 @@ import pytest
 
 from mtbounds import (
     SimConfig,
-    default_true_counts,
     run_study,
     sample_statistics,
     two_sided_p,
@@ -245,10 +244,9 @@ class TestRunStudy:
 
 class TestConfig:
     def test_default_grid(self):
-        assert default_true_counts(10) == (0, 2, 5, 8, 10)
-        assert default_true_counts(1) == (0, 1)
-        config = SimConfig(n=8)
-        assert config.true_counts == default_true_counts(8)
+        assert SimConfig(n=10).true_counts == (0, 2, 5, 8, 10)
+        assert SimConfig(n=1).true_counts == (0, 1)
+        assert SimConfig(n=8).true_counts == (0, 2, 4, 6, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
