@@ -11,13 +11,14 @@ Example:
 
 import argparse
 
-from mtbounds import build_problem, family_constants, fdp_sd_matrix, fdp_su_matrix, solve
+from mtbounds import (ErrorRateSpec, Rate, associated_matrix, build_problem,
+                      family_constants, solve)
 
 
 def comparison_row(n, gamma, family, direction):
-    matrix = (fdp_su_matrix if direction == "su" else fdp_sd_matrix)(n, gamma)
-    floor = family_constants(family, n, matrix.spec)
-    solution = solve(build_problem(matrix, floor))
+    spec = ErrorRateSpec(Rate(f"fdp-{direction}"), n, gamma=gamma)
+    floor = family_constants(family, n, spec)
+    solution = solve(build_problem(associated_matrix(spec), floor))
     return solution.floor_objective, solution.objective, solution.m1, solution.m2
 
 

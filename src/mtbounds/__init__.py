@@ -26,10 +26,6 @@ from .matrices import (
     Rate,
     associated_matrix,
     bound_vector,
-    fdp_sd_matrix,
-    fdp_su_matrix,
-    kfwer_sd_matrix,
-    kfwer_su_matrix,
     row_events,
 )
 from .procedures import (
@@ -39,7 +35,6 @@ from .procedures import (
     PValueVector,
     adjusted_pvalues,
     family_constants,
-    feasible_constants,
     run_procedure,
     step_down,
     step_up,
@@ -78,13 +73,8 @@ __all__ = [
     "bound_vector",
     "build_problem",
     "by_constants",
-    "fdp_sd_matrix",
     "family_constants",
-    "fdp_su_matrix",
-    "feasible_constants",
     "gr_sd_constants",
-    "kfwer_sd_matrix",
-    "kfwer_su_matrix",
     "lr_fdp_constants",
     "lr_kfwer_constants",
     "rescale",

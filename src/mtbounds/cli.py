@@ -123,9 +123,13 @@ def cmd_simulate(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        values = []
     if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}")
     return values
 
 

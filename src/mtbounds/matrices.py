@@ -33,10 +33,6 @@ __all__ = [
     "Rate",
     "ErrorRateSpec",
     "AssociatedMatrix",
-    "kfwer_su_matrix",
-    "kfwer_sd_matrix",
-    "fdp_su_matrix",
-    "fdp_sd_matrix",
     "associated_matrix",
     "bound_vector",
     "row_events",
@@ -91,22 +87,6 @@ class ErrorRateSpec:
                 raise ValueError(f"{self.rate.value} does not take gamma")
             if not 1 <= self.k <= self.n:
                 raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
-
-    @classmethod
-    def kfwer_su(cls, n: int, k: int) -> "ErrorRateSpec":
-        return cls(Rate.KFWER_SU, n, k=k)
-
-    @classmethod
-    def kfwer_sd(cls, n: int, k: int) -> "ErrorRateSpec":
-        return cls(Rate.KFWER_SD, n, k=k)
-
-    @classmethod
-    def fdp_su(cls, n: int, gamma: float) -> "ErrorRateSpec":
-        return cls(Rate.FDP_SU, n, gamma=gamma)
-
-    @classmethod
-    def fdp_sd(cls, n: int, gamma: float) -> "ErrorRateSpec":
-        return cls(Rate.FDP_SD, n, gamma=gamma)
 
     @property
     def direction(self) -> str:
@@ -204,24 +184,10 @@ def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:
     return AssociatedMatrix(spec)
 
 
-def kfwer_su_matrix(n: int, k: int) -> AssociatedMatrix:
-    """Bound matrix for the k-familywise error rate of step-up procedures."""
-    return associated_matrix(ErrorRateSpec.kfwer_su(n, k))
-
-
-def kfwer_sd_matrix(n: int, k: int) -> AssociatedMatrix:
-    """Bound matrix for the k-familywise error rate of step-down procedures."""
-    return associated_matrix(ErrorRateSpec.kfwer_sd(n, k))
-
-
-def fdp_su_matrix(n: int, gamma: float) -> AssociatedMatrix:
-    """Bound matrix for the tail false discovery proportion of step-up procedures."""
-    return associated_matrix(ErrorRateSpec.fdp_su(n, gamma))
-
-
 def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
-    """Bound matrix for the tail false discovery proportion of step-down procedures."""
-    return associated_matrix(ErrorRateSpec.fdp_sd(n, gamma))
+    """``associated_matrix`` of the fdp-sd spec. Not exported: it stays only
+    because ``perfbench/test_perfbench.py`` imports it; use ``associated_matrix``."""
+    return associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma))
 
 
 def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:

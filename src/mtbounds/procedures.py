@@ -20,7 +20,6 @@ import numpy as np
 from . import lp
 from .constants import (
     CriticalVector,
-    Family,
     bh_constants,
     by_constants,
     gr_sd_constants,
@@ -40,7 +39,6 @@ __all__ = [
     "FAMILIES",
     "ProcedureSpec",
     "family_constants",
-    "feasible_constants",
     "run_procedure",
 ]
 
@@ -273,13 +271,6 @@ def family_constants(
     return lp.solve_cached(lp.build_problem(associated_matrix(spec), floor), cache_dir).xi
 
 
-def feasible_constants(spec: ProcedureSpec, cache_dir: str | Path | None = None) -> CriticalVector:
-    """The level-1 constants of the procedure (see ``family_constants``).
-    Multiply by alpha to obtain the applied thresholds."""
-    return family_constants(spec.family, spec.n, spec.rate, modified=spec.modified,
-                            cache_dir=cache_dir)
-
-
 def run_procedure(
     p: PValueVector,
     spec: ProcedureSpec,
@@ -287,13 +278,14 @@ def run_procedure(
 ) -> tuple[DecisionSet, AdjustedPValues]:
     """Apply the procedure to raw p-values.
 
-    Decisions come from the thresholds alpha * feasible constants; adjusted
+    Decisions come from the thresholds alpha * ``family_constants``; adjusted
     p-values use the unscaled constants, so "adjusted <= alpha" matches the
     rejection decision at every level.
     """
     if p.n != spec.n:
         raise ValueError(f"procedure is for n={spec.n}, got {p.n} p-values")
-    base = feasible_constants(spec, cache_dir=cache_dir)
+    base = family_constants(spec.family, spec.n, spec.rate, modified=spec.modified,
+                            cache_dir=cache_dir)
     thresholds = base.scaled(spec.alpha)
     apply = step_up if spec.direction == "su" else step_down
     return apply(p, thresholds), adjusted_pvalues(p, base, spec.direction)

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .matrices import ErrorRateSpec
-from .procedures import ProcedureSpec, _rejection_counts, feasible_constants
+from .matrices import ErrorRateSpec, Rate
+from .procedures import ProcedureSpec, _rejection_counts, family_constants
 
 __all__ = [
     "SimConfig",
@@ -47,8 +47,9 @@ _BATCH = 2048
 @dataclass(frozen=True)
 class SimConfig:
     """One study: a single n and grids over true counts and effect sizes, run
-    on the ten-procedure ``roster``. Empty ``true_counts`` ask for the
-    quarter-point grid {0, n/4, n/2, 3n/4, n}, rounded and deduplicated.
+    on the ten-procedure ``roster``; neither grid may repeat a value. Empty
+    ``true_counts`` ask for the quarter-point grid {0, n/4, n/2, 3n/4, n},
+    rounded and deduplicated.
     ``seed`` keys the Philox streams and must lie in [0, 2**64)."""
 
     n: int
@@ -74,6 +75,9 @@ class SimConfig:
             raise ValueError("at least one effect size is required")
         if any(not math.isfinite(d) for d in self.effects):
             raise ValueError("effect sizes must be finite")
+        for name, grid in (("true counts", self.true_counts), ("effect sizes", self.effects)):
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"{name} must not repeat, got {grid}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if self.reps < 1:
@@ -90,9 +94,10 @@ class SimConfig:
         (level ``alpha``, parameter ``gamma``), then the BY step-up and GR
         step-down FDR procedures at ``fdr_level``."""
         procs = [ProcedureSpec(family=family, n=self.n, alpha=self.alpha,
-                               rate=factory(self.n, self.gamma), modified=modified)
+                               rate=ErrorRateSpec(rate, self.n, gamma=self.gamma),
+                               modified=modified)
                  for family in ("bh", "rs")
-                 for factory in (ErrorRateSpec.fdp_su, ErrorRateSpec.fdp_sd)
+                 for rate in (Rate.FDP_SU, Rate.FDP_SD)
                  for modified in (False, True)]
         return (*procs, ProcedureSpec(family="by", n=self.n, alpha=self.fdr_level),
                 ProcedureSpec(family="gr", n=self.n, alpha=self.fdr_level))
@@ -198,7 +203,8 @@ def _procedure_tables(
     failures = []
     for spec in config.roster():
         try:
-            base = feasible_constants(spec, cache_dir=cache_dir)
+            base = family_constants(spec.family, spec.n, spec.rate,
+                                    modified=spec.modified, cache_dir=cache_dir)
         except Exception as exc:  # noqa: BLE001 - isolate the failed column
             failures.append((spec.name, str(exc)))
             continue

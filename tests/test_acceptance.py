@@ -16,17 +16,12 @@ from mtbounds import (
     ErrorRateSpec,
     ProcedureSpec,
     PValueVector,
+    Rate,
     SimConfig,
     associated_matrix,
     bound_vector,
     build_problem,
-    by_constants,
     family_constants,
-    fdp_sd_matrix,
-    fdp_su_matrix,
-    gr_sd_constants,
-    kfwer_sd_matrix,
-    kfwer_su_matrix,
     lr_kfwer_constants,
     row_events,
     run_procedure,
@@ -67,8 +62,8 @@ def family_floor(matrix, family):
 def table1_solutions():
     out = {}
     for n in TABLE1_NS:
-        for direction, build in (("su", fdp_su_matrix), ("sd", fdp_sd_matrix)):
-            matrix = build(n, GAMMA)
+        for direction, rate in (("su", Rate.FDP_SU), ("sd", Rate.FDP_SD)):
+            matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=GAMMA))
             for family in ("bh", "rs"):
                 floor = family_floor(matrix, family)
                 solution = solve(build_problem(matrix, floor))
@@ -110,7 +105,7 @@ def test_criterion_02_table1_diagnostics(table1_solutions):
 def test_criterion_03_structural_example():
     """Rescaled linear staircase, step-up, n=50: the binding row is 32 and
     its support is exactly columns 19..50."""
-    matrix = fdp_su_matrix(50, GAMMA)
+    matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=GAMMA))
     floor = family_floor(matrix, "bh")
     bounds = bound_vector(matrix, floor)
     order = np.argsort(bounds)
@@ -127,16 +122,17 @@ def test_criterion_04_row_sum_identities():
     for n in range(1, 201):
         i = np.arange(1, n + 1, dtype=float)
         for gamma in (0.0, 0.05, 0.1, 0.25):
-            for build in (fdp_su_matrix, fdp_sd_matrix):
-                sums = build(n, gamma).entries.sum(axis=1)
-                assert np.allclose(sums, i, rtol=0.0, atol=1e-10), (n, gamma, build)
+            for rate in (Rate.FDP_SU, Rate.FDP_SD):
+                matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=gamma))
+                sums = matrix.entries.sum(axis=1)
+                assert np.allclose(sums, i, rtol=0.0, atol=1e-10), (n, gamma, rate)
         for k in {1, 2, (n + 1) // 2}:
             if not 1 <= k <= n:
                 continue
             expected = np.where(i >= k, i / k, 0.0)
-            for build in (kfwer_su_matrix, kfwer_sd_matrix):
-                sums = build(n, k).entries.sum(axis=1)
-                assert np.allclose(sums, expected, rtol=0.0, atol=1e-10), (n, k, build)
+            for rate in (Rate.KFWER_SU, Rate.KFWER_SD):
+                sums = associated_matrix(ErrorRateSpec(rate, n, k=k)).entries.sum(axis=1)
+                assert np.allclose(sums, expected, rtol=0.0, atol=1e-10), (n, k, rate)
     print("ACCEPTANCE 4 (row-sum identities, n <= 200): PASS")
 
 
@@ -147,7 +143,8 @@ def test_criterion_05_step_down_saturation():
         for k in {1, 2, (n + 1) // 2}:
             if not 1 <= k <= n:
                 continue
-            bounds = bound_vector(kfwer_sd_matrix(n, k), lr_kfwer_constants(n, k))
+            matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k))
+            bounds = bound_vector(matrix, lr_kfwer_constants(n, k))
             assert np.max(np.abs(bounds[k - 1:] - 1.0)) <= 1e-12, (n, k)
             assert np.all(bounds[:k - 1] == 0.0), (n, k)
     print("ACCEPTANCE 5 (step-down saturation identity, n <= 200): PASS")
@@ -160,10 +157,10 @@ def test_criterion_06_matrix_coincidence():
     for gamma in (0.05, 0.1, 0.25):
         cases += [(n, gamma) for n in range(1, 201) if math.floor(gamma * n) == 0]
     for n, gamma in cases:
-        assert np.array_equal(fdp_su_matrix(n, gamma).entries,
-                              kfwer_su_matrix(n, 1).entries), (n, gamma, "su")
-        assert np.array_equal(fdp_sd_matrix(n, gamma).entries,
-                              kfwer_sd_matrix(n, 1).entries), (n, gamma, "sd")
+        for direction in ("su", "sd"):
+            fdp = associated_matrix(ErrorRateSpec(Rate(f"fdp-{direction}"), n, gamma=gamma))
+            kfwer = associated_matrix(ErrorRateSpec(Rate(f"kfwer-{direction}"), n, k=1))
+            assert np.array_equal(fdp.entries, kfwer.entries), (n, gamma, direction)
     print(f"ACCEPTANCE 6 (matrix coincidence, {len(cases)} cases): PASS")
 
 
@@ -172,12 +169,12 @@ def test_criterion_07_feasibility_identities(table1_solutions):
     dominates its floor, is monotone and respects the bound (1e-9)."""
     for n in (1, 5, 10, 25, 50, 100, 137):
         specs = [
-            ErrorRateSpec.fdp_su(n, GAMMA), ErrorRateSpec.fdp_sd(n, GAMMA),
-            ErrorRateSpec.fdp_su(n, 0.1), ErrorRateSpec.fdp_sd(n, 0.1),
-            ErrorRateSpec.kfwer_su(n, 1), ErrorRateSpec.kfwer_sd(n, 1),
+            ErrorRateSpec(Rate.FDP_SU, n, gamma=GAMMA), ErrorRateSpec(Rate.FDP_SD, n, gamma=GAMMA),
+            ErrorRateSpec(Rate.FDP_SU, n, gamma=0.1), ErrorRateSpec(Rate.FDP_SD, n, gamma=0.1),
+            ErrorRateSpec(Rate.KFWER_SU, n, k=1), ErrorRateSpec(Rate.KFWER_SD, n, k=1),
         ]
         if n >= 2:
-            specs += [ErrorRateSpec.kfwer_su(n, 2), ErrorRateSpec.kfwer_sd(n, 2)]
+            specs += [ErrorRateSpec(Rate.KFWER_SU, n, k=2), ErrorRateSpec(Rate.KFWER_SD, n, k=2)]
         for spec in specs:
             matrix = associated_matrix(spec)
             for family in ("bh", "rs"):
@@ -201,7 +198,7 @@ def bh95_count(family, direction, q, modified=False):
     if family in ("by", "gr"):
         spec = ProcedureSpec(family=family, n=15, alpha=q)
     else:
-        rate = (ErrorRateSpec.fdp_su if direction == "su" else ErrorRateSpec.fdp_sd)(15, q)
+        rate = ErrorRateSpec(Rate(f"fdp-{direction}"), 15, gamma=q)
         spec = ProcedureSpec(family=family, n=15, alpha=0.5, rate=rate, modified=modified)
     return run_procedure(p, spec)[0].n_rejected
 
@@ -246,7 +243,7 @@ def test_criterion_08_step_down_actual_counts():
         for q in (0.05, 0.10):
             for modified in (False, True):
                 assert bh95_count(family, "sd", q, modified=modified) == 9
-    matrix = fdp_sd_matrix(15, 0.05)
+    matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 15, gamma=0.05))
     assert matrix.entries[5, 9] == 6.0  # row 6 puts weight 6 on column 10
     print("ACCEPTANCE 8 (step-down actual counts = 9, infeasibility of 10): PASS")
 
@@ -307,11 +304,11 @@ MC_SE = 0.5 / math.sqrt(MC_DRAWS)
 
 def mc_specs(n):
     specs = [
-        ErrorRateSpec.fdp_su(n, GAMMA), ErrorRateSpec.fdp_sd(n, GAMMA),
-        ErrorRateSpec.kfwer_su(n, 1), ErrorRateSpec.kfwer_sd(n, 1),
+        ErrorRateSpec(Rate.FDP_SU, n, gamma=GAMMA), ErrorRateSpec(Rate.FDP_SD, n, gamma=GAMMA),
+        ErrorRateSpec(Rate.KFWER_SU, n, k=1), ErrorRateSpec(Rate.KFWER_SD, n, k=1),
     ]
     if n >= 2:
-        specs += [ErrorRateSpec.kfwer_su(n, 2), ErrorRateSpec.kfwer_sd(n, 2)]
+        specs += [ErrorRateSpec(Rate.KFWER_SU, n, k=2), ErrorRateSpec(Rate.KFWER_SD, n, k=2)]
     return specs
 
 

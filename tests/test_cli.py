@@ -474,13 +474,25 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: family {family!r} {message}\n"
 
-    @pytest.mark.parametrize("counts", [",", ""], ids=["comma", "empty"])
+    @pytest.mark.parametrize("counts", [",", "", "1,a"], ids=["comma", "empty", "not-an-integer"])
     def test_empty_true_counts_exits_2(self, counts, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "8", "--reps", "10", "--true-counts", counts])
         out = capsys.readouterr()
         assert (exc.value.code, out.out) == (2, "")
-        assert "argument --true-counts: expected a comma-separated list of integers" in out.err
+        assert ("argument --true-counts: expected a comma-separated list of integers, "
+                f"got {counts!r}") in out.err
+        assert "_int_list" not in out.err
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--true-counts", "3,3", "--d", "1"], "true counts must not repeat, got (3, 3)"),
+        (["--true-counts", "3", "--d", "1", "--d", "1"],
+         "effect sizes must not repeat, got (1.0, 1.0)"),
+    ], ids=["true-counts", "effects"])
+    def test_repeated_grid_value_exits_2(self, grid, message, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "8", "--reps", "10", *grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("alpha", ["nan", "0"])
     def test_constants_alpha_not_positive_exits_2(self, alpha, capsys):

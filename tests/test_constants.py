@@ -4,14 +4,14 @@ from hypothesis import given, strategies as st
 
 from mtbounds import (
     CriticalVector,
+    ErrorRateSpec,
     Family,
+    Rate,
+    associated_matrix,
     bh_constants,
     bound_vector,
     by_constants,
-    fdp_sd_matrix,
-    fdp_su_matrix,
     gr_sd_constants,
-    kfwer_sd_matrix,
     lr_fdp_constants,
     lr_kfwer_constants,
     rescale,
@@ -110,7 +110,7 @@ def test_by_and_gr_dominated_by_bh(n):
 
 class TestRescale:
     def test_lr_fixed_point(self):
-        A = kfwer_sd_matrix(30, 4)
+        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 30, k=4))
         c = lr_kfwer_constants(30, 4)
         rescaled, divisor = rescale(c, A)
         assert divisor == pytest.approx(1.0, abs=1e-12)
@@ -118,28 +118,30 @@ class TestRescale:
 
     def test_identity_after_rescale(self):
         for matrix, c in [
-            (fdp_su_matrix(50, 0.05), bh_constants(50)),
-            (fdp_sd_matrix(37, 0.1), lr_fdp_constants(37, 0.1)),
+            (associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)), bh_constants(50)),
+            (associated_matrix(ErrorRateSpec(Rate.FDP_SD, 37, gamma=0.1)),
+             lr_fdp_constants(37, 0.1)),
         ]:
             rescaled, divisor = rescale(c, matrix)
             assert np.max(bound_vector(matrix, rescaled)) == pytest.approx(1.0, abs=1e-12)
             assert rescaled.family is Family.RESCALED
 
     def test_divisor_attained_at_row_32(self):
-        A = fdp_su_matrix(50, 0.05)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
         bounds = bound_vector(A, bh_constants(50))
         assert int(np.argmax(bounds)) + 1 == 32
 
     @given(scale=st.floats(0.001, 1000.0))
     def test_homogeneity(self, scale):
-        A = fdp_su_matrix(12, 0.1)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 12, gamma=0.1))
         c = bh_constants(12)
         base, _ = rescale(c, A)
         scaled, _ = rescale(CriticalVector(c.values * scale), A)
         assert np.allclose(base.values, scaled.values, rtol=1e-12, atol=0)
 
     def test_zero_bound_is_error(self):
-        A = kfwer_sd_matrix(5, 3)  # rows 1-2 zero, nonzero rows touch columns 3..5
+        # rows 1-2 zero, nonzero rows touch columns 3..5
+        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 5, k=3))
         c = CriticalVector(np.array([0.0, 0.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             rescale(c, A)

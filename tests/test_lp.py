@@ -8,15 +8,14 @@ from scipy.optimize import linprog
 
 from mtbounds import (
     CriticalVector,
+    ErrorRateSpec,
     InfeasibleFloorError,
+    Rate,
+    associated_matrix,
     bh_constants,
     bound_vector,
     build_problem,
     family_constants,
-    fdp_sd_matrix,
-    fdp_su_matrix,
-    kfwer_sd_matrix,
-    kfwer_su_matrix,
     solve,
     solve_cached,
 )
@@ -70,14 +69,14 @@ def check_solution_invariants(matrix, floor, solution):
 
 class TestTrivialCases:
     def test_single_variable(self):
-        matrix = kfwer_su_matrix(1, 1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 1, k=1))
         floor = CriticalVector(np.array([0.5]))
         solution = solve(build_problem(matrix, floor))
         assert solution.xi.values.tolist() == [1.0]
         assert solution.objective == pytest.approx(1.0, abs=0)
 
     def test_fixed_point_floor(self):
-        matrix = kfwer_sd_matrix(10, 1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 10, k=1))
         floor = rescaled_floor(matrix, "rs")
         solution = solve(build_problem(matrix, floor))
         assert np.allclose(solution.xi.values, floor.values, atol=1e-12)
@@ -87,7 +86,7 @@ class TestTrivialCases:
     def test_antidiagonal_exact_optimum(self):
         # 10 hypotheses, gamma small: the matrix is the antidiagonal, the
         # optimum caps each constant at 1/(11-j)
-        matrix = fdp_sd_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
         assert solution.floor_objective == pytest.approx(22 / 3, abs=1e-12)
@@ -97,40 +96,42 @@ class TestTrivialCases:
         assert solution.m2 == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_floor_optimizes_whole_feasible_set(self):
-        matrix = fdp_su_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         floor = CriticalVector(np.zeros(10))
         solution = solve(build_problem(matrix, floor))
         assert solution.objective == pytest.approx(scipy_optimum(matrix, floor), abs=1e-9)
         assert np.isnan(solution.m1)
 
 
-# (family, build, param, n): every small size, plus two rates at n=300, the
+# (family, rate, param, n): every small size, plus two rates at n=300, the
 # largest size of the optimize benchmark.
 OBJECTIVE_CASES = [
-    (family, build, param, n)
+    (family, rate, param, n)
     for family in ("bh", "rs")
-    for build, param in [
-        (fdp_su_matrix, 0.05), (fdp_sd_matrix, 0.05),
-        (fdp_su_matrix, 0.25), (fdp_sd_matrix, 0.25),
-        (kfwer_su_matrix, 1), (kfwer_sd_matrix, 1),
-        (kfwer_su_matrix, 2), (kfwer_sd_matrix, 2),
+    for rate, param in [
+        (Rate.FDP_SU, 0.05), (Rate.FDP_SD, 0.05),
+        (Rate.FDP_SU, 0.25), (Rate.FDP_SD, 0.25),
+        (Rate.KFWER_SU, 1), (Rate.KFWER_SD, 1),
+        (Rate.KFWER_SU, 2), (Rate.KFWER_SD, 2),
     ]
     for n in (1, 2, 3, 5, 10, 25, 50)
 ] + [
-    (family, build, param, 300)
+    (family, rate, param, 300)
     for family in ("bh", "rs")
-    for build, param in [(kfwer_su_matrix, 2), (fdp_sd_matrix, 0.05)]
+    for rate, param in [(Rate.KFWER_SU, 2), (Rate.FDP_SD, 0.05)]
 ]
 
 
 class TestAgainstScipy:
+    # ids read family-<rate>_matrix-param-n, the rate in snake case
     @pytest.mark.parametrize(
-        "family,build,param,n", OBJECTIVE_CASES,
-        ids=[f"{f}-{b.__name__}-{p}-{n}" for f, b, p, n in OBJECTIVE_CASES])
-    def test_objective_matches(self, family, build, param, n):
-        if build in (kfwer_su_matrix, kfwer_sd_matrix) and param > n:
+        "family,rate,param,n", OBJECTIVE_CASES,
+        ids=[f"{f}-{r.name.lower()}_matrix-{p}-{n}" for f, r, p, n in OBJECTIVE_CASES])
+    def test_objective_matches(self, family, rate, param, n):
+        if not rate.is_fdp and param > n:
             pytest.skip("k exceeds n")
-        matrix = build(n, param)
+        kwarg = "gamma" if rate.is_fdp else "k"
+        matrix = associated_matrix(ErrorRateSpec(rate, n, **{kwarg: param}))
         floor = rescaled_floor(matrix, family)
         solution = solve(build_problem(matrix, floor))
         check_solution_invariants(matrix, floor, solution)
@@ -145,7 +146,8 @@ class TestAgainstScipy:
         data=st.data(),
     )
     def test_random_feasible_floors(self, n, gamma, su, data):
-        matrix = (fdp_su_matrix if su else fdp_sd_matrix)(n, gamma)
+        rate = Rate.FDP_SU if su else Rate.FDP_SD
+        matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=gamma))
         steps = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
         raw = np.cumsum(np.asarray(steps) + 1e-3)
         floor = CriticalVector(raw / np.max(bound_vector(matrix, raw)))
@@ -159,7 +161,7 @@ class TestAgainstScipy:
 
 class TestSaturationStructure:
     def test_su_tail_saturates_exactly_rows_32_to_50(self):
-        matrix = fdp_su_matrix(50, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
         bounds = bound_vector(matrix, solution.xi)
@@ -169,7 +171,7 @@ class TestSaturationStructure:
     def test_sd_row_32_cannot_saturate(self):
         # The step-down twin saturates everything in the tail except the row
         # that pins the rescaling.
-        matrix = fdp_sd_matrix(50, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
         bounds = bound_vector(matrix, solution.xi)
@@ -179,14 +181,14 @@ class TestSaturationStructure:
 
 class TestWeights:
     def test_uniform_weights_give_column_sums(self):
-        matrix = fdp_su_matrix(8, 0.1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         problem = build_problem(matrix, floor)
         assert np.allclose(problem.objective_coefficients,
                            matrix.entries.sum(axis=0), atol=1e-12)
 
     def test_point_mass_objective_is_single_row_bound(self):
-        matrix = fdp_su_matrix(8, 0.1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         w = np.zeros(8)
         w[4] = 1.0
@@ -199,7 +201,7 @@ class TestWeights:
             scipy_optimum(matrix, floor, weights=w), rel=1e-10)
 
     def test_bad_weights_rejected(self):
-        matrix = fdp_su_matrix(4, 0.1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 4, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         with pytest.raises(ValueError):
             build_problem(matrix, floor, weights=np.array([1.0, -1.0, 0.0, 0.0]))
@@ -209,19 +211,20 @@ class TestWeights:
 
 class TestValidation:
     def test_infeasible_floor_raises(self):
-        matrix = fdp_su_matrix(6, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 6, gamma=0.05))
         raw = bh_constants(6)
         with pytest.raises(InfeasibleFloorError):
             build_problem(matrix, CriticalVector(raw.values * 10))
 
     def test_dimension_mismatch(self):
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.05))
         with pytest.raises(ValueError):
-            build_problem(fdp_su_matrix(5, 0.05), bh_constants(6))
+            build_problem(matrix, bh_constants(6))
 
 
 class TestDeterminismAndDiagnostics:
     def test_bit_identical_resolve(self):
-        matrix = fdp_su_matrix(25, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 25, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         first = solve(build_problem(matrix, floor))
         second = solve(build_problem(matrix, floor))
@@ -231,7 +234,7 @@ class TestDeterminismAndDiagnostics:
     def test_diagnostics_identity_floor(self, tmp_path, monkeypatch):
         """A cache hit passes its xi through the acceptance check, so an
         entry holding the floor yields the floor's own diagnostics."""
-        matrix = fdp_su_matrix(12, 0.1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 12, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         problem = build_problem(matrix, floor)
         (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
@@ -243,7 +246,7 @@ class TestDeterminismAndDiagnostics:
         assert solution.m2 == pytest.approx(1.0, abs=0)
 
     def test_improvement_implies_componentwise_growth(self):
-        matrix = fdp_su_matrix(25, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 25, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
         assert solution.objective > solution.floor_objective
@@ -252,7 +255,7 @@ class TestDeterminismAndDiagnostics:
 
     def test_objective_bounded_by_n(self):
         for n in (5, 20, 60):
-            matrix = fdp_sd_matrix(n, 0.1)
+            matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=0.1))
             floor = rescaled_floor(matrix, "rs")
             solution = solve(build_problem(matrix, floor))
             assert solution.objective <= n + 1e-9
@@ -260,7 +263,7 @@ class TestDeterminismAndDiagnostics:
 
 class TestCache:
     def test_roundtrip_bit_identical(self, tmp_path):
-        matrix = fdp_su_matrix(15, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         problem = build_problem(matrix, floor)
         fresh = solve_cached(problem, tmp_path)
@@ -271,14 +274,14 @@ class TestCache:
         assert fresh.m1 == again.m1
 
     def test_distinct_problems_distinct_keys(self):
-        m1 = fdp_su_matrix(15, 0.05)
-        m2 = fdp_su_matrix(15, 0.1)
+        m1 = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05))
+        m2 = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.1))
         f1 = rescaled_floor(m1, "bh")
         f2 = rescaled_floor(m2, "bh")
         assert cache_key(build_problem(m1, f1)) != cache_key(build_problem(m2, f2))
 
     def test_version_mismatch_forces_resolve(self, tmp_path):
-        matrix = fdp_su_matrix(8, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         problem = build_problem(matrix, floor)
         solve_cached(problem, tmp_path)
@@ -297,7 +300,7 @@ class TestCache:
         lambda entry: {**entry, "xi": entry["xi"][:-1] + [None]},
     ], ids=["no-xi", "short-xi", "below-floor", "infeasible", "null-in-xi"])
     def test_bad_entry_is_resolved(self, tmp_path, corrupt):
-        matrix = fdp_su_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
         clean = solve_cached(problem, tmp_path)
         path = next(tmp_path.glob("*.json"))
@@ -308,7 +311,7 @@ class TestCache:
         assert path.read_text() == entry
 
     def test_entry_holds_only_version_and_xi(self, tmp_path):
-        matrix = fdp_sd_matrix(12, 0.1)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 12, gamma=0.1))
         problem = build_problem(matrix, rescaled_floor(matrix, "rs"))
         fresh = solve_cached(problem, tmp_path)
         entry = json.loads((tmp_path / f"{cache_key(problem)}.json").read_text())
@@ -317,7 +320,7 @@ class TestCache:
         assert (fresh.iterations > 0, hit.iterations) == (True, 0)
 
     def test_forged_fields_are_recomputed(self, tmp_path):
-        matrix = fdp_su_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
         fresh = solve_cached(problem, tmp_path)
         path = next(tmp_path.glob("*.json"))
@@ -334,7 +337,7 @@ class TestCache:
     def test_nine_field_entry_is_a_hit(self, tmp_path, monkeypatch):
         """Entries that also store the derived fields and the status are
         served from their xi, without a solve."""
-        matrix = fdp_su_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
         fresh = solve(problem)
         (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
@@ -352,14 +355,14 @@ class TestCache:
 
     @pytest.mark.parametrize("cache_dir", [None, ""])
     def test_no_cache_dir_solves(self, cache_dir):
-        matrix = fdp_su_matrix(10, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
         solution = solve_cached(problem, cache_dir)
         assert np.array_equal(solution.xi.values, solve(problem).xi.values)
         assert solution.iterations > 0
 
     def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
-        matrix = fdp_su_matrix(8, 0.05)
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
         calls = []
 
@@ -376,7 +379,7 @@ class TestCache:
 
 
 def test_non_optimal_highs_status_raises(monkeypatch):
-    matrix = fdp_su_matrix(8, 0.05)
+    matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
     problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
     monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: SimpleNamespace(
         status=4, message="Numerical difficulties encountered.", nit=7, x=None))
@@ -387,7 +390,7 @@ def test_non_optimal_highs_status_raises(monkeypatch):
 def test_each_bound_vector_computed_once_per_solve(monkeypatch):
     """build_problem computes A @ floor and solve A @ xi; the diagnostics
     reuse both."""
-    matrix = fdp_su_matrix(30, 0.05)
+    matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 30, gamma=0.05))
     floor = rescaled_floor(matrix, "bh")
     calls = []
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -7,22 +8,19 @@ from hypothesis import given, strategies as st
 from scipy import sparse
 
 from mtbounds import (
-    CriticalVector,
     Family,
     ErrorRateSpec,
     Rate,
     associated_matrix,
     bh_constants,
     bound_vector,
-    fdp_sd_matrix,
-    fdp_su_matrix,
-    kfwer_sd_matrix,
-    kfwer_su_matrix,
     lr_fdp_constants,
     lr_kfwer_constants,
     rescale,
     row_events,
 )
+import mtbounds
+from mtbounds import matrices
 from mtbounds.matrices import _event_system
 
 GAMMAS = (0.0, 0.05, 0.1, 0.25)
@@ -42,35 +40,35 @@ def row_sums_match(matrix):
 
 class TestKfwerSu:
     def test_single_hypothesis(self):
-        assert kfwer_su_matrix(1, 1).entries.tolist() == [[1.0]]
+        assert associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 1, k=1)).entries.tolist() == [[1.0]]
 
     def test_three_by_three(self):
         expected = [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.5, 0.5, 1.0]]
-        assert kfwer_su_matrix(3, 1).entries.tolist() == expected
+        assert associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 3, k=1)).entries.tolist() == expected
 
     def test_row_sums_n50(self):
-        sums = kfwer_su_matrix(50, 1).entries.sum(axis=1)
+        sums = associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 50, k=1)).entries.sum(axis=1)
         assert np.allclose(sums, np.arange(1, 51), atol=1e-10)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            kfwer_su_matrix(5, 0)
+            associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 5, k=0))
         with pytest.raises(ValueError):
-            kfwer_su_matrix(5, 6)
+            associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 5, k=6))
 
 
 class TestKfwerSd:
     def test_antidiagonal(self):
-        A = kfwer_sd_matrix(10, 1).entries
+        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 10, k=1)).entries
         for i in range(1, 11):
             assert A[i - 1, 10 - i] == i
         assert np.count_nonzero(A) == 10
 
     def test_single_hypothesis(self):
-        assert kfwer_sd_matrix(1, 1).entries.tolist() == [[1.0]]
+        assert associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 1, k=1)).entries.tolist() == [[1.0]]
 
     def test_k3(self):
-        A = kfwer_sd_matrix(5, 3).entries
+        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 5, k=3)).entries
         assert np.count_nonzero(A[:2]) == 0
         assert A[2, 4] == 1.0
         assert A[3, 3] == pytest.approx(4 / 3, abs=0)
@@ -89,17 +87,17 @@ class TestFdpSuAux:
     """Event systems of the FDP step-up rows."""
 
     def test_row_one(self):
-        events = row_events(ErrorRateSpec.fdp_su(50, 0.05), 1)
+        events = row_events(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05), 1)
         assert events == [(1, 19)]  # one event; column 19 is the last usable
 
     def test_row_32(self):
-        events = row_events(ErrorRateSpec.fdp_su(50, 0.05), 32)
+        events = row_events(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05), 32)
         assert [lvl for lvl, _ in events] == list(range(1, 33))
         assert events[0][1] == 19
         assert [col for _, col in events[1:]] == [18 + k for k in range(2, 33)]
 
     def test_gamma_zero(self):
-        events = row_events(ErrorRateSpec.fdp_su(10, 0.0), 5)
+        events = row_events(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.0), 5)
         assert [lvl for lvl, _ in events] == [1, 2, 3, 4, 5]
         assert [col for _, col in events] == [6, 7, 8, 9, 10]
         assert column_levels(events) == [max(l - 5, 1) for l in range(1, 11)]
@@ -111,7 +109,7 @@ class TestFdpSuAux:
     )
     def test_level_structure(self, n, gamma, data):
         i = data.draw(st.integers(1, n))
-        events = row_events(ErrorRateSpec.fdp_su(n, gamma), i)
+        events = row_events(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma), i)
         assert [lvl for lvl, _ in events] == list(range(1, len(events) + 1))
         levels = np.array(column_levels(events))
         assert levels[0] == 1
@@ -126,25 +124,26 @@ class TestFdpSuAux:
 
 class TestFdpSuMatrix:
     def test_row32_support(self):
-        A = fdp_su_matrix(50, 0.05).entries
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)).entries
         support = np.flatnonzero(A[31]) + 1
         assert support.tolist() == list(range(19, 51))
         assert np.count_nonzero(A[31, :18]) == 0
 
     def test_coincides_with_kfwer_when_gamma_small(self):
-        assert np.array_equal(fdp_su_matrix(10, 0.05).entries,
-                              kfwer_su_matrix(10, 1).entries)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
+        assert np.array_equal(A.entries,
+                              associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 10, k=1)).entries)
 
     @pytest.mark.parametrize("n", [1, 7, 50, 100])
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_row_sums(self, n, gamma):
-        assert row_sums_match(fdp_su_matrix(n, gamma))
+        assert row_sums_match(associated_matrix(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma)))
 
 
 def sd_column_map(n, gamma, i):
     """Column of each level 1..floor(gamma*n)+1 in row i of the FDP step-down
     system, whether or not the row holds that level."""
-    _, _, cap = _event_system(ErrorRateSpec.fdp_sd(n, gamma))
+    _, _, cap = _event_system(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma))
     return [int(min(lvl + n - i, cap[lvl - 1])) for lvl in range(1, int(np.floor(gamma * n)) + 2)]
 
 
@@ -152,15 +151,15 @@ class TestFdpSdAux:
     """Event systems of the FDP step-down rows."""
 
     def test_small_gamma(self):
-        assert row_events(ErrorRateSpec.fdp_sd(10, 0.05), 4) == [(1, 7)]
+        assert row_events(ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.05), 4) == [(1, 7)]
         assert sd_column_map(10, 0.05, 4) == [7]
 
     def test_gamma_zero(self):
-        assert row_events(ErrorRateSpec.fdp_sd(10, 0.0), 4) == [(1, 7)]
+        assert row_events(ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.0), 4) == [(1, 7)]
         assert sd_column_map(10, 0.0, 4) == [7]
 
     def test_row_n(self):
-        assert row_events(ErrorRateSpec.fdp_sd(50, 0.05), 50) == [(1, 1)]
+        assert row_events(ErrorRateSpec(Rate.FDP_SD, 50, gamma=0.05), 50) == [(1, 1)]
         assert sd_column_map(50, 0.05, 50) == [1, 2, 3]
 
     @given(
@@ -170,7 +169,7 @@ class TestFdpSdAux:
     )
     def test_bounds(self, n, gamma, data):
         i = data.draw(st.integers(1, n))
-        events = row_events(ErrorRateSpec.fdp_sd(n, gamma), i)
+        events = row_events(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma), i)
         lmax = int(np.floor(gamma * n)) + 1
         col_map = sd_column_map(n, gamma, i)
         assert len(col_map) == lmax
@@ -181,45 +180,47 @@ class TestFdpSdAux:
 
 class TestFdpSdMatrix:
     def test_antidiagonal_coincidence(self):
-        A = fdp_sd_matrix(10, 0.05)
-        assert np.array_equal(A.entries, kfwer_sd_matrix(10, 1).entries)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.05))
+        assert np.array_equal(A.entries,
+                              associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 10, k=1)).entries)
 
     def test_single_hypothesis(self):
-        assert fdp_sd_matrix(1, 0.0).entries.tolist() == [[1.0]]
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 1, gamma=0.0))
+        assert A.entries.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("n", [1, 7, 50, 100])
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_row_sums(self, n, gamma):
-        assert row_sums_match(fdp_sd_matrix(n, gamma))
+        assert row_sums_match(associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma)))
 
 
 @given(n=st.integers(1, 120), data=st.data())
 def test_kfwer_row_sums(n, data):
     k = data.draw(st.integers(1, n))
-    assert row_sums_match(kfwer_su_matrix(n, k))
-    assert row_sums_match(kfwer_sd_matrix(n, k))
+    assert row_sums_match(associated_matrix(ErrorRateSpec(Rate.KFWER_SU, n, k=k)))
+    assert row_sums_match(associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k)))
 
 
 @given(n=st.integers(1, 120), gamma=st.sampled_from(GAMMAS))
 def test_entries_nonnegative(n, gamma):
-    assert np.all(fdp_su_matrix(n, gamma).entries >= 0)
-    assert np.all(fdp_sd_matrix(n, gamma).entries >= 0)
+    assert np.all(associated_matrix(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma)).entries >= 0)
+    assert np.all(associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma)).entries >= 0)
 
 
 class TestBoundVector:
     def test_lr_saturation(self):
         for n, k in [(10, 1), (20, 3), (50, 25)]:
-            A = kfwer_sd_matrix(n, k)
+            A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k))
             b = bound_vector(A, lr_kfwer_constants(n, k))
             assert np.allclose(b[k - 1:], 1.0, atol=1e-12)
             assert np.allclose(b[:k - 1], 0.0, atol=0)
 
     def test_zero_constants(self):
-        A = fdp_su_matrix(5, 0.1)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1))
         assert np.array_equal(bound_vector(A, np.zeros(5)), np.zeros(5))
 
     def test_bh_max_at_row_32(self):
-        A = fdp_su_matrix(50, 0.05)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
         c, _ = rescale(bh_constants(50), A)
         b = bound_vector(A, c)
         assert int(np.argmax(b)) + 1 == 32
@@ -227,22 +228,23 @@ class TestBoundVector:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bound_vector(fdp_su_matrix(5, 0.1), np.zeros(6))
+            bound_vector(associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1)), np.zeros(6))
 
 
 class TestIsFeasible:
     def test_rescaled_is_feasible(self):
-        A = fdp_sd_matrix(20, 0.1)
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.1))
         c, _ = rescale(bh_constants(20), A)
         b = bound_vector(A, c)
         assert np.max(b) <= 1 + 1e-12
         assert np.max(b) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector(self):
-        assert np.max(bound_vector(fdp_su_matrix(4, 0.0), np.zeros(4))) <= 1.0
+        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 4, gamma=0.0))
+        assert np.max(bound_vector(A, np.zeros(4))) <= 1.0
 
     def test_doubled_lr_infeasible(self):
-        A = kfwer_sd_matrix(12, 2)
+        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 12, k=2))
         c = lr_kfwer_constants(12, 2)
         assert np.max(bound_vector(A, c)) <= 1 + 1e-9
         assert np.max(bound_vector(A, 2.0 * c.values)) > 1 + 1e-9
@@ -250,15 +252,15 @@ class TestIsFeasible:
 
 class TestRowEvents:
     def test_kfwer_su_band(self):
-        events = row_events(ErrorRateSpec.kfwer_su(10, 2), 5)
+        events = row_events(ErrorRateSpec(Rate.KFWER_SU, 10, k=2), 5)
         assert events == [(l, 10 - 5 + l) for l in range(2, 6)]
-        assert row_events(ErrorRateSpec.kfwer_su(10, 2), 1) == []
+        assert row_events(ErrorRateSpec(Rate.KFWER_SU, 10, k=2), 1) == []
 
     def test_kfwer_sd_single(self):
-        assert row_events(ErrorRateSpec.kfwer_sd(10, 3), 7) == [(3, 6)]
+        assert row_events(ErrorRateSpec(Rate.KFWER_SD, 10, k=3), 7) == [(3, 6)]
 
     def test_fdp_su_matches_aux(self):
-        spec = ErrorRateSpec.fdp_su(50, 0.05)
+        spec = ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)
         events = row_events(spec, 32)
         assert events[0] == (1, 19)
         assert events[-1] == (32, 50)
@@ -274,10 +276,10 @@ class TestRowEvents:
         i = data.draw(st.integers(1, n))
         k = data.draw(st.integers(1, n))
         specs = (
-            ErrorRateSpec.fdp_su(n, gamma),
-            ErrorRateSpec.fdp_sd(n, gamma),
-            ErrorRateSpec.kfwer_su(n, k),
-            ErrorRateSpec.kfwer_sd(n, k),
+            ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma),
+            ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma),
+            ErrorRateSpec(Rate.KFWER_SU, n, k=k),
+            ErrorRateSpec(Rate.KFWER_SD, n, k=k),
         )
         for spec in specs:
             A = associated_matrix(spec)
@@ -330,11 +332,11 @@ MATRIX_SHA256 = {
 @pytest.mark.parametrize("rate,n", sorted(MATRIX_SHA256))
 def test_entries_bit_identical(rate, n):
     params = HASH_GAMMAS if rate.startswith("fdp") else sorted({1, min(2, n), n})
-    build = {"kfwer-su": kfwer_su_matrix, "kfwer-sd": kfwer_sd_matrix,
-             "fdp-su": fdp_su_matrix, "fdp-sd": fdp_sd_matrix}[rate]
+    kwarg = "gamma" if rate.startswith("fdp") else "k"
     digest = hashlib.sha256()
     for param in params:
-        digest.update(build(n, param).entries.tobytes())
+        matrix = associated_matrix(ErrorRateSpec(Rate(rate), n, **{kwarg: param}))
+        digest.update(matrix.entries.tobytes())
     assert digest.hexdigest() == MATRIX_SHA256[(rate, n)]
 
 
@@ -343,10 +345,9 @@ def test_rows_are_the_csr_of_entries(rate, n):
     """With the pins above, the sparse rows HiGHS reads are those of the
     pinned dense matrices, bit for bit."""
     params = HASH_GAMMAS if rate.startswith("fdp") else sorted({1, min(2, n), n})
-    build = {"kfwer-su": kfwer_su_matrix, "kfwer-sd": kfwer_sd_matrix,
-             "fdp-su": fdp_su_matrix, "fdp-sd": fdp_sd_matrix}[rate]
+    kwarg = "gamma" if rate.startswith("fdp") else "k"
     for param in params:
-        matrix = build(n, param)
+        matrix = associated_matrix(ErrorRateSpec(Rate(rate), n, **{kwarg: param}))
         rows, reference = matrix.rows, sparse.csr_matrix(matrix.entries)
         assert rows.has_canonical_format
         assert np.array_equal(rows.indptr, reference.indptr)
@@ -359,7 +360,7 @@ def test_rows_build_peak_memory():
     """The CSR build keeps its per-nonzero temporaries in int32: fdp-su at
     n=2000 has 2.0 M nonzeros (24 MB finished), and int64 temporaries would
     peak near 96 MB."""
-    spec = ErrorRateSpec.fdp_su(2000, 0.05)
+    spec = ErrorRateSpec(Rate.FDP_SU, 2000, gamma=0.05)
     tracemalloc.start()
     try:
         associated_matrix(spec).rows
@@ -371,19 +372,19 @@ def test_rows_build_peak_memory():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ErrorRateSpec.fdp_su(10, 1.0)
+        ErrorRateSpec(Rate.FDP_SU, 10, gamma=1.0)
     with pytest.raises(ValueError):
-        ErrorRateSpec.fdp_su(10, -0.1)
+        ErrorRateSpec(Rate.FDP_SU, 10, gamma=-0.1)
     with pytest.raises(ValueError):
         ErrorRateSpec(Rate.FDP_SU, 10, k=1, gamma=0.05)
     with pytest.raises(ValueError):
         ErrorRateSpec(Rate.KFWER_SU, 10, k=1, gamma=0.05)
     with pytest.raises(ValueError):
-        ErrorRateSpec.kfwer_su(0, 1)
+        ErrorRateSpec(Rate.KFWER_SU, 0, k=1)
 
 
 def test_entries_immutable():
-    A = fdp_su_matrix(5, 0.1)
+    A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1))
     with pytest.raises(ValueError):
         A.entries[0, 0] = 7.0
 
@@ -441,10 +442,23 @@ def test_event_system_structure(rate, n):
 
 
 def test_rescale_reads_the_spec():
-    spec = ErrorRateSpec.fdp_su(40, 0.1)
+    spec = ErrorRateSpec(Rate.FDP_SU, 40, gamma=0.1)
     from_spec, d_spec = rescale(bh_constants(40), spec)
     from_matrix, d_matrix = rescale(bh_constants(40), associated_matrix(spec))
     assert d_spec == d_matrix
     assert np.array_equal(from_spec.values, from_matrix.values)
     assert from_spec.family is Family.RESCALED
     assert np.max(bound_vector(spec, from_spec)) <= 1 + 1e-12
+
+
+def test_associated_matrix_is_the_one_public_constructor():
+    """A rate is named only by ErrorRateSpec(rate, n, k=|gamma=), and its
+    matrix is built only by associated_matrix; the one rate-specific builder
+    left is unexported and agrees with it."""
+    for names in (mtbounds.__all__, matrices.__all__):
+        assert [name for name in names if name.endswith("_matrix")] == ["associated_matrix"]
+    assert not [name for name, _ in inspect.getmembers(ErrorRateSpec, inspect.ismethod)
+                if not name.startswith("_")]
+    assert not hasattr(mtbounds, "fdp_sd_matrix")
+    spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.05)
+    assert matrices.fdp_sd_matrix(20, 0.05) == associated_matrix(spec)

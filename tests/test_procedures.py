@@ -7,15 +7,13 @@ from mtbounds import (
     ErrorRateSpec,
     ProcedureSpec,
     PValueVector,
+    Rate,
     SimConfig,
     adjusted_pvalues,
-    bh_constants,
+    associated_matrix,
     bound_vector,
     family_constants,
-    fdp_su_matrix,
-    feasible_constants,
     lr_fdp_constants,
-    rescale,
     run_procedure,
     step_down,
     step_up,
@@ -201,7 +199,7 @@ class TestRunProcedure:
         p = PValueVector(bh95)
         for q, expected in ((0.05, 9), (0.10, 9)):
             spec = ProcedureSpec(family="bh", n=15, alpha=0.5,
-                                 rate=ErrorRateSpec.fdp_su(15, q))
+                                 rate=ErrorRateSpec(Rate.FDP_SU, 15, gamma=q))
             decision, adjusted = run_procedure(p, spec)
             assert decision.n_rejected == expected
             assert int(np.sum(adjusted.values <= 0.5)) == expected
@@ -213,7 +211,7 @@ class TestRunProcedure:
         counts = {}
         for q in (0.05, 0.10):
             spec = ProcedureSpec(family="rs", n=15, alpha=0.5,
-                                 rate=ErrorRateSpec.fdp_su(15, q))
+                                 rate=ErrorRateSpec(Rate.FDP_SU, 15, gamma=q))
             counts[q] = run_procedure(p, spec)[0].n_rejected
         assert counts == {0.05: 5, 0.10: 4}
 
@@ -226,19 +224,19 @@ class TestRunProcedure:
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
             ProcedureSpec(family="by", n=10, alpha=0.05,
-                          rate=ErrorRateSpec.fdp_sd(10, 0.05))
+                          rate=ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.05))
         with pytest.raises(ValueError):
             ProcedureSpec(family="gr", n=10, alpha=0.05, modified=True)
         with pytest.raises(ValueError):
             ProcedureSpec(family="bh", n=10, alpha=0.05)  # no rate
         with pytest.raises(ValueError):
             ProcedureSpec(family="bh", n=10, alpha=1.5,
-                          rate=ErrorRateSpec.fdp_su(10, 0.05))
+                          rate=ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
 
     def test_gamma_only_for_raw_rs(self):
         raw = family_constants("rs", 10, gamma=0.1)
         assert np.array_equal(raw.values, lr_fdp_constants(10, 0.1).values)
-        for family, spec in [("rs", ErrorRateSpec.fdp_su(10, 0.1)), ("bh", None),
+        for family, spec in [("rs", ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.1)), ("bh", None),
                              ("by", None), ("gr", None)]:
             with pytest.raises(ValueError, match="gamma is read only by family 'rs'"):
                 family_constants(family, 10, spec, gamma=0.1)
@@ -246,28 +244,26 @@ class TestRunProcedure:
     def test_kfwer_pipeline(self):
         p = pv(0.001, 0.002, 0.2, 0.9)
         spec = ProcedureSpec(family="rs", n=4, alpha=0.05,
-                             rate=ErrorRateSpec.kfwer_sd(4, 1))
+                             rate=ErrorRateSpec(Rate.KFWER_SD, 4, k=1))
         decision, _ = run_procedure(p, spec)
         # Holm at level 0.05: thresholds 0.05/4, 0.05/3, ...
         assert decision.n_rejected == 2
 
     def test_modified_dominates_original(self, bh95):
         p = PValueVector(bh95)
-        rate = ErrorRateSpec.fdp_su(15, 0.05)
+        rate = ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05)
         base = ProcedureSpec(family="bh", n=15, alpha=0.5, rate=rate)
         mod = ProcedureSpec(family="bh", n=15, alpha=0.5, rate=rate, modified=True)
         d_base, _ = run_procedure(p, base)
         d_mod, _ = run_procedure(p, mod)
         assert d_base.rejected <= d_mod.rejected
 
-    def test_feasible_constants_modified_dominates(self):
-        rate = ErrorRateSpec.fdp_su(20, 0.05)
-        base = feasible_constants(ProcedureSpec(family="bh", n=20, alpha=0.5, rate=rate))
-        mod = feasible_constants(ProcedureSpec(family="bh", n=20, alpha=0.5, rate=rate,
-                                               modified=True))
+    def test_modified_family_constants_dominate(self):
+        rate = ErrorRateSpec(Rate.FDP_SU, 20, gamma=0.05)
+        base = family_constants("bh", 20, rate)
+        mod = family_constants("bh", 20, rate, modified=True)
         assert np.all(mod.values >= base.values - 1e-15)
-        matrix = fdp_su_matrix(20, 0.05)
-        assert np.max(bound_vector(matrix, mod)) <= 1 + 1e-9
+        assert np.max(bound_vector(associated_matrix(rate), mod)) <= 1 + 1e-9
 
 
 class TestRoster:

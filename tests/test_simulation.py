@@ -220,14 +220,14 @@ class TestRunStudy:
     def test_failed_procedure_drops_only_its_column(self, monkeypatch):
         import mtbounds.simulation as sim
 
-        real = sim.feasible_constants
+        real = sim.family_constants
 
-        def flaky(spec, cache_dir=None):
-            if spec.family == "gr":
+        def flaky(family, *args, **kwargs):
+            if family == "gr":
                 raise RuntimeError("boom")
-            return real(spec, cache_dir=cache_dir)
+            return real(family, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "feasible_constants", flaky)
+        monkeypatch.setattr(sim, "family_constants", flaky)
         report = run_study(small_config(reps=50, true_counts=(5,)), threads=1)
         assert report.failures == (("FDR-GR-SD", "boom"),)
         names = {c.procedure for c in report.cells}
@@ -257,6 +257,10 @@ class TestConfig:
             SimConfig(n=5, reps=0)
         with pytest.raises(ValueError):
             SimConfig(n=5, effects=(float("nan"),))
+        with pytest.raises(ValueError, match="true counts must not repeat"):
+            SimConfig(n=5, true_counts=(3, 3))
+        with pytest.raises(ValueError, match="effect sizes must not repeat"):
+            SimConfig(n=5, effects=(1.0, 2.0, 1.0))
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 SimConfig(n=5, seed=seed)
