@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -593,3 +594,57 @@ class TestOutOfMemory:
         assert out == ""
         assert err == ("error: out of memory: Unable to allocate 2.98 GiB for an array "
                        "with shape (20000, 20000) and data type float64\n")
+
+
+# Every writer's bytes, pinned: sha256 of stdout per command and format. The
+# solver version (it names the scipy release) is replaced before hashing.
+PINNED_COMMANDS = {
+    "matrix": ["matrix", "--rate", "fdp-su", "--n", "8", "--gamma", "0.1"],
+    "constants": ["constants", "--family", "rs", "--n", "10", "--rate", "fdp-sd",
+                  "--gamma", "0.05", "--modified", "--alpha", "0.5"],
+    "optimize": ["optimize", "--rate", "kfwer-su", "--k", "2", "--family", "bh", "--n", "10"],
+    "verify": ["verify", "--rate", "fdp-sd", "--n", "10", "--gamma", "0.05", "--family", "bh",
+               "--modified"],
+    "adjust-bh": ["adjust", "--rate", "fdp-su", "--gamma", "0.05", "--family", "bh",
+                  "--alpha", "0.5"],
+    "adjust-by": ["adjust", "--family", "by", "--alpha", "0.05"],
+    "adjust-labels": ["adjust", "--rate", "kfwer-sd", "--k", "2", "--family", "rs",
+                      "--alpha", "0.1"],
+    "simulate": ["simulate", "--n", "6", "--d", "1", "--d", "2.5", "--true-counts", "0,3,6",
+                 "--reps", "300", "--seed", "7", "--threads", "2"],
+}
+PINNED_SHA256 = {
+    ('adjust-bh', 'csv'): "191897d2762527ab7611c288925e1e9013680a2fe6f100cf4976cc72cbc9185b",
+    ('adjust-bh', 'json'): "67994defe1502ceba94f3813df545bbf1b8fe1367ff0ea49e712f9cd9c8f521b",
+    ('adjust-by', 'csv'): "045d022b5635eb37991484d43a366e4b6acb8eb693ded987ac9ed2b484ccdd4a",
+    ('adjust-by', 'json'): "85111098b34033d965c783d4a482469c2a895418863c942e2b64b2e360acb9db",
+    ('adjust-labels', 'csv'): "c35ff1610f0bebe8d184f3370c0299aad2890c8837a25f25a3db478303f64ed7",
+    ('adjust-labels', 'json'): "601809787d405ee3acc8a42a8ea5affe40b91bbd3608b0d78b9f1f31ab85d748",
+    ('constants', 'csv'): "bdfa37cb60579e861246ff35379e2d2799028c74a26186a5c036ee67324040a0",
+    ('constants', 'json'): "6e49f535b226f6834ebacb329f96eaf90b9c268d2c14bc2fee0a396514399c8c",
+    ('matrix', 'csv'): "ec82d0d203df770330d52060eaaa60d029ad3cca08556f340294b7106bba721a",
+    ('matrix', 'json'): "e399e885374405c872aa3fb0a281407e4c05d903a793a77e572b6ed0c9f87769",
+    ('optimize', 'csv'): "e6f8e6d7a79e9cd88ba31da3203e9629dac6807a94c8351fcba721bc32c75653",
+    ('optimize', 'json'): "442678ff1e2f20f46c7ec79e9605e5ca5b2f0569d6231de8d436cb9508a9667f",
+    ('simulate', 'csv'): "e0a5f4a5088263d2e2c6ec7f3a82e2df48eb06a045c6e2f20e31a06a22871f7d",
+    ('simulate', 'json'): "a1631b45d0bfcca620c2f0ccb9f6ae97c34104befead50dc0f8f29e027920fdc",
+    ('verify', 'csv'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",
+    ('verify', 'json'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_stdout_bytes_pinned(name, fmt, bh95_file, tmp_path, capsys):
+    argv = PINNED_COMMANDS[name] + ["--format", fmt]
+    if name == "adjust-labels":
+        labelled = tmp_path / "labelled.txt"
+        labelled.write_text("# label,value\n\n" + "".join(
+            f"h{i}, {p}\n" for i, p in enumerate(BH95_PVALUES, start=1)))
+        argv += ["--input", str(labelled)]
+    elif name.startswith("adjust"):
+        argv += ["--input", str(bh95_file)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.replace(lp.SOLVER_VERSION, "SOLVER").encode()).hexdigest()
+    assert digest == PINNED_SHA256[name, fmt]
