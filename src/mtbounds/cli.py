@@ -17,7 +17,8 @@ import numpy as np
 
 from . import fileio, lp
 from .matrices import ErrorRateSpec, Rate, associated_matrix, bound_vector
-from .procedures import FAMILIES, FDR_FAMILIES, ProcedureSpec, family_constants, run_procedure
+from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, family_constants,
+                         run_procedure)
 from .simulation import SimConfig, run_study
 
 USAGE_ERROR = 2
@@ -34,25 +35,26 @@ def _rate_spec(args) -> ErrorRateSpec:
     return ErrorRateSpec(Rate(args.rate), args.n, k=args.k, gamma=args.gamma)
 
 
-def cmd_matrix(args) -> int:
-    spec = _rate_spec(args)
-    matrix = associated_matrix(spec)
-    text = fileio.matrix_json(matrix) if args.format == "json" else fileio.matrix_csv(matrix)
-    fileio.write_text(text, args.output)
+def _write(args, kind: str, *data) -> int:
+    """Write ``data`` with fileio's ``<kind>_csv`` or ``<kind>_json`` writer,
+    as ``--format`` asks, to ``--output`` or stdout."""
+    fileio.write_text(getattr(fileio, f"{kind}_{args.format}")(*data), args.output)
     return 0
 
 
+def cmd_matrix(args) -> int:
+    return _write(args, "matrix", associated_matrix(_rate_spec(args)))
+
+
 def cmd_constants(args) -> int:
+    if args.alpha is not None:
+        _check_alpha(args.alpha)
     spec = _rate_spec(args) if args.rate else None
     if spec is not None and args.family in FDR_FAMILIES:
         raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
     c = family_constants(args.family, args.n, spec, None if spec else args.gamma,
                          modified=args.modified, cache_dir=args.cache_dir)
-    if args.alpha is not None:
-        c = c.scaled(args.alpha)
-    text = fileio.constants_json(c) if args.format == "json" else fileio.constants_csv(c)
-    fileio.write_text(text, args.output)
-    return 0
+    return _write(args, "constants", c if args.alpha is None else c.scaled(args.alpha))
 
 
 def cmd_optimize(args) -> int:
@@ -62,11 +64,7 @@ def cmd_optimize(args) -> int:
     floor = family_constants(args.family, args.n, spec)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
     problem = lp.build_problem(associated_matrix(spec), floor, weights=weights)
-    solution = lp.solve_cached(problem, args.cache_dir)
-    text = (fileio.solution_json(problem, solution) if args.format == "json"
-            else fileio.solution_csv(problem, solution))
-    fileio.write_text(text, args.output)
-    return 0
+    return _write(args, "solution", problem, lp.solve_cached(problem, args.cache_dir))
 
 
 def cmd_verify(args) -> int:
@@ -103,11 +101,8 @@ def cmd_adjust(args) -> int:
         args.n = p.n
     spec = _procedure_spec(args)
     decision, adjusted = run_procedure(p, spec, cache_dir=args.cache_dir)
-    header = f"{spec.name} alpha={spec.alpha!r} n={spec.n}"
-    text = (fileio.decisions_json(p, decision, adjusted, header) if args.format == "json"
-            else fileio.decisions_csv(p, decision, adjusted, header))
-    fileio.write_text(text, args.output)
-    return 0
+    return _write(args, "decisions", p, decision, adjusted,
+                  f"{spec.name} alpha={spec.alpha!r} n={spec.n}")
 
 
 def cmd_simulate(args) -> int:
@@ -115,11 +110,8 @@ def cmd_simulate(args) -> int:
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)}
     config = SimConfig(**{name: tuple(value) if isinstance(value, list) else value
                           for name, value in given.items() if value is not None})
-    report = run_study(config, threads=args.threads, cache_dir=args.cache_dir,
-                       trace=args.trace)
-    text = fileio.report_json(report) if args.format == "json" else fileio.report_csv(report)
-    fileio.write_text(text, args.output)
-    return 0
+    return _write(args, "report", run_study(config, threads=args.threads,
+                                            cache_dir=args.cache_dir, trace=args.trace))
 
 
 def _int_list(text: str) -> list[int]:

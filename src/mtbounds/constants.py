@@ -147,7 +147,7 @@ def rescale(c: CriticalVector,
     RESCALED, parent recorded in params) and D. Raises if the bound is
     identically zero (c cannot be normalized).
     """
-    bounds = bound_vector(spec, c)
+    bounds = bound_vector(getattr(spec, "spec", spec), c)
     d = float(np.max(bounds))
     if d <= 0.0:
         raise ValueError("bound vector is identically zero; cannot rescale")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import CriticalVector
 from .lp import LPProblem, LPSolution
-from .matrices import AssociatedMatrix
+from .matrices import AssociatedMatrix, ErrorRateSpec
 from .procedures import AdjustedPValues, DecisionSet, PValueVector
 from .simulation import SimReport
 
@@ -57,6 +57,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _data_lines(lines):
+    """(line number, stripped line) for each line of an input file that is
+    neither blank nor a ``#`` comment; lines count from 1."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _number(path, line_no: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputFormatError(path, line_no, f"not a number: {text!r}") from None
+
+
 def read_pvalues(path: str | Path) -> PValueVector:
     """Parse a p-value file: one decimal per line, or ``label,value`` rows.
 
@@ -67,18 +83,12 @@ def read_pvalues(path: str | Path) -> PValueVector:
     labels: list[str] = []
     saw_label = False
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in _data_lines(fh):
             label = None
             text = line
             if "," in line:
                 label, text = (part.strip() for part in line.split(",", 1))
-            try:
-                value = float(text)
-            except ValueError:
-                raise InputFormatError(path, line_no, f"not a number: {text!r}") from None
+            value = _number(path, line_no, text)
             if not 0.0 <= value <= 1.0:
                 raise InputFormatError(path, line_no, f"p-value out of [0, 1]: {value!r}")
             values.append(value)
@@ -93,14 +103,8 @@ def read_weights(path: str | Path, n: int) -> np.ndarray:
     """Parse a weights file: one nonnegative decimal per line, n lines."""
     weights: list[float] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                w = float(line)
-            except ValueError:
-                raise InputFormatError(path, line_no, f"not a number: {line!r}") from None
+        for line_no, line in _data_lines(fh):
+            w = _number(path, line_no, line)
             if w < 0 or not math.isfinite(w):
                 raise InputFormatError(path, line_no, f"weight must be finite and >= 0: {w!r}")
             weights.append(w)
@@ -109,20 +113,26 @@ def read_weights(path: str | Path, n: int) -> np.ndarray:
     return np.array(weights)
 
 
+def _spec_text(spec: ErrorRateSpec) -> str:
+    """The header form of a spec, e.g. ``rate=fdp-su n=50 gamma=0.05``."""
+    name, value = spec.param
+    return f"rate={spec.rate.value} n={spec.n} {name}={value!r}"
+
+
+def _spec_payload(spec: ErrorRateSpec) -> dict:
+    name, value = spec.param
+    return {"rate": spec.rate.value, "n": spec.n, name: value}
+
+
 def matrix_csv(matrix: AssociatedMatrix) -> str:
-    lines = [f"# spec: {matrix.spec.param_text()}"]
+    lines = [f"# spec: {_spec_text(matrix.spec)}"]
     lines += [",".join(_fmt(x) for x in row) for row in matrix.entries]
     return "\n".join(lines) + "\n"
 
 
 def matrix_json(matrix: AssociatedMatrix) -> str:
-    spec = matrix.spec
     payload = {
-        "spec": {
-            "rate": spec.rate.value,
-            "n": spec.n,
-            **({"k": spec.k} if spec.k is not None else {"gamma": spec.gamma}),
-        },
+        "spec": _spec_payload(matrix.spec),
         "entries": [[float(x) for x in row] for row in matrix.entries],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -161,25 +171,17 @@ def read_constants(path: str | Path) -> CriticalVector:
             return CriticalVector(np.array(values, dtype=float))
         except TypeError:  # an entry that is a JSON object
             raise InputFormatError(path, 0, "'values' must hold numbers") from None
-    values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("index,"):
-            continue
-        part = line.split(",")[-1]
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise InputFormatError(path, line_no, f"not a number: {part!r}") from None
+    values = [_number(path, line_no, line.split(",")[-1])
+              for line_no, line in _data_lines(text.splitlines())
+              if not line.startswith("index,")]
     if not values:
         raise InputFormatError(path, 0, "no constants found")
     return CriticalVector(np.array(values))
 
 
 def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
-    spec = problem.matrix.spec
     lines = [
-        f"# spec: {spec.param_text()} floor={problem.floor.family.value}",
+        f"# spec: {_spec_text(problem.matrix.spec)} floor={problem.floor.family.value}",
         f"# solver: {solution.solver_version}",
         f"# status: {solution.status}",
         f"# F_floor: {_fmt(solution.floor_objective)}",
@@ -194,13 +196,8 @@ def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
 
 
 def solution_json(problem: LPProblem, solution: LPSolution) -> str:
-    spec = problem.matrix.spec
     payload = {
-        "spec": {
-            "rate": spec.rate.value,
-            "n": spec.n,
-            **({"k": spec.k} if spec.k is not None else {"gamma": spec.gamma}),
-        },
+        "spec": _spec_payload(problem.matrix.spec),
         "floor_family": problem.floor.family.value,
         "solver": solution.solver_version,
         "status": solution.status,
@@ -214,37 +211,34 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _decision_rows(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues):
+    """(index, label, p-value, adjusted p-value, rejected) per hypothesis in
+    input order; an unlabelled hypothesis is labelled by its index."""
+    adj = adjusted.in_original_order().tolist()
+    for i, (value, adjusted_value) in enumerate(zip(p.values.tolist(), adj), start=1):
+        label = p.labels[i - 1] if p.labels else str(i)
+        yield i, label, value, adjusted_value, i in decision.rejected
+
+
 def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues,
                   header: str) -> str:
-    adj = adjusted.in_original_order()
     lines = [
         f"# procedure: {header}",
         f"# rejections: {decision.n_rejected}",
         "index,label,pvalue,adjusted_pvalue,rejected",
     ]
-    for i in range(p.n):
-        label = p.labels[i] if p.labels else str(i + 1)
-        flag = "1" if (i + 1) in decision.rejected else "0"
-        lines.append(f"{i + 1},{label},{_fmt(p.values[i])},{_fmt(adj[i])},{flag}")
+    lines += [f"{i},{label},{_fmt(value)},{_fmt(adj)},{int(rejected)}"
+              for i, label, value, adj, rejected in _decision_rows(p, decision, adjusted)]
     return "\n".join(lines) + "\n"
 
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues,
                    header: str) -> str:
-    adj = adjusted.in_original_order()
+    keys = ("index", "label", "pvalue", "adjusted_pvalue", "rejected")
     payload = {
         "procedure": header,
         "rejections": decision.n_rejected,
-        "hypotheses": [
-            {
-                "index": i + 1,
-                "label": (p.labels[i] if p.labels else str(i + 1)),
-                "pvalue": float(p.values[i]),
-                "adjusted_pvalue": float(adj[i]),
-                "rejected": (i + 1) in decision.rejected,
-            }
-            for i in range(p.n)
-        ],
+        "hypotheses": [dict(zip(keys, row)) for row in _decision_rows(p, decision, adjusted)],
     }
     return json.dumps(payload, indent=2) + "\n"
 

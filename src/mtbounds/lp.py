@@ -120,7 +120,7 @@ def build_problem(
     n = matrix.n
     if floor.n != n:
         raise ValueError(f"floor has length {floor.n}, matrix is {n}x{n}")
-    floor_bounds = bound_vector(matrix, floor)
+    floor_bounds = bound_vector(matrix.spec, floor)
     worst = float(np.max(floor_bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise InfeasibleFloorError(f"floor is infeasible: max bound {worst:.12g} > 1")
@@ -160,7 +160,7 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
         raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.n}")
     if np.any(vec.values < problem.floor.values):
         raise SolverError("solver failed: xi falls below the floor")
-    bounds = bound_vector(problem.matrix, vec)
+    bounds = bound_vector(problem.matrix.spec, vec)
     worst = float(np.max(bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise SolverError(f"solver failed: xi is infeasible, max bound {worst:.12g} > 1")
@@ -211,7 +211,7 @@ def cache_key(problem: LPProblem) -> str:
     parts = [
         spec.rate.value,
         str(spec.n),
-        repr(spec.k) if spec.k is not None else repr(spec.gamma),
+        repr(spec.param[1]),
         problem.floor.family.value,
         repr(sorted((problem.floor.params or {}).items())),
         SOLVER_VERSION,

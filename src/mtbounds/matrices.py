@@ -89,14 +89,10 @@ class ErrorRateSpec:
                 raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
 
     @property
-    def direction(self) -> str:
-        return self.rate.direction
-
-    def param_text(self) -> str:
-        """Human/CSV-header form, e.g. ``rate=fdp-su n=50 gamma=0.05``."""
-        if self.rate.is_fdp:
-            return f"rate={self.rate.value} n={self.n} gamma={self.gamma!r}"
-        return f"rate={self.rate.value} n={self.n} k={self.k}"
+    def param(self) -> tuple[str, int | float]:
+        """The rate's parameter as ``(name, value)``: ``("gamma", gamma)`` or
+        ``("k", k)``."""
+        return ("gamma", self.gamma) if self.rate.is_fdp else ("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -190,19 +186,17 @@ def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
     return associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma))
 
 
-def bound_vector(spec: ErrorRateSpec | AssociatedMatrix, c) -> np.ndarray:
+def bound_vector(spec: ErrorRateSpec, c) -> np.ndarray:
     """A @ c without building A: component i bounds the error rate when i
     hypotheses are true.
 
-    ``spec`` is an ErrorRateSpec or an AssociatedMatrix (its ``spec`` is
-    read); ``c`` a CriticalVector or a plain array of length n. Time is
+    ``c`` is a CriticalVector or a plain array of length n. Time is
     O(nnz(A)), memory O(n). Row i sums c over its levels: the levels before
     its crossover (where ``cap[L-1] - L`` reaches n - i) sit on their capped
     columns, which no row changes, so one prefix sum serves every row; the
     later ones run along the diagonal ``L + n - i``, one dot product of two
     contiguous slices; the last level adds ``c[col]/L``.
     """
-    spec = getattr(spec, "spec", spec)
     n = spec.n
     v = np.asarray(getattr(c, "values", c), dtype=float)
     if v.shape != (n,):

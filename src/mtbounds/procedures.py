@@ -43,9 +43,22 @@ __all__ = [
 ]
 
 # Constant-family selector names: bh and rs are rescaled into a bound
-# matrix's feasible set, by and gr ship pre-normalized for FDR control.
-FAMILIES = ("bh", "rs", "by", "gr")
-FDR_FAMILIES = FAMILIES[2:]
+# matrix's feasible set; by and gr ship pre-normalized for FDR control, each
+# with its stepping direction and its constants.
+FDR_FAMILIES = {"by": ("su", by_constants), "gr": ("sd", gr_sd_constants)}
+FAMILIES = ("bh", "rs", *FDR_FAMILIES)
+
+
+def _check_family(family: str, modified: bool) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if modified and family in FDR_FAMILIES:
+        raise ValueError(f"family {family!r} has no modified variant")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +198,11 @@ class ProcedureSpec:
     modified: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_family(self.family, self.modified)
+        _check_alpha(self.alpha)
         if self.family in FDR_FAMILIES:
             if self.rate is not None:
                 raise ValueError(f"family {self.family!r} does not take an error-rate matrix")
-            if self.modified:
-                raise ValueError(f"family {self.family!r} has no modified variant")
         else:
             if self.rate is None:
                 raise ValueError(f"family {self.family!r} requires an error-rate spec")
@@ -202,19 +211,14 @@ class ProcedureSpec:
 
     @property
     def direction(self) -> str:
-        if self.family == "by":
-            return "su"
-        if self.family == "gr":
-            return "sd"
-        return self.rate.direction
+        return FDR_FAMILIES[self.family][0] if self.rate is None else self.rate.rate.direction
 
     @property
     def name(self) -> str:
-        if self.family == "by":
-            return "FDR-BY-SU"
-        if self.family == "gr":
-            return "FDR-GR-SD"
-        kind = "FDP" if self.rate.rate.is_fdp else f"kFWER(k={self.rate.k})"
+        if self.rate is None:
+            kind = "FDR"
+        else:
+            kind = "FDP" if self.rate.rate.is_fdp else f"kFWER(k={self.rate.k})"
         base = f"{kind}-{self.family.upper()}-{self.direction.upper()}"
         return f"{base} (mod)" if self.modified else base
 
@@ -242,15 +246,12 @@ def family_constants(
     other use of ``gamma`` raises ValueError. Raises lp.SolverError when
     the LP has no accepted solution.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family, modified)
     if gamma is not None and (family != "rs" or spec is not None):
         raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
                          f"got family {family!r}")
     if family in FDR_FAMILIES:
-        if modified:
-            raise ValueError(f"family {family!r} has no modified variant")
-        return by_constants(n) if family == "by" else gr_sd_constants(n)
+        return FDR_FAMILIES[family][1](n)
     if modified and spec is None:
         raise ValueError("modified constants need an error-rate matrix")
     if family == "bh":

@@ -196,9 +196,11 @@ def _replication_normals(seed: int, start: int, stop: int, width: int) -> np.nda
 
 def _procedure_tables(
     config: SimConfig, cache_dir
-) -> tuple[list[tuple[str, str, np.ndarray]], list[tuple[str, str]]]:
-    """(name, direction, applied thresholds) per procedure, computed once;
-    procedures whose constants fail are reported instead of aborting."""
+) -> tuple[list[tuple[str, str, np.ndarray, str | None]], list[tuple[str, str]]]:
+    """(name, direction, applied thresholds, twin) per procedure, computed
+    once; a modified procedure's twin is the name of its unmodified variant,
+    any other's is None. Procedures whose constants fail are reported
+    instead of aborting."""
     tables = []
     failures = []
     for spec in config.roster():
@@ -208,7 +210,8 @@ def _procedure_tables(
         except Exception as exc:  # noqa: BLE001 - isolate the failed column
             failures.append((spec.name, str(exc)))
             continue
-        tables.append((spec.name, spec.direction, spec.alpha * base.values))
+        twin = replace(spec, modified=False).name if spec.modified else None
+        tables.append((spec.name, spec.direction, spec.alpha * base.values, twin))
     return tables, failures
 
 
@@ -226,7 +229,7 @@ def _run_batch(config: SimConfig, tables, cells: list[tuple[int, np.ndarray]],
         ps = np.take_along_axis(p, order, axis=1)
         # the true nulls are the first true_count hypotheses
         false_running = np.cumsum(order < true_count, axis=1, dtype=R.dtype)
-        for j, (_, direction, thr) in enumerate(tables):
+        for j, (_, direction, thr, _) in enumerate(tables):
             k = _rejection_counts(ps, thr, direction)
             R[c, j, start:stop] = k
             V[c, j, start:stop] = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
@@ -288,16 +291,12 @@ def run_study(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, starts))
-    index = {name: j for j, (name, _, _) in enumerate(tables)}
-    # each modified procedure is checked against its unmodified twin
-    roster = config.roster()
-    twins = {(s.family, s.rate, s.alpha): s.name for s in roster if not s.modified}
-    parents = {s.name: twins.get((s.family, s.rate, s.alpha)) for s in roster if s.modified}
+    index = {name: j for j, (name, _, _, _) in enumerate(tables)}
     stats: list[CellStats] = []
     for c, (true_count, effect) in enumerate(grid):
-        for name, j in index.items():
+        for j, (name, _, _, twin) in enumerate(tables):
             cell = _cell_stats(config, name, true_count, effect, R[c, j], V[c, j])
-            parent = index.get(parents.get(name))
+            parent = index.get(twin)  # a modified procedure against its unmodified twin
             if parent is not None:
                 violations = int(np.count_nonzero(R[c, j] < R[c, parent]))
                 cell = replace(cell, containment_violations=violations)

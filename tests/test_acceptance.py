@@ -107,7 +107,7 @@ def test_criterion_03_structural_example():
     its support is exactly columns 19..50."""
     matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=GAMMA))
     floor = family_floor(matrix, "bh")
-    bounds = bound_vector(matrix, floor)
+    bounds = bound_vector(matrix.spec, floor)
     order = np.argsort(bounds)
     assert int(order[-1]) + 1 == 32
     assert bounds[order[-1]] > bounds[order[-2]] + 1e-3  # unique maximizer
@@ -144,7 +144,7 @@ def test_criterion_05_step_down_saturation():
             if not 1 <= k <= n:
                 continue
             matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k))
-            bounds = bound_vector(matrix, lr_kfwer_constants(n, k))
+            bounds = bound_vector(matrix.spec, lr_kfwer_constants(n, k))
             assert np.max(np.abs(bounds[k - 1:] - 1.0)) <= 1e-12, (n, k)
             assert np.all(bounds[:k - 1] == 0.0), (n, k)
     print("ACCEPTANCE 5 (step-down saturation identity, n <= 200): PASS")
@@ -179,13 +179,13 @@ def test_criterion_07_feasibility_identities(table1_solutions):
             matrix = associated_matrix(spec)
             for family in ("bh", "rs"):
                 floor = family_floor(matrix, family)
-                top = float(np.max(bound_vector(matrix, floor)))
+                top = float(np.max(bound_vector(matrix.spec, floor)))
                 assert abs(top - 1.0) <= 1e-12, (spec, family)
     for (n, family, direction), (matrix, floor, solution) in table1_solutions.items():
         xi = solution.xi.values
         assert np.all(xi >= floor.values), (n, family, direction)
         assert np.all(np.diff(xi) >= 0), (n, family, direction)
-        assert float(np.max(bound_vector(matrix, solution.xi))) <= 1 + 1e-9
+        assert float(np.max(bound_vector(matrix.spec, solution.xi))) <= 1 + 1e-9
     print("ACCEPTANCE 7 (rescale boundary + solution feasibility): PASS")
 
 
@@ -332,7 +332,7 @@ def test_criterion_10_union_bound_oracle():
         for spec in mc_specs(n):
             matrix = associated_matrix(spec)
             for c in feasible_candidates(matrix):
-                bounds = bound_vector(matrix, c)
+                bounds = bound_vector(matrix.spec, c)
                 for i in range(1, n + 1):
                     events = row_events(spec, i)
                     if not events:

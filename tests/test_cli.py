@@ -500,7 +500,16 @@ class TestUsageErrors:
         code, out, err = run(capsys, "constants", "--family", "bh", "--n", "10",
                              "--alpha", alpha)
         assert (code, out) == (2, "")
-        assert err == "error: scale must be positive\n"
+        assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+
+    @pytest.mark.parametrize("alpha", ["1", "2", "inf"])
+    def test_constants_alpha_not_below_one_exits_2(self, alpha, bh95_file, capsys):
+        code, out, err = run(capsys, "constants", "--family", "bh", "--n", "10",
+                             "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+        assert run(capsys, "adjust", "--input", str(bh95_file), "--family", "by",
+                   "--alpha", alpha) == (code, out, err)
 
     def test_adjust_n_mismatch_exits_2(self, bh95_file, capsys):
         code, out, err = run(capsys, "adjust", "--input", str(bh95_file), "--n", "3",

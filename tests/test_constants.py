@@ -123,12 +123,12 @@ class TestRescale:
              lr_fdp_constants(37, 0.1)),
         ]:
             rescaled, divisor = rescale(c, matrix)
-            assert np.max(bound_vector(matrix, rescaled)) == pytest.approx(1.0, abs=1e-12)
+            assert np.max(bound_vector(matrix.spec, rescaled)) == pytest.approx(1.0, abs=1e-12)
             assert rescaled.family is Family.RESCALED
 
     def test_divisor_attained_at_row_32(self):
-        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
-        bounds = bound_vector(A, bh_constants(50))
+        spec = ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)
+        bounds = bound_vector(spec, bh_constants(50))
         assert int(np.argmax(bounds)) + 1 == 32
 
     @given(scale=st.floats(0.001, 1000.0))

@@ -63,7 +63,7 @@ def check_solution_invariants(matrix, floor, solution):
     xi = solution.xi.values
     assert np.all(xi >= floor.values)
     assert np.all(np.diff(xi) >= 0)
-    assert np.max(bound_vector(matrix, solution.xi)) <= 1 + 1e-9
+    assert np.max(bound_vector(matrix.spec, solution.xi)) <= 1 + 1e-9
     assert solution.objective >= solution.floor_objective - 1e-12
 
 
@@ -103,8 +103,8 @@ class TestTrivialCases:
         assert np.isnan(solution.m1)
 
 
-# (family, rate, param, n): every small size, plus two rates at n=300, the
-# largest size of the optimize benchmark.
+# (family, rate, param, n): every small size with k <= n, plus two rates at
+# n=300, the largest size of the optimize benchmark.
 OBJECTIVE_CASES = [
     (family, rate, param, n)
     for family in ("bh", "rs")
@@ -115,6 +115,7 @@ OBJECTIVE_CASES = [
         (Rate.KFWER_SU, 2), (Rate.KFWER_SD, 2),
     ]
     for n in (1, 2, 3, 5, 10, 25, 50)
+    if rate.is_fdp or param <= n
 ] + [
     (family, rate, param, 300)
     for family in ("bh", "rs")
@@ -128,8 +129,6 @@ class TestAgainstScipy:
         "family,rate,param,n", OBJECTIVE_CASES,
         ids=[f"{f}-{r.name.lower()}_matrix-{p}-{n}" for f, r, p, n in OBJECTIVE_CASES])
     def test_objective_matches(self, family, rate, param, n):
-        if not rate.is_fdp and param > n:
-            pytest.skip("k exceeds n")
         kwarg = "gamma" if rate.is_fdp else "k"
         matrix = associated_matrix(ErrorRateSpec(rate, n, **{kwarg: param}))
         floor = rescaled_floor(matrix, family)
@@ -150,7 +149,7 @@ class TestAgainstScipy:
         matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=gamma))
         steps = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
         raw = np.cumsum(np.asarray(steps) + 1e-3)
-        floor = CriticalVector(raw / np.max(bound_vector(matrix, raw)))
+        floor = CriticalVector(raw / np.max(bound_vector(matrix.spec, raw)))
         shrink = data.draw(st.floats(0.2, 1.0))
         floor = CriticalVector(floor.values * shrink)
         solution = solve(build_problem(matrix, floor))
@@ -164,7 +163,7 @@ class TestSaturationStructure:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
-        bounds = bound_vector(matrix, solution.xi)
+        bounds = bound_vector(matrix.spec, solution.xi)
         saturated = set(np.flatnonzero(bounds >= 1 - 1e-9) + 1)
         assert saturated == set(range(32, 51))
 
@@ -174,7 +173,7 @@ class TestSaturationStructure:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         solution = solve(build_problem(matrix, floor))
-        bounds = bound_vector(matrix, solution.xi)
+        bounds = bound_vector(matrix.spec, solution.xi)
         assert bounds[31] < 1 - 1e-3
         assert np.all(bounds[32:] >= 1 - 1e-9)
 
@@ -196,7 +195,7 @@ class TestWeights:
         solution = solve(problem)
         # mean-1 normalization makes the objective n * (A xi)_{i0}
         assert solution.objective == pytest.approx(
-            8 * bound_vector(matrix, solution.xi)[4], rel=1e-12)
+            8 * bound_vector(matrix.spec, solution.xi)[4], rel=1e-12)
         assert solution.objective == pytest.approx(
             scipy_optimum(matrix, floor, weights=w), rel=1e-10)
 
@@ -403,4 +402,4 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
     assert solution.status == "optimal"
     assert len(calls) == 2
     assert solution.m2 == pytest.approx(
-        np.max(bound_vector(matrix, solution.xi) / bound_vector(matrix, floor)), rel=1e-12)
+        np.max(bound_vector(matrix.spec, solution.xi) / bound_vector(matrix.spec, floor)), rel=1e-12)

@@ -210,44 +210,44 @@ def test_entries_nonnegative(n, gamma):
 class TestBoundVector:
     def test_lr_saturation(self):
         for n, k in [(10, 1), (20, 3), (50, 25)]:
-            A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k))
-            b = bound_vector(A, lr_kfwer_constants(n, k))
+            spec = ErrorRateSpec(Rate.KFWER_SD, n, k=k)
+            b = bound_vector(spec, lr_kfwer_constants(n, k))
             assert np.allclose(b[k - 1:], 1.0, atol=1e-12)
             assert np.allclose(b[:k - 1], 0.0, atol=0)
 
     def test_zero_constants(self):
-        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1))
-        assert np.array_equal(bound_vector(A, np.zeros(5)), np.zeros(5))
+        spec = ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1)
+        assert np.array_equal(bound_vector(spec, np.zeros(5)), np.zeros(5))
 
     def test_bh_max_at_row_32(self):
-        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
-        c, _ = rescale(bh_constants(50), A)
-        b = bound_vector(A, c)
+        spec = ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)
+        c, _ = rescale(bh_constants(50), spec)
+        b = bound_vector(spec, c)
         assert int(np.argmax(b)) + 1 == 32
         assert b[31] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bound_vector(associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1)), np.zeros(6))
+            bound_vector(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1), np.zeros(6))
 
 
 class TestIsFeasible:
     def test_rescaled_is_feasible(self):
-        A = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.1))
-        c, _ = rescale(bh_constants(20), A)
-        b = bound_vector(A, c)
+        spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.1)
+        c, _ = rescale(bh_constants(20), spec)
+        b = bound_vector(spec, c)
         assert np.max(b) <= 1 + 1e-12
         assert np.max(b) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector(self):
-        A = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 4, gamma=0.0))
-        assert np.max(bound_vector(A, np.zeros(4))) <= 1.0
+        spec = ErrorRateSpec(Rate.FDP_SU, 4, gamma=0.0)
+        assert np.max(bound_vector(spec, np.zeros(4))) <= 1.0
 
     def test_doubled_lr_infeasible(self):
-        A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 12, k=2))
+        spec = ErrorRateSpec(Rate.KFWER_SD, 12, k=2)
         c = lr_kfwer_constants(12, 2)
-        assert np.max(bound_vector(A, c)) <= 1 + 1e-9
-        assert np.max(bound_vector(A, 2.0 * c.values)) > 1 + 1e-9
+        assert np.max(bound_vector(spec, c)) <= 1 + 1e-9
+        assert np.max(bound_vector(spec, 2.0 * c.values)) > 1 + 1e-9
 
 
 class TestRowEvents:
@@ -420,7 +420,6 @@ def test_bound_vector_matches_dense_product(rate, n):
         for name, c in structure_constants(spec).items():
             b = bound_vector(spec, c)
             assert np.all(np.abs(b - A @ c) <= 1e-14 * (np.abs(A) @ np.abs(c))), (spec, name)
-            assert np.array_equal(bound_vector(associated_matrix(spec), c), b)
 
 
 @pytest.mark.parametrize("n", STRUCTURE_NS)

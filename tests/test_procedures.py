@@ -10,7 +10,6 @@ from mtbounds import (
     Rate,
     SimConfig,
     adjusted_pvalues,
-    associated_matrix,
     bound_vector,
     family_constants,
     lr_fdp_constants,
@@ -263,7 +262,7 @@ class TestRunProcedure:
         base = family_constants("bh", 20, rate)
         mod = family_constants("bh", 20, rate, modified=True)
         assert np.all(mod.values >= base.values - 1e-15)
-        assert np.max(bound_vector(associated_matrix(rate), mod)) <= 1 + 1e-9
+        assert np.max(bound_vector(rate, mod)) <= 1 + 1e-9
 
 
 class TestRoster:
