@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -153,29 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="export a bound matrix")
     common(p, rate=True)
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("constants", help="emit a constant family (raw, rescaled or modified)")
     common(p, rate=True, family=True, alpha=True, cache=True)
     p.add_argument("--modified", action="store_true", help="apply the LP improvement")
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("optimize", help="solve the constant-improvement program")
     common(p, rate=True, family=True, cache=True)
     p.add_argument("--weights", help="file with one row weight per line")
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="check feasibility of constants against a matrix")
     common(p, rate=True, family=True, cache=True)
     p.add_argument("--modified", action="store_true")
     p.add_argument("--input", help="constants file to verify (csv or json)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("adjust", help="apply a procedure to a p-value file")
     common(p, rate=True, family=True, alpha=True, cache=True)
     p.add_argument("--modified", action="store_true")
     p.add_argument("--input", required=True, help="p-value file (one per line, or label,value)")
-    p.set_defaults(func=cmd_adjust)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo power study")
     common(p, alpha=True, cache=True)
@@ -192,12 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fdr-level", type=float)
     p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
     p.add_argument("--trace", help="append per-replication rejection counts to this file")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
+_parser = functools.cache(build_parser)  # argparse gives each call a fresh namespace
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.n is None and args.command != "adjust":
         parser.error(f"{args.command} requires --n")
@@ -206,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--k requires --rate")
         if args.gamma is not None and args.command != "constants":  # raw rs reads it
             parser.error("--gamma requires --rate")
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a rebound cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (lp.SolverError, lp.InfeasibleFloorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -160,17 +160,21 @@ def constants_json(c: CriticalVector) -> str:
 
 
 def read_constants(path: str | Path) -> CriticalVector:
-    """Read constants back from either output format of ``constants``."""
+    """Read constants back from either output format of ``constants`` or
+    ``optimize``: a JSON file's ``values`` list, else its ``xi`` list; a CSV
+    row's last column."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        values = json.loads(text).get("values")
+        payload = json.loads(text)
+        key = "values" if "values" in payload else "xi"
+        values = payload.get(key)
         if not isinstance(values, list):
-            raise InputFormatError(path, 0, "JSON constants need a 'values' list")
+            raise InputFormatError(path, 0, "JSON constants need a 'values' or 'xi' list")
         try:
             return CriticalVector(np.array(values, dtype=float))
         except TypeError:  # an entry that is a JSON object
-            raise InputFormatError(path, 0, "'values' must hold numbers") from None
+            raise InputFormatError(path, 0, f"{key!r} must hold numbers") from None
     values = [_number(path, line_no, line.split(",")[-1])
               for line_no, line in _data_lines(text.splitlines())
               if not line.startswith("index,")]

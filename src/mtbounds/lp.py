@@ -7,13 +7,17 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-The program is solved by HiGHS through ``scipy.optimize.linprog``: A's
-sparse rows, assembled from the event system without a dense intermediate,
-are stacked on the difference rows ``xi_j - xi_{j+1} <= 0``, and the floor
-is passed as the variables' lower bounds. HiGHS's presolve is off: it did
-not shorten these solves, and on the step-up matrices, about half full, its
-time grew by a fifth when another process streamed memory.
-HiGHS is deterministic, so repeated solves are bit-identical.
+The program is solved by HiGHS through ``scipy.optimize.linprog``: rows of
+A's sparse form, assembled from the event system without a dense
+intermediate, are stacked on the difference rows ``xi_j - xi_{j+1} <= 0``,
+and the floor is passed as the variables' lower bounds. HiGHS's presolve is
+off: it did not shorten these solves, and on the step-up matrices, about
+half full, its time grew by a fifth when another process streamed memory.
+Those dense programs are solved by row generation (Kelley's cutting-plane
+method): at the optimum only a few dozen of their n rows are tight, so
+``solve`` hands HiGHS a growing subset of the rows until no other row is
+violated. A sparse matrix goes to HiGHS whole, in one round. HiGHS is
+deterministic, so repeated solves are bit-identical.
 
 xi is the program's one product: the objective, M1, M2 and provenance are
 functions of A, the floor and xi, and are fields of ``LPSolution``.
@@ -51,8 +55,9 @@ __all__ = [
     "cache_key",
 ]
 
-SOLVER_VERSION = f"highs-nopresolve-scipy-{scipy.__version__}"
+SOLVER_VERSION = f"highs-rowgen-nopresolve-scipy-{scipy.__version__}"
 FEASIBILITY_TOL = 1e-9
+START_ROWS = 40  # rows of the first restricted program of a dense matrix
 
 
 class InfeasibleFloorError(ValueError):
@@ -175,8 +180,24 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
 
 
 def solve(problem: LPProblem) -> LPSolution:
-    """Solve the program with HiGHS and package the optimum with its
-    diagnostics.
+    """Solve the program with HiGHS by row generation and package the optimum
+    with its diagnostics.
+
+    A matrix with at most ``2 * START_ROWS * n`` nonzeros, about as many as
+    a first restricted program of a step-up matrix would hold, goes to HiGHS
+    whole, in one round. A denser one (the step-up rates beyond n of about
+    160, fdp-sd once gamma * n passes about 160) is solved on an active set
+    of its rows: first the ``START_ROWS`` rows with the largest floor bound
+    and row n, under the implied bounds
+    ``xi_j <= min_{l>=j} 1/max_i A_il`` (raised to the floor where it lies
+    above them within tolerance) that keep the restricted program bounded.
+    There each variable is measured in units of its implied bound and each
+    difference row in units of its larger variable, so HiGHS's absolute
+    tolerances become relative ones. Each round adds every inactive row
+    whose bound at the round's optimum exceeds 1, and the loop stops when
+    there is none. Each restricted program relaxes the full one, so its
+    optimum, once no row is violated, is the full optimum. ``iterations``
+    sums over the rounds.
 
     Never returns an infeasible point: a non-optimal HiGHS status, a
     monotonicity violation beyond FEASIBILITY_TOL, or a vector that fails
@@ -185,22 +206,49 @@ def solve(problem: LPProblem) -> LPSolution:
     """
     c = problem.floor.values
     n = problem.n
-    steps = sparse.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    result = linprog(
-        -problem.objective_coefficients,
-        A_ub=sparse.vstack([problem.matrix.rows, steps], format="csr"),
-        b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
-        bounds=np.column_stack([c, np.full(n, np.inf)]),
-        method="highs",
-        options={"presolve": False},
-    )
-    if result.status != 0:
-        raise SolverError(f"solver failed: {result.message}")
-    xi = np.maximum(result.x, c)  # HiGHS may end a hair below a bound
-    stepped = np.maximum.accumulate(xi)
-    if np.max(stepped - xi) > FEASIBILITY_TOL:
-        raise SolverError("solver failed: xi is not nondecreasing")
-    return _solution(problem, stepped, int(result.nit))
+    A = problem.matrix.rows
+    active, scale, upper = None, np.ones(n), np.full(n, np.inf)
+    if A.nnz > 2 * START_ROWS * n:
+        start = np.argsort(-problem.floor_bounds, kind="stable")[:START_ROWS]
+        active = np.union1d(start, [n - 1])
+        with np.errstate(divide="ignore"):
+            implied = 1.0 / A.max(axis=0).toarray().ravel()
+        implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], c)
+        # HiGHS's bound tolerance is absolute: unscaled, fdp-su at gamma 0 and
+        # n=2000 ended 5e-8 below floors near 1e-3, and lifting xi to the floor
+        # put a row's bound at 1 + 4.9e-6.
+        scale = np.where(np.isfinite(implied), implied, 1.0)
+        upper = implied / scale
+    units = sparse.diags(scale)
+    # xi_j - xi_{j+1} <= 0, in units of xi_{j+1}
+    steps = sparse.diags([scale[:-1] / scale[1:], -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    objective = -problem.objective_coefficients * scale
+    iterations = 0
+    while True:
+        rows = (A if active is None else A[active]) @ units
+        result = linprog(
+            objective,
+            A_ub=sparse.vstack([rows, steps], format="csr"),
+            b_ub=np.concatenate([np.ones(rows.shape[0]), np.zeros(n - 1)]),
+            bounds=np.column_stack([c / scale, upper]),
+            method="highs",
+            options={"presolve": False},
+        )
+        if result.status != 0:
+            raise SolverError(f"solver failed: {result.message}")
+        iterations += int(result.nit)
+        xi = np.maximum(result.x * scale, c)  # HiGHS may end a hair below a bound
+        stepped = np.maximum.accumulate(xi)
+        if np.max(stepped - xi) > FEASIBILITY_TOL:
+            raise SolverError("solver failed: xi is not nondecreasing")
+        if active is None:
+            break
+        violated = np.setdiff1d(np.flatnonzero(bound_vector(problem.matrix.spec, stepped) > 1.0),
+                                active, assume_unique=True)
+        if violated.size == 0:
+            break
+        active = np.union1d(active, violated)
+    return _solution(problem, stepped, iterations)
 
 
 def cache_key(problem: LPProblem) -> str:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from mtbounds import cli, lp, matrices, procedures
 from mtbounds.cli import main
@@ -178,6 +180,44 @@ class TestOptimizeCommand:
         assert payload["xi"] == [float(r[2]) for r in rows]
 
 
+    def test_dense_step_up_optimum_is_feasible(self, capsys):
+        """The full fdp-su program at n=1000 and gamma=0.005 once ended
+        2.6e-6 outside the feasible set (exit 3); row generation solves it.
+        The reference is an interior-point solve of the whole program."""
+        n = 1000
+        code, out, err = run(capsys, "optimize", "--rate", "fdp-su", "--gamma", "0.005",
+                             "--family", "bh", "--n", str(n), "--format", "json")
+        assert (code, err) == (0, "")
+        xi = np.array(json.loads(out)["xi"])
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, n, gamma=0.005)
+        bounds = matrices.bound_vector(spec, xi)
+        assert np.max(bounds) <= 1 + lp.FEASIBILITY_TOL
+        A = matrices.associated_matrix(spec).rows
+        floor = np.array(json.loads(out)["floor"])
+        steps = sparse.eye(n - 1, n) - sparse.eye(n - 1, n, k=1)
+        reference = linprog(-np.asarray(A.sum(axis=0)).ravel(),
+                            A_ub=sparse.vstack([A, steps], format="csr"),
+                            b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
+                            bounds=np.column_stack([floor, np.full(n, np.inf)]),
+                            method="highs-ipm")
+        assert reference.status == 0, reference.message
+        assert bounds.sum() == pytest.approx(-reference.fun, rel=1e-9)
+
+
+    def test_dense_step_up_at_gamma_zero_is_feasible(self, capsys):
+        """Solved in unscaled variables, HiGHS ended 5e-8 below floors near
+        1e-3 here, and lifting xi to the floor gave a bound of 1 + 4.9e-6."""
+        n = 2000
+        code, out, err = run(capsys, "optimize", "--rate", "fdp-su", "--gamma", "0",
+                             "--family", "bh", "--n", str(n), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        xi = np.array(payload["xi"])
+        assert np.all(xi >= np.array(payload["floor"]))
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, n, gamma=0.0)
+        assert np.max(matrices.bound_vector(spec, xi)) <= 1 + lp.FEASIBILITY_TOL
+
+
 class TestVerifyCommand:
     def test_rescaled_feasible(self, capsys):
         code, out, _ = run(capsys, "verify", "--rate", "fdp-su", "--family", "bh",
@@ -205,6 +245,20 @@ class TestVerifyCommand:
                            "--gamma", "0.1", "--input", str(const_file))
         assert code == 0
         assert "feasible: no" in out
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_optimize_output_roundtrip(self, fmt, tmp_path, capsys):
+        """verify reads xi from optimize's output in either format."""
+        spec = ["--rate", "fdp-sd", "--n", "20", "--gamma", "0.05"]
+        solution = tmp_path / f"solution.{fmt}"
+        code, _, _ = run(capsys, "optimize", *spec, "--family", "bh", "--format", fmt,
+                         "--output", str(solution))
+        assert code == 0
+        code, out, err = run(capsys, "verify", *spec, "--input", str(solution))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "verify", *spec, "--family", "bh", "--modified")[1]
+        assert out.endswith("feasible: yes\n")
 
 
 class TestAdjustCommand:
@@ -657,3 +711,35 @@ def test_stdout_bytes_pinned(name, fmt, bh95_file, tmp_path, capsys):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.replace(lp.SOLVER_VERSION, "SOLVER").encode()).hexdigest()
     assert digest == PINNED_SHA256[name, fmt]
+
+
+class TestParserReuse:
+    def test_successive_calls_share_no_state(self, bh95_file, tmp_path, capsys):
+        """main builds its parser once; each call still parses into a fresh
+        namespace, so flags and values of one call never reach the next, in
+        either order."""
+        short = tmp_path / "short.txt"
+        short.write_text("0.01\n0.2\n0.03\n")
+        calls = [
+            ["adjust", "--input", str(bh95_file), "--rate", "fdp-su", "--gamma", "0.05",
+             "--family", "bh", "--alpha", "0.5", "--modified"],
+            ["adjust", "--input", str(short), "--family", "by", "--alpha", "0.1"],
+            ["simulate", "--n", "4", "--d", "1", "--d", "2", "--reps", "50", "--seed", "3",
+             "--threads", "1", "--true-counts", "0,4"],
+            ["simulate", "--n", "4", "--d", "3", "--gamma", "0.2", "--reps", "50",
+             "--seed", "3", "--threads", "1"],
+            ["constants", "--family", "rs", "--n", "6", "--gamma", "0.1"],
+            ["constants", "--family", "bh", "--n", "6", "--rate", "kfwer-sd", "--k", "2",
+             "--format", "json"],
+            ["verify", "--rate", "fdp-su", "--gamma", "0.1", "--n", "6", "--family", "rs"],
+        ]
+        forward = [run(capsys, *argv) for argv in calls]
+        backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+        assert forward == backward
+        assert all(code == 0 for code, _, _ in forward)
+        assert "n=3" in forward[1][1] and "n=15" in forward[0][1]
+        cells = [{tuple(line.split(",")[1:3]) for line in forward[i][1].splitlines()[1:]}
+                 for i in (2, 3)]
+        assert cells[0] == {(t, d) for t in ("0", "4") for d in ("1.0", "2.0")}
+        assert {d for _, d in cells[1]} == {"3.0"} and len(cells[1]) > 2  # the default grid
+        assert cli._parser.cache_info().currsize == 1

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from mtbounds import (
@@ -403,3 +404,74 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
     assert len(calls) == 2
     assert solution.m2 == pytest.approx(
         np.max(bound_vector(matrix.spec, solution.xi) / bound_vector(matrix.spec, floor)), rel=1e-12)
+
+
+def full_matrix_solve(problem):
+    """The whole program in one HiGHS call with the solver's options, post-
+    processed as ``solve`` post-processes each round."""
+    n, c = problem.n, problem.floor.values
+    steps = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    result = linprog(-problem.objective_coefficients,
+                     A_ub=sparse.vstack([problem.matrix.rows, steps], format="csr"),
+                     b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
+                     bounds=np.column_stack([c, np.full(n, np.inf)]),
+                     method="highs", options={"presolve": False})
+    assert result.status == 0, result.message
+    return np.maximum.accumulate(np.maximum(result.x, c))
+
+
+ROWGEN_CASES = [
+    (rate, param, family, n)
+    for rate, params in [(Rate.FDP_SU, (0.0, 0.005, 0.05, 0.25)),
+                         (Rate.FDP_SD, (0.0, 0.005, 0.05, 0.25)),
+                         (Rate.KFWER_SU, (1, 2, 5)), (Rate.KFWER_SD, (1, 2, 5))]
+    for param in params
+    for family in ("bh", "rs")
+    for n in (50, 200, 400)
+]
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("rate,param,family,n", ROWGEN_CASES,
+                             ids=[f"{r.value}-{p}-{f}-{n}" for r, p, f, n in ROWGEN_CASES])
+    def test_matches_full_matrix_solve(self, rate, param, family, n):
+        kwarg = "gamma" if rate.is_fdp else "k"
+        matrix = associated_matrix(ErrorRateSpec(rate, n, **{kwarg: param}))
+        floor = rescaled_floor(matrix, family)
+        problem = build_problem(matrix, floor)
+        solution = solve(problem)
+        full = full_matrix_solve(problem)
+        check_solution_invariants(matrix, floor, solution)
+        assert solution.objective == pytest.approx(
+            problem.weights @ bound_vector(matrix.spec, full), rel=1e-9)
+        pos = floor.values > 0
+        assert solution.m1 == pytest.approx(np.max(full[pos] / floor.values[pos]), rel=1e-9)
+        if matrix.rows.nnz <= 2 * lp.START_ROWS * n:  # today's program, in one round
+            assert np.array_equal(solution.xi.values, full)
+
+    def test_rounds(self, monkeypatch):
+        """A sparse matrix goes to HiGHS whole and unbounded above; a dense
+        one starts from START_ROWS rows plus row n under finite implied
+        bounds, grows its active set, and sums the rounds' iterations."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = linprog(*args, **kwargs)
+            calls.append((kwargs["A_ub"].shape[0], kwargs["bounds"][:, 1], result.nit))
+            return result
+
+        monkeypatch.setattr(lp, "linprog", recording)
+        n = 400
+        for rate, kwarg in [(Rate.FDP_SD, {"gamma": 0.05}), (Rate.KFWER_SU, {"k": 2})]:
+            calls.clear()
+            matrix = associated_matrix(ErrorRateSpec(rate, n, **kwarg))
+            solution = solve(build_problem(matrix, rescaled_floor(matrix, "rs")))
+            assert solution.iterations == sum(nit for _, _, nit in calls)
+            if rate is Rate.FDP_SD:
+                assert [(rows, np.isinf(upper).all()) for rows, upper, _ in calls] == [
+                    (2 * n - 1, True)]
+            else:
+                rows = [rows - (n - 1) for rows, _, _ in calls]
+                assert rows[0] == lp.START_ROWS + 1 and len(rows) > 1
+                assert rows == sorted(set(rows)) and rows[-1] < n
+                assert all(np.isfinite(upper).all() for _, upper, _ in calls)
