@@ -82,10 +82,7 @@ def cmd_verify(args) -> int:
         c = family_constants(args.family, args.n, spec,
                              modified=args.modified, cache_dir=args.cache_dir)
     worst = float(np.max(bound_vector(spec, c)))
-    feasible = worst <= 1.0 + lp.FEASIBILITY_TOL
-    fileio.write_text(f"max bound {worst:.6f}\nfeasible: {'yes' if feasible else 'no'}\n",
-                      args.output)
-    return 0
+    return _write(args, "verify", worst, worst <= 1.0 + lp.FEASIBILITY_TOL)
 
 
 def _procedure_spec(args) -> ProcedureSpec:

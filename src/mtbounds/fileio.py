@@ -10,6 +10,7 @@ reproduce bit-for-bit. JSON payloads mirror the CSV contents.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -36,6 +37,8 @@ __all__ = [
     "solution_json",
     "decisions_csv",
     "decisions_json",
+    "verify_csv",
+    "verify_json",
     "report_csv",
     "report_json",
     "write_text",
@@ -172,9 +175,10 @@ def read_constants(path: str | Path) -> CriticalVector:
         if not isinstance(values, list):
             raise InputFormatError(path, 0, "JSON constants need a 'values' or 'xi' list")
         try:
-            return CriticalVector(np.array(values, dtype=float))
-        except TypeError:  # an entry that is a JSON object
+            values = np.array(values, dtype=float)
+        except (TypeError, ValueError):  # an entry that is a JSON object or a string
             raise InputFormatError(path, 0, f"{key!r} must hold numbers") from None
+        return CriticalVector(values)
     values = [_number(path, line_no, line.split(",")[-1])
               for line_no, line in _data_lines(text.splitlines())
               if not line.startswith("index,")]
@@ -247,6 +251,14 @@ def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPVa
     return json.dumps(payload, indent=2) + "\n"
 
 
+def verify_csv(worst: float, feasible: bool) -> str:
+    return f"max bound {worst:.6f}\nfeasible: {'yes' if feasible else 'no'}\n"
+
+
+def verify_json(worst: float, feasible: bool) -> str:
+    return json.dumps({"max_bound": worst, "feasible": feasible}, indent=2) + "\n"
+
+
 def report_csv(report: SimReport) -> str:
     lines = ["n,trueCount,d,procedure,avgPower,tailFDP,fdr,se_power"]
     for cell in report.cells:
@@ -259,37 +271,13 @@ def report_csv(report: SimReport) -> str:
 
 
 def report_json(report: SimReport) -> str:
-    def nan_null(x: float):
-        return None if isinstance(x, float) and math.isnan(x) else x
-
+    rename = {"true_count": "trueCount", "effect": "d", "avg_power": "avgPower",
+              "tail_fdp": "tailFDP"}
     payload = {
-        "config": {
-            "n": report.config.n,
-            "true_counts": list(report.config.true_counts),
-            "effects": list(report.config.effects),
-            "rho": report.config.rho,
-            "reps": report.config.reps,
-            "alpha": report.config.alpha,
-            "gamma": report.config.gamma,
-            "fdr_level": report.config.fdr_level,
-            "seed": report.config.seed,
-        },
-        "cells": [
-            {
-                "n": c.n,
-                "trueCount": c.true_count,
-                "d": c.effect,
-                "procedure": c.procedure,
-                "avgPower": nan_null(c.avg_power),
-                "tailFDP": c.tail_fdp,
-                "fdr": c.fdr,
-                "se_power": nan_null(c.se_power),
-                "se_tail": c.se_tail,
-                "se_fdr": c.se_fdr,
-                "containment_violations": c.containment_violations,
-            }
-            for c in report.cells
-        ],
+        "config": dataclasses.asdict(report.config),
+        "cells": [{rename.get(key, key): None if isinstance(x, float) and math.isnan(x) else x
+                   for key, x in dataclasses.asdict(c).items()}
+                  for c in report.cells],
         "failures": [{"procedure": name, "error": err} for name, err in report.failures],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -278,9 +278,9 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
     read the same way). A hit passes xi through the acceptance check of a
     fresh optimum, which recomputes the objective, M1, M2 and provenance,
     and reports 0 iterations; cached vectors round-trip bit-for-bit (JSON
-    stores shortest-roundtrip decimals). An entry that does not decode,
-    comes from another solver version or whose xi fails the check is
-    re-solved and overwritten. Only accepted solutions are stored, each
+    stores shortest-roundtrip decimals). Another solver version's entry has
+    another key and is never read; one that does not decode or fails the
+    check is re-solved and overwritten. Only accepted solutions are stored, each
     written to a temporary file and renamed into place, so a reader never
     sees a partial entry and a failed solve is tried again.
     """

@@ -235,31 +235,6 @@ def _run_batch(config: SimConfig, tables, cells: list[tuple[int, np.ndarray]],
             V[c, j, start:stop] = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
 
 
-def _cell_stats(config: SimConfig, name: str, true_count: int, effect: float,
-                R: np.ndarray, V: np.ndarray) -> CellStats:
-    reps = config.reps
-    fdp = V / np.maximum(R, 1)
-    tail = fdp > config.gamma
-    if true_count < config.n:
-        power = (R - V) / (config.n - true_count)
-        avg_power = float(np.mean(power))
-        se_power = float(np.std(power)) / math.sqrt(reps)
-    else:
-        avg_power = se_power = float("nan")
-    return CellStats(
-        n=config.n,
-        true_count=true_count,
-        effect=effect,
-        procedure=name,
-        avg_power=avg_power,
-        tail_fdp=float(np.mean(tail)),
-        fdr=float(np.mean(fdp)),
-        se_power=se_power,
-        se_tail=float(np.std(tail)) / math.sqrt(reps),
-        se_fdr=float(np.std(fdp)) / math.sqrt(reps),
-    )
-
-
 def run_study(
     config: SimConfig,
     threads: int | None = None,
@@ -292,15 +267,25 @@ def run_study(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, starts))
     index = {name: j for j, (name, _, _, _) in enumerate(tables)}
+    nan = [math.nan] * len(tables)
     stats: list[CellStats] = []
     for c, (true_count, effect) in enumerate(grid):
+        # every procedure at once: each row of a [procedure, replication] slice
+        # reduces with the pairwise summation that the row alone would get
+        fdp = V[c] / np.maximum(R[c], 1)
+        power = (R[c] - V[c]) / (config.n - true_count) if true_count < config.n else None
+        (avg_power, se_power), (tail_fdp, se_tail), (fdr, se_fdr) = (
+            (nan, nan) if x is None else
+            (np.mean(x, axis=1).tolist(), (np.std(x, axis=1) / math.sqrt(config.reps)).tolist())
+            for x in (power, fdp > config.gamma, fdp))
         for j, (name, _, _, twin) in enumerate(tables):
-            cell = _cell_stats(config, name, true_count, effect, R[c, j], V[c, j])
             parent = index.get(twin)  # a modified procedure against its unmodified twin
-            if parent is not None:
-                violations = int(np.count_nonzero(R[c, j] < R[c, parent]))
-                cell = replace(cell, containment_violations=violations)
-            stats.append(cell)
+            stats.append(CellStats(
+                n=config.n, true_count=true_count, effect=effect, procedure=name,
+                avg_power=avg_power[j], tail_fdp=tail_fdp[j], fdr=fdr[j],
+                se_power=se_power[j], se_tail=se_tail[j], se_fdr=se_fdr[j],
+                containment_violations=None if parent is None
+                else int(np.count_nonzero(R[c, j] < R[c, parent]))))
     if trace is not None:  # one join per cell and procedure
         reps = [str(rep) for rep in range(config.reps)]
         with open(trace, "a", encoding="utf-8") as fh:

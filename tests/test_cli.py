@@ -246,6 +246,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "feasible: no" in out
 
+    @pytest.mark.parametrize("family, feasible", [("bh", True), ("by", False)])
+    def test_json_format(self, family, feasible, capsys):
+        """--format json gives the full-precision bound and a boolean verdict."""
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "50",
+                             "--gamma", "0.05", "--family", family, "--format", "json")
+        assert (code, err) == (0, "")
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, 50, gamma=0.05)
+        c = procedures.family_constants(family, 50, spec)
+        assert json.loads(out) == {"max_bound": float(np.max(matrices.bound_vector(spec, c))),
+                                   "feasible": feasible}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_optimize_output_roundtrip(self, fmt, tmp_path, capsys):
@@ -423,8 +433,9 @@ class TestUsageErrors:
         assert out == ""
         assert "--alpha" in err
 
-    @pytest.mark.parametrize("payload", ["{}", '{"values": {"1": 0.5}}', '{"values": [{}]}'],
-                             ids=["no-values", "values-dict", "object-entry"])
+    @pytest.mark.parametrize("payload", ["{}", '{"values": {"1": 0.5}}', '{"values": [{}]}',
+                                         '{"values": [0.5, "x"]}'],
+                             ids=["no-values", "values-dict", "object-entry", "string-entry"])
     def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, capsys):
         const_file = tmp_path / "constants.json"
         const_file.write_text(payload)
@@ -692,7 +703,7 @@ PINNED_SHA256 = {
     ('simulate', 'csv'): "e0a5f4a5088263d2e2c6ec7f3a82e2df48eb06a045c6e2f20e31a06a22871f7d",
     ('simulate', 'json'): "a1631b45d0bfcca620c2f0ccb9f6ae97c34104befead50dc0f8f29e027920fdc",
     ('verify', 'csv'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",
-    ('verify', 'json'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",
+    ('verify', 'json'): "faa7ea614a2211ba21223bd4648c847b42f035386cdeaf2dfb9f8366eaaa964a",
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,65 @@ class TestRunStudy:
         tracked = [c for c in report.cells if c.containment_violations is not None]
         assert len(tracked) == 3 * 4  # four modified procedures per cell
         assert all(c.containment_violations == 0 for c in tracked)
+
+    def test_containment_counts_the_twins_column(self, tmp_path, monkeypatch):
+        """With half its twin's constants, FDP-BH-SU (mod) rejects less than
+        FDP-BH-SU in some replications; the report counts exactly those, read
+        back from the trace, and every other modified procedure counts 0."""
+        import mtbounds.simulation as sim
+
+        real = sim.family_constants
+
+        def halved(family, n, rate, *, modified, **kwargs):
+            if modified and family == "bh" and rate.rate.direction == "su":
+                return real(family, n, rate, modified=False, **kwargs).scaled(0.5)
+            return real(family, n, rate, modified=modified, **kwargs)
+
+        monkeypatch.setattr(sim, "family_constants", halved)
+        path = tmp_path / "trace.csv"
+        report = run_study(small_config(reps=300, effects=(1.0, 3.0)), threads=1, trace=path)
+        counts = {}
+        for line in path.read_text().splitlines()[1:]:
+            _, true_count, effect, rep, procedure, rejections, _ = line.split(",")
+            counts[int(true_count), float(effect), procedure, rep] = int(rejections)
+        total = 0
+        for cell in report.cells:
+            if cell.procedure == "FDP-BH-SU (mod)":
+                expected = sum(counts[cell.true_count, cell.effect, cell.procedure, str(r)]
+                               < counts[cell.true_count, cell.effect, "FDP-BH-SU", str(r)]
+                               for r in range(300))
+                assert cell.containment_violations == expected, cell
+                total += expected
+            elif cell.procedure.endswith("(mod)"):
+                assert cell.containment_violations == 0, cell
+        assert total > 0
+
+    def test_containment_none_without_twin(self, monkeypatch):
+        """A modified procedure whose twin failed reports None; the rest of
+        the report is the one the full roster gives."""
+        import mtbounds.simulation as sim
+
+        real = sim.family_constants
+
+        def flaky(family, n, rate, *, modified, **kwargs):
+            if not modified and family == "rs" and rate.rate.direction == "sd":
+                raise RuntimeError("boom")
+            return real(family, n, rate, modified=modified, **kwargs)
+
+        config = small_config(reps=200)
+        full = run_study(config, threads=1)
+        monkeypatch.setattr(sim, "family_constants", flaky)
+        report = run_study(config, threads=1)
+        assert report.failures == (("FDP-RS-SD", "boom"),)
+        orphans = [c for c in report.cells if c.procedure == "FDP-RS-SD (mod)"]
+        assert len(orphans) == 3
+        assert all(c.containment_violations is None for c in orphans)
+        # JSON compares NaN power bit for bit, where == would fail
+        expected = tuple(replace(c, containment_violations=None)
+                         if c.procedure == "FDP-RS-SD (mod)" else c
+                         for c in full.cells if c.procedure != "FDP-RS-SD")
+        assert fileio.report_json(report) == fileio.report_json(
+            replace(full, cells=expected, failures=report.failures))
 
     def test_estimates_within_unit_interval(self):
         report = run_study(small_config(reps=300), threads=1)
