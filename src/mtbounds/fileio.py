@@ -169,15 +169,20 @@ def read_constants(path: str | Path) -> CriticalVector:
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, exc.lineno, exc.msg) from None
         key = "values" if "values" in payload else "xi"
         values = payload.get(key)
         if not isinstance(values, list):
             raise InputFormatError(path, 0, "JSON constants need a 'values' or 'xi' list")
+        if not all(type(v) in (int, float) for v in values):  # not bool, str, null or list
+            raise InputFormatError(path, 0, f"{key!r} must hold numbers")
         try:
             values = np.array(values, dtype=float)
-        except (TypeError, ValueError):  # an entry that is a JSON object or a string
-            raise InputFormatError(path, 0, f"{key!r} must hold numbers") from None
+        except OverflowError:
+            raise InputFormatError(path, 0, f"{key!r} holds a number beyond float range") from None
         return CriticalVector(values)
     values = [_number(path, line_no, line.split(",")[-1])
               for line_no, line in _data_lines(text.splitlines())

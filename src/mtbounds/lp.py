@@ -52,7 +52,6 @@ __all__ = [
     "build_problem",
     "solve",
     "solve_cached",
-    "cache_key",
 ]
 
 SOLVER_VERSION = f"highs-rowgen-nopresolve-scipy-{scipy.__version__}"
@@ -251,44 +250,29 @@ def solve(problem: LPProblem) -> LPSolution:
     return _solution(problem, stepped, iterations)
 
 
-def cache_key(problem: LPProblem) -> str:
-    """Content hash identifying a solve: rate, n, parameter, floor family and
-    exact values, weights and solver version."""
-    spec = problem.matrix.spec
-    h = hashlib.sha256()
-    parts = [
-        spec.rate.value,
-        str(spec.n),
-        repr(spec.param[1]),
-        problem.floor.family.value,
-        repr(sorted((problem.floor.params or {}).items())),
-        SOLVER_VERSION,
-    ]
-    h.update("|".join(parts).encode())
-    h.update(problem.floor.values.tobytes())
-    h.update(problem.weights.tobytes())
-    return h.hexdigest()
-
-
 def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution:
-    """solve() through an on-disk JSON cache keyed by ``cache_key``; with
-    ``cache_dir`` None or empty, solve() alone.
+    """solve() through an on-disk JSON cache; with ``cache_dir`` None or
+    empty, solve() alone.
 
-    An entry holds the solver version and xi (entries with more fields are
-    read the same way). A hit passes xi through the acceptance check of a
-    fresh optimum, which recomputes the objective, M1, M2 and provenance,
-    and reports 0 iterations; cached vectors round-trip bit-for-bit (JSON
-    stores shortest-roundtrip decimals). Another solver version's entry has
-    another key and is never read; one that does not decode or fails the
-    check is re-solved and overwritten. Only accepted solutions are stored, each
-    written to a temporary file and renamed into place, so a reader never
-    sees a partial entry and a failed solve is tried again.
+    An entry is named by a hash of rate, n, parameter, floor values and
+    weights, and holds the solver version and xi (more fields are ignored).
+    A hit passes xi through the acceptance check of a fresh optimum, which
+    recomputes the objective, M1, M2 and provenance, and reports 0
+    iterations; xi round-trips bit-for-bit (JSON stores shortest-roundtrip
+    decimals). An entry of another solver version, or one that does not
+    decode or fails the check, is re-solved and overwritten in place. Only
+    accepted solutions are stored, each written to a temporary file and
+    renamed into place, so a reader never sees a partial entry and a failed
+    solve is tried again.
     """
     if not cache_dir:
         return solve(problem)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"{cache_key(problem)}.json"
+    spec = problem.matrix.spec
+    key = hashlib.sha256(f"{spec.rate.value}|{spec.n}|{spec.param[1]!r}".encode()
+                         + problem.floor.values.tobytes() + problem.weights.tobytes())
+    path = cache / f"{key.hexdigest()}.json"
     try:
         entry = json.loads(path.read_text())
         if entry["solver_version"] == SOLVER_VERSION:

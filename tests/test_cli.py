@@ -433,17 +433,28 @@ class TestUsageErrors:
         assert out == ""
         assert "--alpha" in err
 
-    @pytest.mark.parametrize("payload", ["{}", '{"values": {"1": 0.5}}', '{"values": [{}]}',
-                                         '{"values": [0.5, "x"]}'],
-                             ids=["no-values", "values-dict", "object-entry", "string-entry"])
-    def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, capsys):
+    @pytest.mark.parametrize("payload, message", [
+        ("{}", "'values'"),
+        ('{"values": {"1": 0.5}}', "'values'"),
+        ('{"values": [{}]}', "'values'"),
+        ('{"values": [0.5, "x"]}', "'values'"),
+        ('{"values": [0.25, "0.5"]}', "'values'"),
+        ('{"values": [0.25, true]}', "'values'"),
+        ('{"values": [0.25, 1' + "0" * 400 + "]}", "'values'"),
+        ('{"values": [0.25, null]}', "'values'"),
+        ('{"values": [[0.25, 0.5]]}', "'values'"),
+        ('{"values": [0.25 0.5]}', "Expecting ',' delimiter"),
+    ], ids=["no-values", "values-dict", "object-entry", "string-entry", "numeric-string",
+            "bool-entry", "huge-integer", "null-entry", "nested-list", "not-json"])
+    def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, message, capsys):
         const_file = tmp_path / "constants.json"
         const_file.write_text(payload)
         code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
                              "--gamma", "0.1", "--input", str(const_file))
         assert code == 2
         assert out == ""
-        assert "'values'" in err
+        assert err.startswith(f"error: {const_file}:")
+        assert message in err
 
     @pytest.mark.parametrize("family", ["by", "gr"])
     def test_adjust_modified_fdr_family_exits_2(self, bh95_file, family, capsys):

@@ -21,7 +21,7 @@ from mtbounds import (
     solve_cached,
 )
 from mtbounds import lp
-from mtbounds.lp import SOLVER_VERSION, cache_key
+from mtbounds.lp import SOLVER_VERSION
 
 
 def scipy_optimum(matrix, floor, weights=None):
@@ -237,7 +237,8 @@ class TestDeterminismAndDiagnostics:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 12, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         problem = build_problem(matrix, floor)
-        (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
+        solve_cached(problem, tmp_path)
+        next(tmp_path.glob("*.json")).write_text(json.dumps({
             "solver_version": SOLVER_VERSION, "xi": floor.values.tolist()}))
         monkeypatch.setattr(lp, "solve", no_solve)
         solution = solve_cached(problem, tmp_path)
@@ -273,12 +274,11 @@ class TestCache:
         assert fresh.objective == again.objective
         assert fresh.m1 == again.m1
 
-    def test_distinct_problems_distinct_keys(self):
-        m1 = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05))
-        m2 = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.1))
-        f1 = rescaled_floor(m1, "bh")
-        f2 = rescaled_floor(m2, "bh")
-        assert cache_key(build_problem(m1, f1)) != cache_key(build_problem(m2, f2))
+    def test_distinct_problems_distinct_keys(self, tmp_path):
+        for gamma in (0.05, 0.1):
+            matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=gamma))
+            solve_cached(build_problem(matrix, rescaled_floor(matrix, "bh")), tmp_path)
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_version_mismatch_forces_resolve(self, tmp_path):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
@@ -291,6 +291,27 @@ class TestCache:
         refreshed = solve_cached(problem, tmp_path)
         assert refreshed.solver_version == SOLVER_VERSION
         assert SOLVER_VERSION in path.read_text()
+
+    def test_version_change_overwrites_in_place(self, tmp_path, monkeypatch):
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        solve_cached(problem, tmp_path)
+        monkeypatch.setattr(lp, "SOLVER_VERSION", "newer-solver")
+        solve_cached(problem, tmp_path)
+        entries = list(tmp_path.glob("*.json"))
+        assert len(entries) == 1
+        assert json.loads(entries[0].read_text())["solver_version"] == "newer-solver"
+
+    def test_key_ignores_floor_provenance(self, tmp_path, monkeypatch):
+        """A custom floor with the bits of a rescaled one is the same program,
+        so it is served from that entry, with provenance from its own floor."""
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
+        floor = rescaled_floor(matrix, "bh")
+        fresh = solve_cached(build_problem(matrix, floor), tmp_path)
+        monkeypatch.setattr(lp, "solve", no_solve)
+        served = solve_cached(build_problem(matrix, CriticalVector(floor.values)), tmp_path)
+        assert np.array_equal(served.xi.values, fresh.xi.values)
+        assert served.xi.params == {"parent": "custom"}
 
     @pytest.mark.parametrize("corrupt", [
         lambda entry: {"solver_version": entry["solver_version"]},
@@ -314,7 +335,7 @@ class TestCache:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 12, gamma=0.1))
         problem = build_problem(matrix, rescaled_floor(matrix, "rs"))
         fresh = solve_cached(problem, tmp_path)
-        entry = json.loads((tmp_path / f"{cache_key(problem)}.json").read_text())
+        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
         assert entry == {"solver_version": SOLVER_VERSION, "xi": fresh.xi.values.tolist()}
         hit = solve_cached(problem, tmp_path)
         assert (fresh.iterations > 0, hit.iterations) == (True, 0)
@@ -339,8 +360,8 @@ class TestCache:
         served from their xi, without a solve."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
-        fresh = solve(problem)
-        (tmp_path / f"{cache_key(problem)}.json").write_text(json.dumps({
+        fresh = solve_cached(problem, tmp_path)
+        next(tmp_path.glob("*.json")).write_text(json.dumps({
             "solver_version": SOLVER_VERSION, "status": "optimal",
             "xi": fresh.xi.values.tolist(), "xi_params": dict(fresh.xi.params),
             "objective": fresh.objective, "floor_objective": fresh.floor_objective,
