@@ -29,7 +29,6 @@ from .matrices import (
     row_events,
 )
 from .procedures import (
-    AdjustedPValues,
     DecisionSet,
     ProcedureSpec,
     PValueVector,
@@ -51,7 +50,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedPValues",
     "AssociatedMatrix",
     "CellStats",
     "CriticalVector",

@@ -21,7 +21,7 @@ import numpy as np
 from .constants import CriticalVector
 from .lp import LPProblem, LPSolution
 from .matrices import AssociatedMatrix, ErrorRateSpec
-from .procedures import AdjustedPValues, DecisionSet, PValueVector
+from .procedures import DecisionSet, PValueVector
 from .simulation import SimReport
 
 __all__ = [
@@ -84,7 +84,6 @@ def read_pvalues(path: str | Path) -> PValueVector:
     """
     values: list[float] = []
     labels: list[str] = []
-    saw_label = False
     with open(path, encoding="utf-8") as fh:
         for line_no, line in _data_lines(fh):
             label = None
@@ -96,10 +95,9 @@ def read_pvalues(path: str | Path) -> PValueVector:
                 raise InputFormatError(path, line_no, f"p-value out of [0, 1]: {value!r}")
             values.append(value)
             labels.append(label if label is not None else str(len(values)))
-            saw_label = saw_label or label is not None
     if not values:
         raise InputFormatError(path, 0, "no p-values found")
-    return PValueVector(np.array(values), labels=tuple(labels) if saw_label else None)
+    return PValueVector(np.array(values), labels=tuple(labels))
 
 
 def read_weights(path: str | Path, n: int) -> np.ndarray:
@@ -165,7 +163,8 @@ def constants_json(c: CriticalVector) -> str:
 def read_constants(path: str | Path) -> CriticalVector:
     """Read constants back from either output format of ``constants`` or
     ``optimize``: a JSON file's ``values`` list, else its ``xi`` list; a CSV
-    row's last column."""
+    row's last column. Every error, an invalid constant vector included,
+    names the file."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -183,13 +182,16 @@ def read_constants(path: str | Path) -> CriticalVector:
             values = np.array(values, dtype=float)
         except OverflowError:
             raise InputFormatError(path, 0, f"{key!r} holds a number beyond float range") from None
-        return CriticalVector(values)
-    values = [_number(path, line_no, line.split(",")[-1])
-              for line_no, line in _data_lines(text.splitlines())
-              if not line.startswith("index,")]
-    if not values:
-        raise InputFormatError(path, 0, "no constants found")
-    return CriticalVector(np.array(values))
+    else:
+        values = [_number(path, line_no, line.split(",")[-1])
+                  for line_no, line in _data_lines(text.splitlines())
+                  if not line.startswith("index,")]
+        if not values:
+            raise InputFormatError(path, 0, "no constants found")
+    try:
+        return CriticalVector(np.array(values))
+    except ValueError as exc:  # not finite, negative, decreasing or empty
+        raise InputFormatError(path, 0, str(exc)) from None
 
 
 def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
@@ -224,16 +226,15 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _decision_rows(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues):
+def _decision_rows(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray):
     """(index, label, p-value, adjusted p-value, rejected) per hypothesis in
-    input order; an unlabelled hypothesis is labelled by its index."""
-    adj = adjusted.in_original_order().tolist()
-    for i, (value, adjusted_value) in enumerate(zip(p.values.tolist(), adj), start=1):
-        label = p.labels[i - 1] if p.labels else str(i)
+    input order."""
+    rows = zip(p.labels, p.values.tolist(), adjusted.tolist())
+    for i, (label, value, adjusted_value) in enumerate(rows, start=1):
         yield i, label, value, adjusted_value, i in decision.rejected
 
 
-def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues,
+def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                   header: str) -> str:
     lines = [
         f"# procedure: {header}",
@@ -245,7 +246,7 @@ def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPVal
     return "\n".join(lines) + "\n"
 
 
-def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: AdjustedPValues,
+def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
     keys = ("index", "label", "pvalue", "adjusted_pvalue", "rejected")
     payload = {

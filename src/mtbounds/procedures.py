@@ -32,7 +32,6 @@ from .matrices import ErrorRateSpec, associated_matrix
 __all__ = [
     "PValueVector",
     "DecisionSet",
-    "AdjustedPValues",
     "step_up",
     "step_down",
     "adjusted_pvalues",
@@ -63,7 +62,8 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class PValueVector:
-    """Raw p-values with optional hypothesis labels."""
+    """Raw p-values with hypothesis labels; an unlabelled hypothesis is
+    labelled by its 1-based index."""
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -76,7 +76,9 @@ class PValueVector:
             raise ValueError("p-values must lie in [0, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.labels is not None and len(self.labels) != v.size:
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(str(i) for i in range(1, v.size + 1)))
+        elif len(self.labels) != v.size:
             raise ValueError("labels length must match values")
 
     @property
@@ -94,30 +96,10 @@ class DecisionSet:
     original indices of the ``n_rejected`` smallest p-values."""
 
     rejected: frozenset[int]
-    n_rejected: int
 
-
-@dataclass(frozen=True)
-class AdjustedPValues:
-    """Adjusted p-values aligned with the sorted p-value order.
-
-    ``values[i-1]`` belongs to the hypothesis with the i-th smallest raw
-    p-value; ``order[i-1]`` is that hypothesis's 0-based original index.
-    """
-
-    values: np.ndarray
-    order: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("values", "order"):
-            a = np.asarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def in_original_order(self) -> np.ndarray:
-        out = np.empty_like(self.values)
-        out[self.order] = self.values
-        return out
+    @property
+    def n_rejected(self) -> int:
+        return len(self.rejected)
 
 
 def _rejection_counts(sorted_p: np.ndarray, thresholds: np.ndarray,
@@ -139,7 +121,7 @@ def _step(p: PValueVector, c: CriticalVector, direction: str) -> DecisionSet:
         raise ValueError(f"constants have length {c.n}, p-values {p.n}")
     order = p.order()
     k = int(_rejection_counts(p.values[order], c.values, direction))
-    return DecisionSet(rejected=frozenset(int(j) + 1 for j in order[:k]), n_rejected=k)
+    return DecisionSet(rejected=frozenset(int(j) + 1 for j in order[:k]))
 
 
 def step_up(p: PValueVector, c: CriticalVector) -> DecisionSet:
@@ -155,29 +137,31 @@ def step_down(p: PValueVector, c: CriticalVector) -> DecisionSet:
     return _step(p, c, "sd")
 
 
-def adjusted_pvalues(p: PValueVector, c: CriticalVector, direction: str) -> AdjustedPValues:
+def adjusted_pvalues(p: PValueVector, c: CriticalVector, direction: str) -> np.ndarray:
     """Generic adjusted p-values: the smallest alpha at which the hypothesis
-    is rejected by the procedure family alpha*c.
+    is rejected by the procedure family alpha*c, as a read-only array in
+    input order (``adjusted[j]`` belongs to hypothesis j+1).
 
-    Step-up takes the running suffix-minimum of pv_(j)/c_j, step-down the
-    running prefix-maximum, both clipped to 1. A zero constant makes the
-    ratio +inf (then clipped): hypotheses at such positions are only ever
-    rejected through a later (step-up) position.
+    Over the sorted p-values, step-up takes the running suffix-minimum of
+    pv_(j)/c_j, step-down the running prefix-maximum, both clipped to 1. A
+    zero constant makes the ratio +inf (then clipped): hypotheses at such
+    positions are only ever rejected through a later (step-up) position.
     """
     if direction not in ("su", "sd"):
         raise ValueError(f"direction must be 'su' or 'sd', got {direction!r}")
     if c.n != p.n:
         raise ValueError(f"constants have length {c.n}, p-values {p.n}")
     order = p.order()
-    ps = p.values[order]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(c.values > 0, ps / c.values, np.inf)
-    ratio = np.where(np.isnan(ratio), np.inf, ratio)  # 0/0 under the same convention
+        ratio = np.where(c.values > 0, p.values[order] / c.values, np.inf)
     if direction == "su":
         adj = np.minimum.accumulate(ratio[::-1])[::-1]
     else:
         adj = np.maximum.accumulate(ratio)
-    return AdjustedPValues(values=np.minimum(adj, 1.0), order=order)
+    out = np.empty_like(adj)
+    out[order] = np.minimum(adj, 1.0)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,7 +260,7 @@ def run_procedure(
     p: PValueVector,
     spec: ProcedureSpec,
     cache_dir: str | Path | None = None,
-) -> tuple[DecisionSet, AdjustedPValues]:
+) -> tuple[DecisionSet, np.ndarray]:
     """Apply the procedure to raw p-values.
 
     Decisions come from the thresholds alpha * ``family_constants``; adjusted

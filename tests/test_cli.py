@@ -444,8 +444,12 @@ class TestUsageErrors:
         ('{"values": [0.25, null]}', "'values'"),
         ('{"values": [[0.25, 0.5]]}', "'values'"),
         ('{"values": [0.25 0.5]}', "Expecting ',' delimiter"),
+        ('{"values": [0.25, NaN]}', ":0: values must be finite"),
+        ('{"values": [-0.25, 0.5]}', ":0: values must be nonnegative"),
+        ('{"values": []}', ":0: values must be a nonempty 1-D array"),
     ], ids=["no-values", "values-dict", "object-entry", "string-entry", "numeric-string",
-            "bool-entry", "huge-integer", "null-entry", "nested-list", "not-json"])
+            "bool-entry", "huge-integer", "null-entry", "nested-list", "not-json",
+            "nan-entry", "negative-entry", "empty-list"])
     def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, message, capsys):
         const_file = tmp_path / "constants.json"
         const_file.write_text(payload)
@@ -526,6 +530,37 @@ class TestUsageErrors:
                              "--gamma", "0.1", "--input", str(const_file))
         assert (code, out) == (2, "")
         assert err == f"error: {const_file}{message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("index,value\n1,nan\n2,0.5\n", ":0: values must be finite"),
+        ("index,value\n1,0.5\n2,0.25\n", ":0: values must be nondecreasing"),
+    ], ids=["nan", "decreasing"])
+    def test_verify_invalid_csv_constants_exits_2(self, tmp_path, text, message, capsys):
+        const_file = tmp_path / "constants.csv"
+        const_file.write_text(text)
+        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+                             "--gamma", "0.1", "--input", str(const_file))
+        assert (code, out) == (2, "")
+        assert err == f"error: {const_file}{message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["matrix", "--n", "5"], "--rate is required for this command"),
+        (["constants", "--family", "bh", "--n", "5", "--modified"],
+         "modified constants need an error-rate matrix"),
+        (["constants", "--family", "rs", "--n", "5"],
+         "family 'rs' needs gamma or an error-rate matrix"),
+        (["simulate", "--n", "5", "--reps", "10", "--threads", "0"], "threads must be positive"),
+        (["simulate", "--n", "0", "--reps", "10"], "n must be positive"),
+        (["simulate", "--n", "5", "--reps", "10", "--alpha", "1"],
+         "alpha must lie in (0,1) and gamma in [0,1)"),
+        (["simulate", "--n", "5", "--reps", "10", "--gamma", "1"],
+         "alpha must lie in (0,1) and gamma in [0,1)"),
+    ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
+            "simulate-threads-0", "simulate-n-0", "simulate-alpha-1", "simulate-gamma-1"])
+    def test_invalid_arguments_exit_2(self, argv, message, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_verify_input_length_mismatch_exits_2(self, tmp_path, capsys):
         const_file = tmp_path / "constants.csv"

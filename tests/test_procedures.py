@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtbounds import (
     CriticalVector,
+    DecisionSet,
     ErrorRateSpec,
     ProcedureSpec,
     PValueVector,
@@ -73,6 +74,21 @@ def reference_count(sorted_p, thresholds, direction):
     return k
 
 
+class TestLabelsAndCounts:
+    def test_unlabelled_hypotheses_take_their_index(self):
+        assert pv(0.3, 0.1, 0.2).labels == ("1", "2", "3")
+        assert PValueVector(np.array([0.3, 0.1]), labels=("a", "b")).labels == ("a", "b")
+
+    def test_labels_must_match_values(self):
+        for labels in ((), ("a",), ("a", "b", "c")):
+            with pytest.raises(ValueError, match="labels length"):
+                PValueVector(np.array([0.3, 0.1]), labels=labels)
+
+    def test_rejection_count_is_the_rejected_set_size(self):
+        assert DecisionSet(frozenset({1, 3})).n_rejected == 2
+        assert DecisionSet(frozenset()).n_rejected == 0
+
+
 class TestRejectionCounts:
     @settings(max_examples=60)
     @given(data=st.data())
@@ -101,27 +117,32 @@ class TestAdjusted:
         p = pv(0.7, 0.1, 0.4)
         for direction in ("su", "sd"):
             adj = adjusted_pvalues(p, cv(1.0, 1.0, 1.0), direction)
-            assert np.allclose(adj.values, [0.1, 0.4, 0.7], atol=0)
+            assert np.allclose(adj[p.order()], [0.1, 0.4, 0.7], atol=0)
 
     def test_zero_pvalues(self):
         adj = adjusted_pvalues(pv(0.0, 0.0), cv(0.5, 1.0), "su")
-        assert adj.values.tolist() == [0.0, 0.0]
+        assert adj.tolist() == [0.0, 0.0]
 
     def test_monotone_and_clipped(self):
         p = pv(0.03, 0.4, 0.9, 0.02)
         adj = adjusted_pvalues(p, cv(0.01, 0.02, 0.5, 0.9), "sd")
-        assert np.all(np.diff(adj.values) >= 0)
-        assert np.all(adj.values <= 1.0)
+        assert np.all(np.diff(adj[p.order()]) >= 0)
+        assert np.all(adj <= 1.0)
 
     def test_zero_constant_convention(self):
         # a zero constant contributes an infinite ratio, clipped to 1
         adj = adjusted_pvalues(pv(0.0, 0.5), cv(0.0, 1.0), "sd")
-        assert adj.values.tolist() == [1.0, 1.0]
+        assert adj.tolist() == [1.0, 1.0]
 
     def test_in_original_order(self):
         p = pv(0.7, 0.1, 0.4)
         adj = adjusted_pvalues(p, cv(1.0, 1.0, 1.0), "su")
-        assert np.allclose(adj.in_original_order(), [0.7, 0.1, 0.4], atol=0)
+        assert np.allclose(adj, [0.7, 0.1, 0.4], atol=0)
+
+    def test_read_only(self):
+        adj = adjusted_pvalues(pv(0.7, 0.1), cv(0.5, 1.0), "sd")
+        with pytest.raises(ValueError, match="read-only"):
+            adj[0] = 0.0
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -137,7 +158,7 @@ class TestAdjusted:
             adj = adjusted_pvalues(p, c, direction)
             for alpha in (0.01, 0.05, 0.2, 0.5, 0.8, 0.99):
                 decision = apply(p, c.scaled(alpha))
-                expected = int(np.sum(adj.values <= alpha))
+                expected = int(np.sum(adj <= alpha))
                 assert decision.n_rejected == expected
 
 
@@ -201,7 +222,7 @@ class TestRunProcedure:
                                  rate=ErrorRateSpec(Rate.FDP_SU, 15, gamma=q))
             decision, adjusted = run_procedure(p, spec)
             assert decision.n_rejected == expected
-            assert int(np.sum(adjusted.values <= 0.5)) == expected
+            assert int(np.sum(adjusted <= 0.5)) == expected
 
     def test_bh95_rs_su_anomaly(self, bh95):
         """Fewer rejections at the looser level: both the constants and their
