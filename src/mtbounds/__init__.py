@@ -14,7 +14,6 @@ from .constants import (
 from .lp import (
     LPProblem,
     LPSolution,
-    InfeasibleFloorError,
     SolverError,
     build_problem,
     solve,
@@ -56,7 +55,6 @@ __all__ = [
     "DecisionSet",
     "ErrorRateSpec",
     "Family",
-    "InfeasibleFloorError",
     "LPProblem",
     "LPSolution",
     "ProcedureSpec",

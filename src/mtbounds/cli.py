@@ -26,13 +26,9 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
 
-class CommandError(ValueError):
-    """User-facing usage error (exit code 2)."""
-
-
 def _rate_spec(args) -> ErrorRateSpec:
     if args.rate is None:
-        raise CommandError("--rate is required for this command")
+        raise ValueError("--rate is required for this command")
     return ErrorRateSpec(Rate(args.rate), args.n, k=args.k, gamma=args.gamma)
 
 
@@ -52,7 +48,7 @@ def cmd_constants(args) -> int:
         _check_alpha(args.alpha)
     spec = _rate_spec(args) if args.rate else None
     if spec is not None and args.family in FDR_FAMILIES:
-        raise CommandError(f"family {args.family!r} is pre-normalized and takes no --rate")
+        raise ValueError(f"family {args.family!r} is pre-normalized and takes no --rate")
     c = family_constants(args.family, args.n, spec, None if spec else args.gamma,
                          modified=args.modified, cache_dir=args.cache_dir)
     return _write(args, "constants", c if args.alpha is None else c.scaled(args.alpha))
@@ -61,7 +57,7 @@ def cmd_constants(args) -> int:
 def cmd_optimize(args) -> int:
     spec = _rate_spec(args)
     if args.family in FDR_FAMILIES:
-        raise CommandError(f"family {args.family!r} is pre-normalized; nothing to optimize")
+        raise ValueError(f"family {args.family!r} is pre-normalized; nothing to optimize")
     floor = family_constants(args.family, args.n, spec)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
     problem = lp.build_problem(associated_matrix(spec), floor, weights=weights)
@@ -72,13 +68,13 @@ def cmd_verify(args) -> int:
     spec = _rate_spec(args)
     if args.input:
         if args.family is not None or args.modified:
-            raise CommandError("--input takes neither --family nor --modified")
+            raise ValueError("--input takes neither --family nor --modified")
         c = fileio.read_constants(args.input)
         if c.n != args.n:
-            raise CommandError(f"constants file has {c.n} entries, expected {args.n}")
+            raise ValueError(f"constants file has {c.n} entries, expected {args.n}")
     else:
         if args.family is None:
-            raise CommandError("verify needs --input or --family")
+            raise ValueError("verify needs --input or --family")
         c = family_constants(args.family, args.n, spec,
                              modified=args.modified, cache_dir=args.cache_dir)
     worst = float(np.max(bound_vector(spec, c)))
@@ -87,7 +83,7 @@ def cmd_verify(args) -> int:
 
 def _procedure_spec(args) -> ProcedureSpec:
     if args.alpha is None:
-        raise CommandError("adjust requires --alpha")
+        raise ValueError("adjust requires --alpha")
     return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
                          rate=_rate_spec(args) if args.rate else None,
                          modified=args.modified)
@@ -203,10 +199,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--gamma requires --rate")
     try:  # looked up per call, so a rebound cmd_* function is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (lp.SolverError, lp.InfeasibleFloorError) as exc:
+    except lp.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (ValueError, OSError) as exc:  # CommandError and InputFormatError too
+    except (ValueError, OSError) as exc:  # InputFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:  # matrix holds n*n floats, a step-up LP about n*n/2 nonzeros

@@ -46,11 +46,9 @@ __all__ = [
 
 
 class InputFormatError(ValueError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file, reported as ``path:line: message``."""
 
     def __init__(self, path, line_no: int, message: str):
-        self.path = str(path)
-        self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
 
 

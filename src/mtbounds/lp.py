@@ -45,7 +45,6 @@ from .matrices import AssociatedMatrix, bound_vector
 
 __all__ = [
     "SOLVER_VERSION",
-    "InfeasibleFloorError",
     "SolverError",
     "LPProblem",
     "LPSolution",
@@ -57,10 +56,6 @@ __all__ = [
 SOLVER_VERSION = f"highs-rowgen-nopresolve-scipy-{scipy.__version__}"
 FEASIBILITY_TOL = 1e-9
 START_ROWS = 40  # rows of the first restricted program of a dense matrix
-
-
-class InfeasibleFloorError(ValueError):
-    """The floor vector violates the bound constraints."""
 
 
 class SolverError(RuntimeError):
@@ -118,8 +113,8 @@ def build_problem(
 ) -> LPProblem:
     """Validate inputs and assemble an LPProblem.
 
-    Raises InfeasibleFloorError when max(A @ floor) > 1 + 1e-9, ValueError on
-    dimension mismatch or bad weights.
+    Raises ValueError when max(A @ floor) > 1 + 1e-9, on a dimension
+    mismatch or on bad weights.
     """
     n = matrix.n
     if floor.n != n:
@@ -127,7 +122,7 @@ def build_problem(
     floor_bounds = bound_vector(matrix.spec, floor)
     worst = float(np.max(floor_bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
-        raise InfeasibleFloorError(f"floor is infeasible: max bound {worst:.12g} > 1")
+        raise ValueError(f"floor is infeasible: max bound {worst:.12g} > 1")
     if weights is None:
         w = np.ones(n)
     else:
@@ -184,10 +179,13 @@ def solve(problem: LPProblem) -> LPSolution:
 
     A matrix with at most ``2 * START_ROWS * n`` nonzeros, about as many as
     a first restricted program of a step-up matrix would hold, goes to HiGHS
-    whole, in one round. A denser one (the step-up rates beyond n of about
-    160, fdp-sd once gamma * n passes about 160) is solved on an active set
-    of its rows: first the ``START_ROWS`` rows with the largest floor bound
-    and row n, under the implied bounds
+    whole, in one round, because row generation is slower there: on a 2-vCPU
+    machine, the six fdp-sd programs at gamma 0.05 (n = 100, 200, 300; bh
+    and rs floors) took 30 ms together whole and 48-62 ms by row generation
+    from ``START_ROWS`` rows. A denser one (the step-up rates beyond n of
+    about 160, fdp-sd once gamma * n passes about 160) is solved on an
+    active set of its rows: first the ``START_ROWS`` rows with the largest
+    floor bound and row n, under the implied bounds
     ``xi_j <= min_{l>=j} 1/max_i A_il`` (raised to the floor where it lies
     above them within tolerance) that keep the restricted program bounded.
     There each variable is measured in units of its implied bound and each

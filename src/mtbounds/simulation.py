@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
+from .lp import SolverError
 from .matrices import ErrorRateSpec, Rate
 from .procedures import ProcedureSpec, _rejection_counts, family_constants
 
@@ -63,8 +64,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        # fdr_level first: the roster's FDR specs would report it as alpha
+        if not 0.0 < self.fdr_level < 1.0:
+            raise ValueError(f"fdr_level must lie in (0, 1), got {self.fdr_level}")
+        self.roster()  # its specs check n, alpha and gamma
         if not self.true_counts:
             n = self.n
             grid = tuple(sorted({0, round(n / 4), round(n / 2), round(3 * n / 4), n}))
@@ -82,10 +85,6 @@ class SimConfig:
             raise ValueError("rho must lie in [0, 1)")
         if self.reps < 1:
             raise ValueError("reps must be positive")
-        if not 0.0 < self.alpha < 1.0 or not 0.0 <= self.gamma < 1.0:
-            raise ValueError("alpha must lie in (0,1) and gamma in [0,1)")
-        if not 0.0 < self.fdr_level < 1.0:
-            raise ValueError(f"fdr_level must lie in (0, 1), got {self.fdr_level}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -246,14 +245,14 @@ def run_study(
     ``threads`` only affects throughput (default: all logical cores); the
     report is bit-identical for any thread count. ``trace`` appends one CSV
     row per replication and procedure with the rejection counts, for
-    debugging."""
+    debugging. Raises lp.SolverError when every procedure's constants fail."""
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError("threads must be positive")
     tables, failures = _procedure_tables(config, cache_dir)
     if not tables:
-        raise RuntimeError(f"every procedure failed: {failures}")
+        raise SolverError(f"every procedure failed: {failures}")
     grid = [(t, d) for t in config.true_counts for d in config.effects]
     cells = [(t, _mean_vector(config.n, t, d)) for t, d in grid]
     # counts lie in 0..n: the smallest unsigned type holding n stores them exactly

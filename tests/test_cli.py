@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from mtbounds import cli, lp, matrices, procedures
+from mtbounds import cli, lp, matrices, procedures, simulation
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -393,6 +393,16 @@ class TestSolverFailure:
         assert out == ""
         assert "solver failed: numeric-failure" in err
 
+    def test_simulate_with_every_procedure_failing_exits_3(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise lp.SolverError("solver failed: numeric-failure")
+
+        monkeypatch.setattr(simulation, "family_constants", failing)
+        code, out, err = run(capsys, "simulate", "--n", "5", "--reps", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: every procedure failed: [('FDP-BH-SU', "
+                              "'solver failed: numeric-failure')")
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -550,13 +560,21 @@ class TestUsageErrors:
         (["constants", "--family", "rs", "--n", "5"],
          "family 'rs' needs gamma or an error-rate matrix"),
         (["simulate", "--n", "5", "--reps", "10", "--threads", "0"], "threads must be positive"),
-        (["simulate", "--n", "0", "--reps", "10"], "n must be positive"),
+        (["simulate", "--n", "0", "--reps", "10"], "n must be a positive integer, got 0"),
         (["simulate", "--n", "5", "--reps", "10", "--alpha", "1"],
-         "alpha must lie in (0,1) and gamma in [0,1)"),
+         "alpha must lie in (0, 1), got 1.0"),
         (["simulate", "--n", "5", "--reps", "10", "--gamma", "1"],
-         "alpha must lie in (0,1) and gamma in [0,1)"),
+         "gamma must lie in [0, 1), got 1.0"),
+        (["constants", "--family", "bh", "--n", "0"], "n must be positive"),
+        (["constants", "--family", "by", "--n", "0"], "n must be positive"),
+        (["constants", "--family", "gr", "--n", "0"], "n must be positive"),
+        (["constants", "--family", "rs", "--n", "0", "--gamma", "0.1"], "n must be positive"),
+        (["constants", "--family", "rs", "--n", "5", "--gamma", "1.5"],
+         "gamma must lie in [0, 1), got 1.5"),
     ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
-            "simulate-threads-0", "simulate-n-0", "simulate-alpha-1", "simulate-gamma-1"])
+            "simulate-threads-0", "simulate-n-0", "simulate-alpha-1", "simulate-gamma-1",
+            "constants-bh-n-0", "constants-by-n-0", "constants-gr-n-0", "constants-rs-n-0",
+            "constants-rs-gamma-1.5"])
     def test_invalid_arguments_exit_2(self, argv, message, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

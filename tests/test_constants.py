@@ -53,6 +53,10 @@ class TestLrKfwer:
     def test_single(self):
         assert lr_kfwer_constants(1, 1).values.tolist() == [1.0]
 
+    def test_rejects_k_above_n(self):
+        with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= n=5, got 6"):
+            lr_kfwer_constants(5, 6)
+
     def test_holm_thresholds_under_alpha(self):
         alpha = 0.05
         thr = alpha * lr_kfwer_constants(8, 1).values

@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 from mtbounds import (
     CriticalVector,
     ErrorRateSpec,
-    InfeasibleFloorError,
     Rate,
     associated_matrix,
     bh_constants,
@@ -207,13 +206,15 @@ class TestWeights:
             build_problem(matrix, floor, weights=np.array([1.0, -1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             build_problem(matrix, floor, weights=np.zeros(4))
+        with pytest.raises(ValueError, match="weights must have length 4"):
+            build_problem(matrix, floor, weights=np.ones(3))
 
 
 class TestValidation:
     def test_infeasible_floor_raises(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 6, gamma=0.05))
         raw = bh_constants(6)
-        with pytest.raises(InfeasibleFloorError):
+        with pytest.raises(ValueError, match="floor is infeasible"):
             build_problem(matrix, CriticalVector(raw.values * 10))
 
     def test_dimension_mismatch(self):
@@ -301,6 +302,23 @@ class TestCache:
         entries = list(tmp_path.glob("*.json"))
         assert len(entries) == 1
         assert json.loads(entries[0].read_text())["solver_version"] == "newer-solver"
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """A write that fails before the rename removes its temporary file
+        and stores nothing, so the next call solves afresh."""
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
+        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(lp.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            solve_cached(problem, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert solve_cached(problem, tmp_path).iterations > 0
+        assert [entry.suffix for entry in tmp_path.iterdir()] == [".json"]
 
     def test_key_ignores_floor_provenance(self, tmp_path, monkeypatch):
         """A custom floor with the bits of a rescaled one is the same program,

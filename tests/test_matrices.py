@@ -55,6 +55,8 @@ class TestKfwerSu:
             associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 5, k=0))
         with pytest.raises(ValueError):
             associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 5, k=6))
+        with pytest.raises(ValueError, match="kfwer-su requires k"):
+            ErrorRateSpec(Rate.KFWER_SU, 5)
 
 
 class TestKfwerSd:
@@ -258,6 +260,10 @@ class TestRowEvents:
 
     def test_kfwer_sd_single(self):
         assert row_events(ErrorRateSpec(Rate.KFWER_SD, 10, k=3), 7) == [(3, 6)]
+
+    def test_rejects_row_out_of_range(self):
+        with pytest.raises(ValueError, match=r"row must satisfy 1 <= i <= n=10, got 0"):
+            row_events(ErrorRateSpec(Rate.KFWER_SD, 10, k=3), 0)
 
     def test_fdp_su_matches_aux(self):
         spec = ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)

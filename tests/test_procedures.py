@@ -48,6 +48,10 @@ class TestStepUp:
         d = step_up(pv(1.0, 1.0), cv(0.5, 7.0))
         assert d.n_rejected == 2  # clamped threshold 1.0 still catches p = 1
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="constants have length 3, p-values 2"):
+            step_up(pv(0.1, 0.2), cv(0.1, 0.2, 0.3))
+
 
 class TestStepDown:
     def test_blocked_at_first(self):
@@ -138,6 +142,14 @@ class TestAdjusted:
         p = pv(0.7, 0.1, 0.4)
         adj = adjusted_pvalues(p, cv(1.0, 1.0, 1.0), "su")
         assert np.allclose(adj, [0.7, 0.1, 0.4], atol=0)
+
+    @pytest.mark.parametrize("c, direction, message", [
+        (cv(0.5, 1.0), "up", "direction must be 'su' or 'sd', got 'up'"),
+        (cv(0.5, 1.0, 1.0), "su", "constants have length 3, p-values 2"),
+    ], ids=["direction", "length"])
+    def test_invalid_arguments(self, c, direction, message):
+        with pytest.raises(ValueError, match=message):
+            adjusted_pvalues(pv(0.7, 0.1), c, direction)
 
     def test_read_only(self):
         adj = adjusted_pvalues(pv(0.7, 0.1), cv(0.5, 1.0), "sd")
@@ -252,6 +264,11 @@ class TestRunProcedure:
         with pytest.raises(ValueError):
             ProcedureSpec(family="bh", n=10, alpha=1.5,
                           rate=ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
+        with pytest.raises(ValueError, match="rate spec has n=5, procedure has n=10"):
+            ProcedureSpec(family="bh", n=10, alpha=0.05,
+                          rate=ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.05))
+        with pytest.raises(ValueError, match="family must be one of .*, got 'xx'"):
+            family_constants("xx", 5)
 
     def test_gamma_only_for_raw_rs(self):
         raw = family_constants("rs", 10, gamma=0.1)
@@ -298,6 +315,10 @@ class TestRoster:
 
 
 class TestPValueVector:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty 1-D array"):
+            PValueVector([])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             pv(0.5, 1.2)

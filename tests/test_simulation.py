@@ -317,6 +317,8 @@ class TestConfig:
             SimConfig(n=5, reps=0)
         with pytest.raises(ValueError):
             SimConfig(n=5, effects=(float("nan"),))
+        with pytest.raises(ValueError, match="at least one effect size is required"):
+            SimConfig(n=5, effects=())
         with pytest.raises(ValueError, match="true counts must not repeat"):
             SimConfig(n=5, true_counts=(3, 3))
         with pytest.raises(ValueError, match="effect sizes must not repeat"):
