@@ -7,9 +7,8 @@ from .constants import (
     bh_constants,
     by_constants,
     gr_sd_constants,
-    lr_fdp_constants,
-    lr_kfwer_constants,
     rescale,
+    rs_constants,
 )
 from .lp import (
     LPProblem,
@@ -71,10 +70,9 @@ __all__ = [
     "by_constants",
     "family_constants",
     "gr_sd_constants",
-    "lr_fdp_constants",
-    "lr_kfwer_constants",
     "rescale",
     "row_events",
+    "rs_constants",
     "run_procedure",
     "run_study",
     "sample_statistics",

@@ -20,8 +20,7 @@ __all__ = [
     "Family",
     "CriticalVector",
     "bh_constants",
-    "lr_fdp_constants",
-    "lr_kfwer_constants",
+    "rs_constants",
     "by_constants",
     "gr_sd_constants",
     "rescale",
@@ -81,32 +80,21 @@ class CriticalVector:
 def bh_constants(n: int) -> CriticalVector:
     """The linear staircase i/n."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be a positive integer, got {n}")
     return CriticalVector(np.arange(1, n + 1) / n, Family.BH, {"n": n})
 
 
-def lr_fdp_constants(n: int, gamma: float) -> CriticalVector:
-    """(floor(gamma*i)+1) / (n + floor(gamma*i) + 1 - i) for i = 1..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    i = np.arange(1, n + 1, dtype=float)
-    m = np.floor(gamma * i) + 1.0
-    return CriticalVector(m / (n + m - i), Family.LR_FDP, {"n": n, "gamma": gamma})
-
-
-def lr_kfwer_constants(n: int, k: int) -> CriticalVector:
-    """k/(n+k-i) for i >= k; entries below k are held at the value at i = k
-    (k/n), which keeps the vector nondecreasing and costs nothing since the
+def rs_constants(spec: ErrorRateSpec) -> CriticalVector:
+    """The Lehmann-Romano family k_i/(n + k_i - i) over the rate's threshold
+    k = ``spec.threshold``, which depends on the rate's parameter only, not
+    on its direction. Below a kFWER threshold the entries are held at k/n,
+    which keeps the vector nondecreasing and costs nothing since the
     step-down kFWER matrix never touches columns below k."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    i = np.arange(1, n + 1, dtype=float)
-    vals = np.where(i >= k, k / (n + k - i), k / n)
-    return CriticalVector(vals, Family.LR_KFWER, {"n": n, "k": k})
+    n = spec.n
+    k = spec.threshold
+    i = np.arange(1, n + 1)
+    family = Family.LR_FDP if spec.rate.is_fdp else Family.LR_KFWER
+    return CriticalVector(k / (n + k - np.maximum(i, k)), family, dict([("n", n), spec.param]))
 
 
 def _harmonic_prefix(n: int) -> np.ndarray:
@@ -119,7 +107,7 @@ def by_constants(n: int) -> CriticalVector:
     """The linear staircase divided by the n-th harmonic number; controls the
     false discovery rate under arbitrary dependence."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be a positive integer, got {n}")
     h_n = float(_harmonic_prefix(n)[-1])
     return CriticalVector(np.arange(1, n + 1) / (n * h_n), Family.BY, {"n": n, "divisor": h_n})
 
@@ -130,7 +118,7 @@ def gr_sd_constants(n: int) -> CriticalVector:
     false discovery rate of step-down procedures under arbitrary dependence.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be a positive integer, got {n}")
     h = _harmonic_prefix(n)
     i = np.arange(1, n + 1, dtype=float)
     tail = n - i

@@ -158,11 +158,11 @@ def constants_json(c: CriticalVector) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def read_constants(path: str | Path) -> CriticalVector:
-    """Read constants back from either output format of ``constants`` or
+def read_constants(path: str | Path, n: int) -> CriticalVector:
+    """Read n constants back from either output format of ``constants`` or
     ``optimize``: a JSON file's ``values`` list, else its ``xi`` list; a CSV
-    row's last column. Every error, an invalid constant vector included,
-    names the file."""
+    row's last column. Every error, an invalid constant vector or another
+    count included, names the file."""
     text = Path(path).read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -187,9 +187,12 @@ def read_constants(path: str | Path) -> CriticalVector:
         if not values:
             raise InputFormatError(path, 0, "no constants found")
     try:
-        return CriticalVector(np.array(values))
+        c = CriticalVector(np.array(values))
     except ValueError as exc:  # not finite, negative, decreasing or empty
         raise InputFormatError(path, 0, str(exc)) from None
+    if c.n != n:
+        raise InputFormatError(path, 0, f"expected {n} constants, found {c.n}")
+    return c
 
 
 def solution_csv(problem: LPProblem, solution: LPSolution) -> str:

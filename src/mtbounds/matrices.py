@@ -5,7 +5,10 @@ associated nonnegative n-by-n matrix A. Row i of A turns a vector c of
 critical constants into an upper bound (A @ c)[i-1] on the error rate when
 exactly i null hypotheses are true, valid under arbitrary dependence of the
 p-values. Constants with ``max(A @ c) <= 1`` therefore control the rate at
-level alpha once multiplied by alpha.
+level alpha once multiplied by alpha. Every rate is its threshold
+(``ErrorRateSpec.threshold``): l rejections count as an error once k(l) of
+them are false, so the event system, and with it A, follows from k and the
+stepping direction alone.
 
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
@@ -21,7 +24,6 @@ the raw ``entries`` array uses ordinary 0-based numpy indexing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -94,6 +96,15 @@ class ErrorRateSpec:
         ``("k", k)``."""
         return ("gamma", self.gamma) if self.rate.is_fdp else ("k", self.k)
 
+    @property
+    def threshold(self) -> np.ndarray:
+        """k(l) for l = 1..n: l rejections are an error once k(l) of them are
+        false, k for kFWER and floor(gamma*l)+1 for tail-FDP. Nondecreasing,
+        and k(1) >= 1."""
+        if not self.rate.is_fdp:
+            return np.full(self.n, self.k)
+        return np.floor(self.gamma * np.arange(1, self.n + 1)).astype(int) + 1
+
 
 @dataclass(frozen=True)
 class AssociatedMatrix:
@@ -139,40 +150,36 @@ class AssociatedMatrix:
 
 
 def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
-    """The order-statistic event system behind every row of the matrix.
+    """The order-statistic event system behind every row of the matrix;
+    every rate is its threshold k = ``spec.threshold``.
 
     Returns ``(first, last, cap)``: row i holds the levels
     ``first..last[i-1]`` (none when ``last[i-1] < first``), and level L of
     row i pairs with the constant at column ``min(L + n - i, cap[L-1])``.
-    The kFWER systems start at level k, the tail-FDP systems at level 1.
-    ``cap`` is nondecreasing, and ``cap[L-1] - L`` is nondecreasing while
-    ``cap[L-1] < n``; ``last`` rises and then falls, so the rows holding a
-    level are contiguous.
+    Every system starts at level k(1), and level L >= k(1) reaches at most
+    column ``cap[L-1]``, the last l with k(l) <= L: beyond it, l rejections
+    need more than L false ones. ``cap`` is nondecreasing, and ``cap[L-1] - L``
+    is nondecreasing while ``cap[L-1] < n``; ``last`` rises and then falls,
+    so the rows holding a level are contiguous.
     """
     n = spec.n
     rows = np.arange(1, n + 1)
-    no_cap = np.full(n, n)
-    if spec.rate is Rate.KFWER_SU:
-        return spec.k, rows, no_cap
-    if spec.rate is Rate.KFWER_SD:
-        return spec.k, np.where(rows >= spec.k, spec.k, 0), no_cap
-    gamma = spec.gamma
-    if spec.rate is Rate.FDP_SU:
-        # Rejecting down to constant l can push the FDP above gamma only from
-        # level floor(gamma*l)+1 on; each level pairs with the largest column
-        # it can reach.
-        min_level = np.floor(gamma * rows).astype(int) + 1
-        cap = np.searchsorted(min_level, rows, side="right")
-        return 1, np.maximum(rows - n + cap, min_level[cap - 1]), cap
-    # Step-down: with L false rejections the FDP exceeds gamma only while the
-    # rejection count stays below L/gamma, and with i true nulls it is at most
-    # n-i+L; level L pairs with the largest such count.
-    last = np.minimum(
-        np.minimum(rows, math.floor(gamma * n) + 1),
-        np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1)
-    if gamma == 0.0:
-        return 1, last, no_cap
-    return 1, last, np.minimum(n, np.ceil(rows / gamma).astype(int) - 1)
+    k = spec.threshold
+    cap = np.searchsorted(k, np.maximum(rows, k[0]), side="right")
+    if spec.rate.direction == "su":
+        # Rejecting down to constant l errs only from level k(l) on; each
+        # level pairs with the largest column it can reach.
+        last = np.maximum(rows - n + cap, k[cap - 1])
+    elif spec.rate.is_fdp:
+        # Step-down: with L false rejections the FDP exceeds gamma only while
+        # the rejection count stays below L/gamma, and with i true nulls it is
+        # at most n-i+L (Romano & Shaikh 2006).
+        gamma = spec.gamma
+        last = np.minimum(
+            k[-1], np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1)
+    else:  # kfwer-sd: each row i >= k holds level k alone
+        last = k
+    return int(k[0]), np.minimum(rows, last), cap
 
 
 def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:

@@ -23,11 +23,10 @@ from .constants import (
     bh_constants,
     by_constants,
     gr_sd_constants,
-    lr_fdp_constants,
-    lr_kfwer_constants,
     rescale,
+    rs_constants,
 )
-from .matrices import ErrorRateSpec, associated_matrix
+from .matrices import ErrorRateSpec, Rate, associated_matrix
 
 __all__ = [
     "PValueVector",
@@ -224,11 +223,11 @@ def family_constants(
     ``bh`` and ``rs`` are rescaled into the matrix's feasible set without
     building it and, when ``modified``, improved by the LP (through the
     cache in ``cache_dir``), which reads the matrix's sparse rows only on a
-    cache miss; without a spec they stay raw. Raw ``rs`` is the
-    Lehmann-Romano kFWER family for a kFWER rate and the tail-FDP family
-    otherwise, at the spec's gamma or, without a spec, at ``gamma``; any
-    other use of ``gamma`` raises ValueError. Raises lp.SolverError when
-    the LP has no accepted solution.
+    cache miss; without a spec they stay raw. Raw ``rs`` is
+    ``rs_constants`` of the spec or, without one, of the tail-FDP rate at
+    ``gamma``; any other use of ``gamma`` raises ValueError, and so does a
+    spec for another n. Raises lp.SolverError when the LP has no accepted
+    solution.
     """
     _check_family(family, modified)
     if gamma is not None and (family != "rs" or spec is not None):
@@ -236,18 +235,18 @@ def family_constants(
                          f"got family {family!r}")
     if family in FDR_FAMILIES:
         return FDR_FAMILIES[family][1](n)
+    if spec is not None and spec.n != n:
+        raise ValueError(f"error-rate spec is for n={spec.n}, got n={n}")
     if modified and spec is None:
         raise ValueError("modified constants need an error-rate matrix")
     if family == "bh":
         raw = bh_constants(n)
-    elif spec is not None and not spec.rate.is_fdp:
-        raw = lr_kfwer_constants(n, spec.k)
-    else:
-        if spec is not None:
-            gamma = spec.gamma
-        if gamma is None:
-            raise ValueError("family 'rs' needs gamma or an error-rate matrix")
-        raw = lr_fdp_constants(n, gamma)
+    elif spec is not None:
+        raw = rs_constants(spec)
+    elif gamma is None:
+        raise ValueError("family 'rs' needs gamma or an error-rate matrix")
+    else:  # the threshold reads gamma alone, so either fdp direction serves
+        raw = rs_constants(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma))
     if spec is None:
         return raw
     floor, _ = rescale(raw, spec)

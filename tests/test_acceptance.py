@@ -22,8 +22,8 @@ from mtbounds import (
     bound_vector,
     build_problem,
     family_constants,
-    lr_kfwer_constants,
     row_events,
+    rs_constants,
     run_procedure,
     run_study,
     solve,
@@ -144,7 +144,7 @@ def test_criterion_05_step_down_saturation():
             if not 1 <= k <= n:
                 continue
             matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, n, k=k))
-            bounds = bound_vector(matrix.spec, lr_kfwer_constants(n, k))
+            bounds = bound_vector(matrix.spec, rs_constants(matrix.spec))
             assert np.max(np.abs(bounds[k - 1:] - 1.0)) <= 1e-12, (n, k)
             assert np.all(bounds[:k - 1] == 0.0), (n, k)
     print("ACCEPTANCE 5 (step-down saturation identity, n <= 200): PASS")

@@ -565,10 +565,11 @@ class TestUsageErrors:
          "alpha must lie in (0, 1), got 1.0"),
         (["simulate", "--n", "5", "--reps", "10", "--gamma", "1"],
          "gamma must lie in [0, 1), got 1.0"),
-        (["constants", "--family", "bh", "--n", "0"], "n must be positive"),
-        (["constants", "--family", "by", "--n", "0"], "n must be positive"),
-        (["constants", "--family", "gr", "--n", "0"], "n must be positive"),
-        (["constants", "--family", "rs", "--n", "0", "--gamma", "0.1"], "n must be positive"),
+        (["constants", "--family", "bh", "--n", "0"], "n must be a positive integer, got 0"),
+        (["constants", "--family", "by", "--n", "0"], "n must be a positive integer, got 0"),
+        (["constants", "--family", "gr", "--n", "0"], "n must be a positive integer, got 0"),
+        (["constants", "--family", "rs", "--n", "0", "--gamma", "0.1"],
+         "n must be a positive integer, got 0"),
         (["constants", "--family", "rs", "--n", "5", "--gamma", "1.5"],
          "gamma must lie in [0, 1), got 1.5"),
     ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
@@ -586,7 +587,7 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "3",
                              "--gamma", "0.1", "--input", str(const_file))
         assert (code, out) == (2, "")
-        assert err == "error: constants file has 2 entries, expected 3\n"
+        assert err == f"error: {const_file}:0: expected 3 constants, found 2\n"
 
     def test_verify_without_input_or_family_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "3", "--gamma", "0.1")

@@ -12,9 +12,8 @@ from mtbounds import (
     bound_vector,
     by_constants,
     gr_sd_constants,
-    lr_fdp_constants,
-    lr_kfwer_constants,
     rescale,
+    rs_constants,
 )
 
 
@@ -28,38 +27,39 @@ class TestBh:
 
 class TestLrFdp:
     def test_small_gamma_collapses_to_holm_shape(self):
-        c = lr_fdp_constants(10, 0.05)
+        c = rs_constants(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         assert np.allclose(c.values, 1 / (11 - np.arange(1, 11)), atol=0)
 
     def test_single(self):
-        assert lr_fdp_constants(1, 0.0).values.tolist() == [1.0]
+        assert rs_constants(ErrorRateSpec(Rate.FDP_SU, 1, gamma=0.0)).values.tolist() == [1.0]
 
     def test_gamma_step(self):
-        assert lr_fdp_constants(25, 0.05).values[19] == pytest.approx(2 / 7, abs=1e-15)
+        c = rs_constants(ErrorRateSpec(Rate.FDP_SU, 25, gamma=0.05))
+        assert c.values[19] == pytest.approx(2 / 7, abs=1e-15)
 
 
 class TestLrKfwer:
     def test_holm_type(self):
-        c = lr_kfwer_constants(10, 1)
+        c = rs_constants(ErrorRateSpec(Rate.KFWER_SU, 10, k=1))
         assert np.allclose(c.values, 1 / (11 - np.arange(1, 11)), atol=0)
 
     def test_below_k_held_at_value_at_k(self):
-        c = lr_kfwer_constants(5, 5)
+        c = rs_constants(ErrorRateSpec(Rate.KFWER_SU, 5, k=5))
         assert c.values.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
-        c = lr_kfwer_constants(10, 4)
+        c = rs_constants(ErrorRateSpec(Rate.KFWER_SU, 10, k=4))
         assert np.allclose(c.values[:3], 0.4, atol=0)
         assert c.values[3] == pytest.approx(4 / 10, abs=0)
 
     def test_single(self):
-        assert lr_kfwer_constants(1, 1).values.tolist() == [1.0]
+        assert rs_constants(ErrorRateSpec(Rate.KFWER_SU, 1, k=1)).values.tolist() == [1.0]
 
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= n=5, got 6"):
-            lr_kfwer_constants(5, 6)
+            rs_constants(ErrorRateSpec(Rate.KFWER_SU, 5, k=6))
 
     def test_holm_thresholds_under_alpha(self):
         alpha = 0.05
-        thr = alpha * lr_kfwer_constants(8, 1).values
+        thr = alpha * rs_constants(ErrorRateSpec(Rate.KFWER_SU, 8, k=1)).values
         assert np.allclose(thr, alpha / (9 - np.arange(1, 9)), atol=0)
 
 
@@ -98,8 +98,8 @@ class TestGrSd:
 @given(n=st.integers(1, 1000))
 def test_families_monotone_nonnegative(n):
     vectors = [bh_constants(n), by_constants(n), gr_sd_constants(n)]
-    vectors.append(lr_fdp_constants(n, 0.1))
-    vectors.append(lr_kfwer_constants(n, max(1, n // 2)))
+    vectors.append(rs_constants(ErrorRateSpec(Rate.FDP_SU, n, gamma=0.1)))
+    vectors.append(rs_constants(ErrorRateSpec(Rate.KFWER_SU, n, k=max(1, n // 2))))
     for c in vectors:
         assert np.all(c.values >= 0)
         assert np.all(np.diff(c.values) >= 0)
@@ -115,7 +115,7 @@ def test_by_and_gr_dominated_by_bh(n):
 class TestRescale:
     def test_lr_fixed_point(self):
         A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 30, k=4))
-        c = lr_kfwer_constants(30, 4)
+        c = rs_constants(A.spec)
         rescaled, divisor = rescale(c, A)
         assert divisor == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(rescaled.values, c.values, atol=1e-12)
@@ -124,7 +124,7 @@ class TestRescale:
         for matrix, c in [
             (associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)), bh_constants(50)),
             (associated_matrix(ErrorRateSpec(Rate.FDP_SD, 37, gamma=0.1)),
-             lr_fdp_constants(37, 0.1)),
+             rs_constants(ErrorRateSpec(Rate.FDP_SU, 37, gamma=0.1))),
         ]:
             rescaled, divisor = rescale(c, matrix)
             assert np.max(bound_vector(matrix.spec, rescaled)) == pytest.approx(1.0, abs=1e-12)

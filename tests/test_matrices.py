@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +16,9 @@ from mtbounds import (
     associated_matrix,
     bh_constants,
     bound_vector,
-    lr_fdp_constants,
-    lr_kfwer_constants,
     rescale,
     row_events,
+    rs_constants,
 )
 import mtbounds
 from mtbounds import matrices
@@ -195,6 +196,20 @@ class TestFdpSdMatrix:
     def test_row_sums(self, n, gamma):
         assert row_sums_match(associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma)))
 
+    @pytest.mark.parametrize("gamma", [0.29, 0.35, 0.58, 0.69, 0.7])
+    def test_cap_is_the_step_up_cap(self, gamma):
+        """Both directions read level L's cap off one threshold, the last l
+        with floor(gamma*l)+1 <= L, so at these float-edge gammas they agree
+        and never fall below the cap of the typed decimal,
+        min(n, ceil(L/gamma) - 1)."""
+        for n in (100, 300):
+            _, _, up = _event_system(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma))
+            _, _, down = _event_system(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma))
+            assert np.array_equal(down, up), n
+            decimal = Fraction(repr(gamma))
+            exact = [min(n, math.ceil(L / decimal) - 1) for L in range(1, n + 1)]
+            assert np.all(down >= exact), n
+
 
 @given(n=st.integers(1, 120), data=st.data())
 def test_kfwer_row_sums(n, data):
@@ -213,7 +228,7 @@ class TestBoundVector:
     def test_lr_saturation(self):
         for n, k in [(10, 1), (20, 3), (50, 25)]:
             spec = ErrorRateSpec(Rate.KFWER_SD, n, k=k)
-            b = bound_vector(spec, lr_kfwer_constants(n, k))
+            b = bound_vector(spec, rs_constants(spec))
             assert np.allclose(b[k - 1:], 1.0, atol=1e-12)
             assert np.allclose(b[:k - 1], 0.0, atol=0)
 
@@ -247,7 +262,7 @@ class TestIsFeasible:
 
     def test_doubled_lr_infeasible(self):
         spec = ErrorRateSpec(Rate.KFWER_SD, 12, k=2)
-        c = lr_kfwer_constants(12, 2)
+        c = rs_constants(spec)
         assert np.max(bound_vector(spec, c)) <= 1 + 1e-9
         assert np.max(bound_vector(spec, 2.0 * c.values)) > 1 + 1e-9
 
@@ -409,12 +424,10 @@ def structure_specs(rate, n):
 
 def structure_constants(spec):
     n = spec.n
-    rs = (lr_fdp_constants(n, spec.gamma) if spec.rate.is_fdp
-          else lr_kfwer_constants(n, spec.k))
     step = np.zeros(n)
     step[n // 2:] = 1.0
     uniforms = np.sort(np.random.default_rng(n).uniform(size=n))
-    return {"bh": bh_constants(n).values, "rs": rs.values, "uniforms": uniforms,
+    return {"bh": bh_constants(n).values, "rs": rs_constants(spec).values, "uniforms": uniforms,
             "zeros": np.zeros(n), "step": step}
 
 
@@ -432,11 +445,25 @@ def test_bound_vector_matches_dense_product(rate, n):
 @pytest.mark.parametrize("rate", [r.value for r in Rate])
 def test_event_system_structure(rate, n):
     """The premises of the structured product and the level-wise builder:
+    the threshold is nondecreasing from at least 1 (constant for kFWER,
+    floor(gamma*l)+1 for FDP) and gives both directions one rs family;
     cap is nondecreasing, cap[L-1] - L is nondecreasing while cap[L-1] < n
     (one crossover per row), and the rows holding a level are contiguous
     (last rises, then falls)."""
     for spec in structure_specs(rate, n):
+        k = spec.threshold
+        assert k.shape == (n,) and k[0] >= 1 and np.all(np.diff(k) >= 0)
+        if spec.rate.is_fdp:
+            assert np.array_equal(k, np.floor(spec.gamma * np.arange(1, n + 1)) + 1)
+        else:
+            assert np.all(k == spec.k)
+        other = next(r for r in Rate if r.is_fdp == spec.rate.is_fdp and r is not spec.rate)
+        twin = ErrorRateSpec(other, n, **dict([spec.param]))
+        rs, rs_twin = rs_constants(spec), rs_constants(twin)
+        assert np.array_equal(rs.values, rs_twin.values)
+        assert (rs.family, rs.params) == (rs_twin.family, rs_twin.params)
         first, last, cap = _event_system(spec)
+        assert first == k[0]
         assert np.all(np.diff(cap) >= 0)
         below = cap < n
         assert np.all(np.diff((cap - np.arange(1, n + 1))[below]) >= 0)

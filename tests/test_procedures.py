@@ -13,7 +13,7 @@ from mtbounds import (
     adjusted_pvalues,
     bound_vector,
     family_constants,
-    lr_fdp_constants,
+    rs_constants,
     run_procedure,
     step_down,
     step_up,
@@ -269,10 +269,14 @@ class TestRunProcedure:
                           rate=ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.05))
         with pytest.raises(ValueError, match="family must be one of .*, got 'xx'"):
             family_constants("xx", 5)
+        for family in ("bh", "rs"):
+            with pytest.raises(ValueError, match="error-rate spec is for n=5, got n=10"):
+                family_constants(family, 10, ErrorRateSpec(Rate.KFWER_SD, 5, k=2))
 
     def test_gamma_only_for_raw_rs(self):
         raw = family_constants("rs", 10, gamma=0.1)
-        assert np.array_equal(raw.values, lr_fdp_constants(10, 0.1).values)
+        assert np.array_equal(raw.values,
+                              rs_constants(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.1)).values)
         for family, spec in [("rs", ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.1)), ("bh", None),
                              ("by", None), ("gr", None)]:
             with pytest.raises(ValueError, match="gamma is read only by family 'rs'"):
