@@ -11,14 +11,13 @@ Example:
 
 import argparse
 
-from mtbounds import (ErrorRateSpec, Rate, associated_matrix, build_problem,
-                      family_constants, solve)
+from mtbounds import ErrorRateSpec, Rate, build_problem, family_constants, solve
 
 
 def comparison_row(n, gamma, family, direction):
     spec = ErrorRateSpec(Rate(f"fdp-{direction}"), n, gamma=gamma)
     floor = family_constants(family, n, spec)
-    solution = solve(build_problem(associated_matrix(spec), floor))
+    solution = solve(build_problem(spec, floor))
     return solution.floor_objective, solution.objective, solution.m1, solution.m2
 
 

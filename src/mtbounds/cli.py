@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio, lp
-from .matrices import ErrorRateSpec, Rate, associated_matrix, bound_vector
+from .matrices import ErrorRateSpec, Rate, bound_vector
 from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, family_constants,
                          run_procedure)
 from .simulation import SimConfig, run_study
@@ -40,7 +40,7 @@ def _write(args, kind: str, *data) -> int:
 
 
 def cmd_matrix(args) -> int:
-    return _write(args, "matrix", associated_matrix(_rate_spec(args)))
+    return _write(args, "matrix", _rate_spec(args))
 
 
 def cmd_constants(args) -> int:
@@ -60,7 +60,7 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"family {args.family!r} is pre-normalized; nothing to optimize")
     floor = family_constants(args.family, args.n, spec)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
-    problem = lp.build_problem(associated_matrix(spec), floor, weights=weights)
+    problem = lp.build_problem(spec, floor, weights=weights)
     return _write(args, "solution", problem, lp.solve_cached(problem, args.cache_dir))
 
 
@@ -195,7 +195,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--k requires --rate")
         if args.gamma is not None and args.command != "constants":  # raw rs reads it
             parser.error("--gamma requires --rate")
-    try:  # looked up per call, so a rebound cmd_* function is the one that runs
+    try:  # cmd_* is looked up per call, so a rebound function is the one that runs
+        if vars(args).get("family", "") is None and args.command != "verify":  # or --input
+            raise ValueError(f"{args.command} requires --family")
         return globals()[f"cmd_{args.command}"](args)
     except lp.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

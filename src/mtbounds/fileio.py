@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import CriticalVector
 from .lp import LPProblem, LPSolution
-from .matrices import AssociatedMatrix, ErrorRateSpec
+from .matrices import ErrorRateSpec, associated_matrix
 from .procedures import DecisionSet, PValueVector
 from .simulation import SimReport
 
@@ -123,16 +123,16 @@ def _spec_payload(spec: ErrorRateSpec) -> dict:
     return {"rate": spec.rate.value, "n": spec.n, name: value}
 
 
-def matrix_csv(matrix: AssociatedMatrix) -> str:
-    lines = [f"# spec: {_spec_text(matrix.spec)}"]
-    lines += [",".join(_fmt(x) for x in row) for row in matrix.entries]
+def matrix_csv(spec: ErrorRateSpec) -> str:
+    lines = [f"# spec: {_spec_text(spec)}"]
+    lines += [",".join(_fmt(x) for x in row) for row in associated_matrix(spec).entries]
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(matrix: AssociatedMatrix) -> str:
+def matrix_json(spec: ErrorRateSpec) -> str:
     payload = {
-        "spec": _spec_payload(matrix.spec),
-        "entries": [[float(x) for x in row] for row in matrix.entries],
+        "spec": _spec_payload(spec),
+        "entries": [[float(x) for x in row] for row in associated_matrix(spec).entries],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -197,7 +197,7 @@ def read_constants(path: str | Path, n: int) -> CriticalVector:
 
 def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
     lines = [
-        f"# spec: {_spec_text(problem.matrix.spec)} floor={problem.floor.family.value}",
+        f"# spec: {_spec_text(problem.spec)} floor={problem.floor.family.value}",
         f"# solver: {solution.solver_version}",
         f"# status: {solution.status}",
         f"# F_floor: {_fmt(solution.floor_objective)}",
@@ -213,7 +213,7 @@ def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
 
 def solution_json(problem: LPProblem, solution: LPSolution) -> str:
     payload = {
-        "spec": _spec_payload(problem.matrix.spec),
+        "spec": _spec_payload(problem.spec),
         "floor_family": problem.floor.family.value,
         "solver": solution.solver_version,
         "status": solution.status,

@@ -7,23 +7,24 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-The program is solved by HiGHS through ``scipy.optimize.linprog``: rows of
-A's sparse form, assembled from the event system without a dense
-intermediate, are stacked on the difference rows ``xi_j - xi_{j+1} <= 0``,
-and the floor is passed as the variables' lower bounds. HiGHS's presolve is
-off: it did not shorten these solves, and on the step-up matrices, about
-half full, its time grew by a fifth when another process streamed memory.
-Those dense programs are solved by row generation (Kelley's cutting-plane
-method): at the optimum only a few dozen of their n rows are tight, so
-``solve`` hands HiGHS a growing subset of the rows until no other row is
-violated. A sparse matrix goes to HiGHS whole, in one round. HiGHS is
-deterministic, so repeated solves are bit-identical.
+The program is solved by HiGHS through ``scipy.optimize.linprog``: the rows
+of A's sparse form, built by ``solve`` alone from the problem's spec, are
+stacked on the difference rows ``xi_j - xi_{j+1} <= 0``, and the floor is
+passed as the variables' lower bounds. HiGHS's presolve is off: it did not
+shorten these solves, and on the step-up matrices, about half full, its
+time grew by a fifth when another process streamed memory. Those dense
+programs are solved by row generation (Kelley's cutting-plane method): at
+the optimum only a few dozen of their n rows are tight, so ``solve`` hands
+HiGHS a growing subset of the rows until no other row is violated. A sparse
+matrix goes to HiGHS whole, in one round. HiGHS is deterministic, so
+repeated solves are bit-identical.
 
 xi is the program's one product: the objective, M1, M2 and provenance are
 functions of A, the floor and xi, and are fields of ``LPSolution``.
 ``_solution`` alone accepts a candidate xi, from HiGHS or from the cache,
 raises SolverError on a rejection, and derives those fields from the
-floor's bound vector and the one ``A @ xi`` that its check computed.
+floor's bound vector and the one ``A @ xi`` that its check computed; both
+are taken without building A, so a cache hit builds no matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .constants import CriticalVector, Family
-from .matrices import AssociatedMatrix, bound_vector
+from .matrices import ErrorRateSpec, associated_matrix, bound_vector
 
 __all__ = [
     "SOLVER_VERSION",
@@ -64,23 +65,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """The assembled program: matrix, feasible floor, mean-1 weights and the
-    floor's bound vector A @ floor."""
+    """The assembled program: the spec that names A, a feasible floor,
+    mean-1 weights and the floor's bound vector A @ floor."""
 
-    matrix: AssociatedMatrix
+    spec: ErrorRateSpec
     floor: CriticalVector
     weights: np.ndarray
     floor_bounds: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def objective_coefficients(self) -> np.ndarray:
-        """a_j = sum_i weights_i * A_ij; plain column sums under uniform
-        weights."""
-        return self.weights @ self.matrix.rows
+        return self.spec.n
 
 
 @dataclass(frozen=True)
@@ -107,19 +102,20 @@ class LPSolution:
 
 
 def build_problem(
-    matrix: AssociatedMatrix,
+    spec: ErrorRateSpec,
     floor: CriticalVector,
     weights: np.ndarray | None = None,
 ) -> LPProblem:
-    """Validate inputs and assemble an LPProblem.
+    """Validate inputs and assemble an LPProblem; A is not built.
 
     Raises ValueError when max(A @ floor) > 1 + 1e-9, on a dimension
     mismatch or on bad weights.
     """
-    n = matrix.n
+    spec = getattr(spec, "spec", spec)  # perfbench still passes an AssociatedMatrix
+    n = spec.n
     if floor.n != n:
         raise ValueError(f"floor has length {floor.n}, matrix is {n}x{n}")
-    floor_bounds = bound_vector(matrix.spec, floor)
+    floor_bounds = bound_vector(spec, floor)
     worst = float(np.max(floor_bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise ValueError(f"floor is infeasible: max bound {worst:.12g} > 1")
@@ -137,7 +133,7 @@ def build_problem(
         w = w * (n / total)  # mean 1, so uniform weights give plain column sums
     w.setflags(write=False)
     floor_bounds.setflags(write=False)
-    return LPProblem(matrix=matrix, floor=floor, weights=w, floor_bounds=floor_bounds)
+    return LPProblem(spec=spec, floor=floor, weights=w, floor_bounds=floor_bounds)
 
 
 def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution:
@@ -159,7 +155,7 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
         raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.n}")
     if np.any(vec.values < problem.floor.values):
         raise SolverError("solver failed: xi falls below the floor")
-    bounds = bound_vector(problem.matrix.spec, vec)
+    bounds = bound_vector(problem.spec, vec)
     worst = float(np.max(bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise SolverError(f"solver failed: xi is infeasible, max bound {worst:.12g} > 1")
@@ -203,7 +199,7 @@ def solve(problem: LPProblem) -> LPSolution:
     """
     c = problem.floor.values
     n = problem.n
-    A = problem.matrix.rows
+    A = associated_matrix(problem.spec).rows
     active, scale, upper = None, np.ones(n), np.full(n, np.inf)
     if A.nnz > 2 * START_ROWS * n:
         start = np.argsort(-problem.floor_bounds, kind="stable")[:START_ROWS]
@@ -219,7 +215,7 @@ def solve(problem: LPProblem) -> LPSolution:
     units = sparse.diags(scale)
     # xi_j - xi_{j+1} <= 0, in units of xi_{j+1}
     steps = sparse.diags([scale[:-1] / scale[1:], -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    objective = -problem.objective_coefficients * scale
+    objective = -(problem.weights @ A) * scale  # a_j = sum_i w_i A_ij
     iterations = 0
     while True:
         rows = (A if active is None else A[active]) @ units
@@ -240,7 +236,7 @@ def solve(problem: LPProblem) -> LPSolution:
             raise SolverError("solver failed: xi is not nondecreasing")
         if active is None:
             break
-        violated = np.setdiff1d(np.flatnonzero(bound_vector(problem.matrix.spec, stepped) > 1.0),
+        violated = np.setdiff1d(np.flatnonzero(bound_vector(problem.spec, stepped) > 1.0),
                                 active, assume_unique=True)
         if violated.size == 0:
             break
@@ -267,7 +263,7 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
         return solve(problem)
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
-    spec = problem.matrix.spec
+    spec = problem.spec
     key = hashlib.sha256(f"{spec.rate.value}|{spec.n}|{spec.param[1]!r}".encode()
                          + problem.floor.values.tobytes() + problem.weights.tobytes())
     path = cache / f"{key.hexdigest()}.json"

@@ -13,9 +13,10 @@ stepping direction alone.
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
 the LP's checks of its floor and its optimum compare that maximum with
-``1 + lp.FEASIBILITY_TOL``, the one feasibility test. The LP reads the
-sparse ``rows`` of an ``AssociatedMatrix``, built from the same event
-system; only the ``matrix`` export reads ``entries``.
+``1 + lp.FEASIBILITY_TOL``, the one feasibility test. Elsewhere A is named
+by its ``ErrorRateSpec``: only ``lp.solve`` builds an ``AssociatedMatrix``,
+to read its sparse ``rows``, and only the ``matrix`` writers in ``fileio``,
+to read its dense ``entries``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);

@@ -26,7 +26,7 @@ from .constants import (
     rescale,
     rs_constants,
 )
-from .matrices import ErrorRateSpec, Rate, associated_matrix
+from .matrices import ErrorRateSpec, Rate
 
 __all__ = [
     "PValueVector",
@@ -252,7 +252,7 @@ def family_constants(
     floor, _ = rescale(raw, spec)
     if not modified:
         return floor
-    return lp.solve_cached(lp.build_problem(associated_matrix(spec), floor), cache_dir).xi
+    return lp.solve_cached(lp.build_problem(spec, floor), cache_dir).xi
 
 
 def run_procedure(

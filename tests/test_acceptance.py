@@ -66,7 +66,7 @@ def table1_solutions():
             matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=GAMMA))
             for family in ("bh", "rs"):
                 floor = family_floor(matrix, family)
-                solution = solve(build_problem(matrix, floor))
+                solution = solve(build_problem(matrix.spec, floor))
                 out[(n, family, direction)] = (matrix, floor, solution)
     return out
 
@@ -314,7 +314,7 @@ def mc_specs(n):
 
 def feasible_candidates(matrix):
     candidates = [family_floor(matrix, "bh"), family_floor(matrix, "rs")]
-    solution = solve(build_problem(matrix, candidates[0]))
+    solution = solve(build_problem(matrix.spec, candidates[0]))
     candidates.append(solution.xi)
     return candidates
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from mtbounds import cli, lp, matrices, procedures, simulation
+from mtbounds import CriticalVector, cli, fileio, lp, matrices, procedures, simulation
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -99,6 +100,11 @@ class TestConstantsCommand:
         assert payload["params"] == {"parent": "bh", "divisor": 2.125, "n": 4}
         assert payload["values"] == [float(line.split(",")[1])
                                      for line in csv_out.splitlines()[2:]]
+
+
+def test_constants_without_params_name_the_family_alone():
+    c = CriticalVector(np.array([0.25, 0.5]))
+    assert fileio.constants_csv(c) == "# family: custom\nindex,value\n1,0.25\n2,0.5\n"
 
 
 class TestOptimizeCommand:
@@ -572,10 +578,16 @@ class TestUsageErrors:
          "n must be a positive integer, got 0"),
         (["constants", "--family", "rs", "--n", "5", "--gamma", "1.5"],
          "gamma must lie in [0, 1), got 1.5"),
+        (["constants", "--n", "5"], "constants requires --family"),
+        (["optimize", "--n", "5", "--rate", "fdp-su", "--gamma", "0.05"],
+         "optimize requires --family"),
+        (["adjust", "--input", "pvalues.txt", "--rate", "fdp-su", "--gamma", "0.05",
+          "--alpha", "0.5"], "adjust requires --family"),
     ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
             "simulate-threads-0", "simulate-n-0", "simulate-alpha-1", "simulate-gamma-1",
             "constants-bh-n-0", "constants-by-n-0", "constants-gr-n-0", "constants-rs-n-0",
-            "constants-rs-gamma-1.5"])
+            "constants-rs-gamma-1.5", "constants-no-family", "optimize-no-family",
+            "adjust-no-family"])
     def test_invalid_arguments_exit_2(self, argv, message, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -658,6 +670,13 @@ def never_build(spec):
     raise AssertionError(f"dense matrix built for {spec}")
 
 
+def patch_matrix_builds(monkeypatch, builder):
+    """Rebind ``associated_matrix`` in every mtbounds module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mtbounds" and hasattr(module, "associated_matrix"):
+            monkeypatch.setattr(module, "associated_matrix", builder)
+
+
 class TestMatrixFree:
     """Commands that only need A @ c never build the dense matrix."""
 
@@ -670,8 +689,7 @@ class TestMatrixFree:
         ["constants", "--family", "rs", "--n", "15", "--rate", "kfwer-su", "--k", "1"],
     ], ids=lambda argv: "-".join(argv[:5:2]))
     def test_no_dense_build(self, argv, bh95_file, monkeypatch, capsys):
-        for module in (cli, matrices, procedures):
-            monkeypatch.setattr(module, "associated_matrix", never_build)
+        patch_matrix_builds(monkeypatch, never_build)
         if argv[0] == "adjust":
             argv = argv + ["--input", str(bh95_file)]
         code, out, err = run(capsys, *argv)
@@ -679,7 +697,7 @@ class TestMatrixFree:
         assert out
 
     def test_verify_input_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "associated_matrix", never_build)
+        patch_matrix_builds(monkeypatch, never_build)
         const_file = tmp_path / "constants.csv"
         const_file.write_text("index,value\n1,0.25\n2,0.5\n")
         code, out, _ = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
@@ -694,7 +712,7 @@ def never_read(matrix):
 
 class TestSparseLP:
     """The LP reads A's sparse rows and never its dense entries; a cache hit
-    reads neither."""
+    poses the program on the spec alone and builds no matrix object."""
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.05"],
@@ -705,6 +723,8 @@ class TestSparseLP:
          "--modified"],
         ["constants", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.1",
          "--modified"],
+        ["verify", "--family", "bh", "--n", "15", "--rate", "kfwer-su", "--k", "2",
+         "--modified"],
     ], ids=lambda argv: "-".join(argv[:5:2]))
     def test_cold_and_warm(self, argv, bh95_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(matrices.AssociatedMatrix, "entries", property(never_read))
@@ -714,6 +734,7 @@ class TestSparseLP:
         cold = run(capsys, *argv)
         assert cold[0] == 0 and cold[2] == ""
         monkeypatch.setattr(matrices.AssociatedMatrix, "rows", property(never_read))
+        patch_matrix_builds(monkeypatch, never_build)
         assert run(capsys, *argv) == cold
 
 
@@ -727,7 +748,7 @@ class TestOutOfMemory:
             raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
                               "(20000, 20000) and data type float64")
 
-        monkeypatch.setattr(cli, "associated_matrix", out_of_memory)
+        patch_matrix_builds(monkeypatch, out_of_memory)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

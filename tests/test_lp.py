@@ -71,14 +71,14 @@ class TestTrivialCases:
     def test_single_variable(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 1, k=1))
         floor = CriticalVector(np.array([0.5]))
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         assert solution.xi.values.tolist() == [1.0]
         assert solution.objective == pytest.approx(1.0, abs=0)
 
     def test_fixed_point_floor(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 10, k=1))
         floor = rescaled_floor(matrix, "rs")
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         assert np.allclose(solution.xi.values, floor.values, atol=1e-12)
         assert solution.m1 == pytest.approx(1.0, abs=1e-12)
         assert solution.m2 == pytest.approx(1.0, abs=1e-12)
@@ -88,7 +88,7 @@ class TestTrivialCases:
         # optimum caps each constant at 1/(11-j)
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 10, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         assert solution.floor_objective == pytest.approx(22 / 3, abs=1e-12)
         assert solution.objective == pytest.approx(10.0, abs=1e-12)
         assert np.allclose(solution.xi.values, 1 / (11 - np.arange(1, 11)), atol=1e-12)
@@ -98,7 +98,7 @@ class TestTrivialCases:
     def test_zero_floor_optimizes_whole_feasible_set(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         floor = CriticalVector(np.zeros(10))
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         assert solution.objective == pytest.approx(scipy_optimum(matrix, floor), abs=1e-9)
         assert np.isnan(solution.m1)
 
@@ -132,7 +132,7 @@ class TestAgainstScipy:
         kwarg = "gamma" if rate.is_fdp else "k"
         matrix = associated_matrix(ErrorRateSpec(rate, n, **{kwarg: param}))
         floor = rescaled_floor(matrix, family)
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         check_solution_invariants(matrix, floor, solution)
         assert solution.objective == pytest.approx(
             scipy_optimum(matrix, floor), rel=1e-10, abs=1e-10)
@@ -152,7 +152,7 @@ class TestAgainstScipy:
         floor = CriticalVector(raw / np.max(bound_vector(matrix.spec, raw)))
         shrink = data.draw(st.floats(0.2, 1.0))
         floor = CriticalVector(floor.values * shrink)
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         check_solution_invariants(matrix, floor, solution)
         assert solution.objective == pytest.approx(
             scipy_optimum(matrix, floor), rel=1e-9, abs=1e-9)
@@ -162,7 +162,7 @@ class TestSaturationStructure:
     def test_su_tail_saturates_exactly_rows_32_to_50(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         bounds = bound_vector(matrix.spec, solution.xi)
         saturated = set(np.flatnonzero(bounds >= 1 - 1e-9) + 1)
         assert saturated == set(range(32, 51))
@@ -172,7 +172,7 @@ class TestSaturationStructure:
         # that pins the rescaling.
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 50, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         bounds = bound_vector(matrix.spec, solution.xi)
         assert bounds[31] < 1 - 1e-3
         assert np.all(bounds[32:] >= 1 - 1e-9)
@@ -182,16 +182,19 @@ class TestWeights:
     def test_uniform_weights_give_column_sums(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
-        problem = build_problem(matrix, floor)
-        assert np.allclose(problem.objective_coefficients,
-                           matrix.entries.sum(axis=0), atol=1e-12)
+        problem = build_problem(matrix.spec, floor)
+        assert np.array_equal(problem.weights, np.ones(8))
+        solution = solve(problem)
+        # F(xi) = w @ (A @ xi) = (w @ A) @ xi: the column sums under uniform weights
+        assert solution.objective == pytest.approx(
+            matrix.entries.sum(axis=0) @ solution.xi.values, rel=1e-12)
 
     def test_point_mass_objective_is_single_row_bound(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         w = np.zeros(8)
         w[4] = 1.0
-        problem = build_problem(matrix, floor, weights=w)
+        problem = build_problem(matrix.spec, floor, weights=w)
         solution = solve(problem)
         # mean-1 normalization makes the objective n * (A xi)_{i0}
         assert solution.objective == pytest.approx(
@@ -203,11 +206,11 @@ class TestWeights:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 4, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
         with pytest.raises(ValueError):
-            build_problem(matrix, floor, weights=np.array([1.0, -1.0, 0.0, 0.0]))
+            build_problem(matrix.spec, floor, weights=np.array([1.0, -1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            build_problem(matrix, floor, weights=np.zeros(4))
+            build_problem(matrix.spec, floor, weights=np.zeros(4))
         with pytest.raises(ValueError, match="weights must have length 4"):
-            build_problem(matrix, floor, weights=np.ones(3))
+            build_problem(matrix.spec, floor, weights=np.ones(3))
 
 
 class TestValidation:
@@ -215,20 +218,20 @@ class TestValidation:
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 6, gamma=0.05))
         raw = bh_constants(6)
         with pytest.raises(ValueError, match="floor is infeasible"):
-            build_problem(matrix, CriticalVector(raw.values * 10))
+            build_problem(matrix.spec, CriticalVector(raw.values * 10))
 
     def test_dimension_mismatch(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.05))
         with pytest.raises(ValueError):
-            build_problem(matrix, bh_constants(6))
+            build_problem(matrix.spec, bh_constants(6))
 
 
 class TestDeterminismAndDiagnostics:
     def test_bit_identical_resolve(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 25, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        first = solve(build_problem(matrix, floor))
-        second = solve(build_problem(matrix, floor))
+        first = solve(build_problem(matrix.spec, floor))
+        second = solve(build_problem(matrix.spec, floor))
         assert np.array_equal(first.xi.values, second.xi.values)
         assert first.objective == second.objective
 
@@ -237,7 +240,7 @@ class TestDeterminismAndDiagnostics:
         entry holding the floor yields the floor's own diagnostics."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 12, gamma=0.1))
         floor = rescaled_floor(matrix, "bh")
-        problem = build_problem(matrix, floor)
+        problem = build_problem(matrix.spec, floor)
         solve_cached(problem, tmp_path)
         next(tmp_path.glob("*.json")).write_text(json.dumps({
             "solver_version": SOLVER_VERSION, "xi": floor.values.tolist()}))
@@ -250,7 +253,7 @@ class TestDeterminismAndDiagnostics:
     def test_improvement_implies_componentwise_growth(self):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 25, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        solution = solve(build_problem(matrix, floor))
+        solution = solve(build_problem(matrix.spec, floor))
         assert solution.objective > solution.floor_objective
         assert np.any(solution.xi.values > floor.values + 1e-9)
         assert solution.objective <= matrix.n + 1e-9
@@ -259,7 +262,7 @@ class TestDeterminismAndDiagnostics:
         for n in (5, 20, 60):
             matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=0.1))
             floor = rescaled_floor(matrix, "rs")
-            solution = solve(build_problem(matrix, floor))
+            solution = solve(build_problem(matrix.spec, floor))
             assert solution.objective <= n + 1e-9
 
 
@@ -267,7 +270,7 @@ class TestCache:
     def test_roundtrip_bit_identical(self, tmp_path):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        problem = build_problem(matrix, floor)
+        problem = build_problem(matrix.spec, floor)
         fresh = solve_cached(problem, tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
         again = solve_cached(problem, tmp_path)
@@ -278,13 +281,13 @@ class TestCache:
     def test_distinct_problems_distinct_keys(self, tmp_path):
         for gamma in (0.05, 0.1):
             matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 15, gamma=gamma))
-            solve_cached(build_problem(matrix, rescaled_floor(matrix, "bh")), tmp_path)
+            solve_cached(build_problem(matrix.spec, rescaled_floor(matrix, "bh")), tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_version_mismatch_forces_resolve(self, tmp_path):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        problem = build_problem(matrix, floor)
+        problem = build_problem(matrix.spec, floor)
         solve_cached(problem, tmp_path)
         path = next(tmp_path.glob("*.json"))
         stale = path.read_text().replace(SOLVER_VERSION, "older-solver")
@@ -295,7 +298,7 @@ class TestCache:
 
     def test_version_change_overwrites_in_place(self, tmp_path, monkeypatch):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         solve_cached(problem, tmp_path)
         monkeypatch.setattr(lp, "SOLVER_VERSION", "newer-solver")
         solve_cached(problem, tmp_path)
@@ -307,7 +310,7 @@ class TestCache:
         """A write that fails before the rename removes its temporary file
         and stores nothing, so the next call solves afresh."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
 
         def failing_replace(src, dst):
             raise OSError("disk full")
@@ -325,9 +328,9 @@ class TestCache:
         so it is served from that entry, with provenance from its own floor."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
-        fresh = solve_cached(build_problem(matrix, floor), tmp_path)
+        fresh = solve_cached(build_problem(matrix.spec, floor), tmp_path)
         monkeypatch.setattr(lp, "solve", no_solve)
-        served = solve_cached(build_problem(matrix, CriticalVector(floor.values)), tmp_path)
+        served = solve_cached(build_problem(matrix.spec, CriticalVector(floor.values)), tmp_path)
         assert np.array_equal(served.xi.values, fresh.xi.values)
         assert served.xi.params == {"parent": "custom"}
 
@@ -340,7 +343,7 @@ class TestCache:
     ], ids=["no-xi", "short-xi", "below-floor", "infeasible", "null-in-xi"])
     def test_bad_entry_is_resolved(self, tmp_path, corrupt):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         clean = solve_cached(problem, tmp_path)
         path = next(tmp_path.glob("*.json"))
         entry = path.read_text()
@@ -351,7 +354,7 @@ class TestCache:
 
     def test_entry_holds_only_version_and_xi(self, tmp_path):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SD, 12, gamma=0.1))
-        problem = build_problem(matrix, rescaled_floor(matrix, "rs"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "rs"))
         fresh = solve_cached(problem, tmp_path)
         entry = json.loads(next(tmp_path.glob("*.json")).read_text())
         assert entry == {"solver_version": SOLVER_VERSION, "xi": fresh.xi.values.tolist()}
@@ -360,7 +363,7 @@ class TestCache:
 
     def test_forged_fields_are_recomputed(self, tmp_path):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         fresh = solve_cached(problem, tmp_path)
         path = next(tmp_path.glob("*.json"))
         entry = json.loads(path.read_text())
@@ -377,7 +380,7 @@ class TestCache:
         """Entries that also store the derived fields and the status are
         served from their xi, without a solve."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         fresh = solve_cached(problem, tmp_path)
         next(tmp_path.glob("*.json")).write_text(json.dumps({
             "solver_version": SOLVER_VERSION, "status": "optimal",
@@ -395,14 +398,14 @@ class TestCache:
     @pytest.mark.parametrize("cache_dir", [None, ""])
     def test_no_cache_dir_solves(self, cache_dir):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         solution = solve_cached(problem, cache_dir)
         assert np.array_equal(solution.xi.values, solve(problem).xi.values)
         assert solution.iterations > 0
 
     def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
-        problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         calls = []
 
         def failing(p):
@@ -419,11 +422,35 @@ class TestCache:
 
 def test_non_optimal_highs_status_raises(monkeypatch):
     matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
-    problem = build_problem(matrix, rescaled_floor(matrix, "bh"))
+    problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
     monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: SimpleNamespace(
         status=4, message="Numerical difficulties encountered.", nit=7, x=None))
     with pytest.raises(lp.SolverError, match="Numerical difficulties"):
         solve(problem)
+
+
+def test_decreasing_highs_optimum_raises(monkeypatch):
+    matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
+    problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
+    x = problem.floor.values.copy()
+    x[0] = x[1] + 2 * lp.FEASIBILITY_TOL
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        status=0, message="Optimization terminated successfully.", nit=3, x=x))
+    with pytest.raises(lp.SolverError, match="xi is not nondecreasing"):
+        solve(problem)
+
+
+def test_build_problem_reads_the_spec_of_a_matrix():
+    """perfbench still poses its program on an AssociatedMatrix; that is the
+    program of the matrix's spec."""
+    spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.05)
+    floor = family_constants("bh", 20, spec)
+    for weights in (None, np.arange(1.0, 21.0)):
+        from_spec = build_problem(spec, floor, weights)
+        from_matrix = build_problem(associated_matrix(spec), floor, weights)
+        assert from_matrix.spec is spec
+        assert np.array_equal(from_matrix.floor_bounds, from_spec.floor_bounds)
+        assert np.array_equal(from_matrix.weights, from_spec.weights)
 
 
 def test_each_bound_vector_computed_once_per_solve(monkeypatch):
@@ -438,7 +465,7 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
         return bound_vector(spec, c)
 
     monkeypatch.setattr(lp, "bound_vector", counting)
-    solution = solve(build_problem(matrix, floor))
+    solution = solve(build_problem(matrix.spec, floor))
     assert solution.status == "optimal"
     assert len(calls) == 2
     assert solution.m2 == pytest.approx(
@@ -449,9 +476,10 @@ def full_matrix_solve(problem):
     """The whole program in one HiGHS call with the solver's options, post-
     processed as ``solve`` post-processes each round."""
     n, c = problem.n, problem.floor.values
+    A = associated_matrix(problem.spec).rows
     steps = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
-    result = linprog(-problem.objective_coefficients,
-                     A_ub=sparse.vstack([problem.matrix.rows, steps], format="csr"),
+    result = linprog(-(problem.weights @ A),
+                     A_ub=sparse.vstack([A, steps], format="csr"),
                      b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
                      bounds=np.column_stack([c, np.full(n, np.inf)]),
                      method="highs", options={"presolve": False})
@@ -477,7 +505,7 @@ class TestRowGeneration:
         kwarg = "gamma" if rate.is_fdp else "k"
         matrix = associated_matrix(ErrorRateSpec(rate, n, **{kwarg: param}))
         floor = rescaled_floor(matrix, family)
-        problem = build_problem(matrix, floor)
+        problem = build_problem(matrix.spec, floor)
         solution = solve(problem)
         full = full_matrix_solve(problem)
         check_solution_invariants(matrix, floor, solution)
@@ -504,7 +532,7 @@ class TestRowGeneration:
         for rate, kwarg in [(Rate.FDP_SD, {"gamma": 0.05}), (Rate.KFWER_SU, {"k": 2})]:
             calls.clear()
             matrix = associated_matrix(ErrorRateSpec(rate, n, **kwarg))
-            solution = solve(build_problem(matrix, rescaled_floor(matrix, "rs")))
+            solution = solve(build_problem(matrix.spec, rescaled_floor(matrix, "rs")))
             assert solution.iterations == sum(nit for _, _, nit in calls)
             if rate is Rate.FDP_SD:
                 assert [(rows, np.isinf(upper).all()) for rows, upper, _ in calls] == [

@@ -474,6 +474,7 @@ def test_event_system_structure(rate, n):
 
 
 def test_rescale_reads_the_spec():
+    """perfbench still passes an AssociatedMatrix; rescale reads its spec."""
     spec = ErrorRateSpec(Rate.FDP_SU, 40, gamma=0.1)
     from_spec, d_spec = rescale(bh_constants(40), spec)
     from_matrix, d_matrix = rescale(bh_constants(40), associated_matrix(spec))
