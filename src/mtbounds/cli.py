@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # InputFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except MemoryError as exc:  # matrix holds n*n floats, a step-up LP about n*n/2 nonzeros
+    except MemoryError as exc:  # matrix holds n*n floats, an fdp-su LP about n*n/2 nonzeros
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

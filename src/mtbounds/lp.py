@@ -7,21 +7,27 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-The program is solved by HiGHS through ``scipy.optimize.linprog``: the rows
-of A's sparse form, built by ``solve`` alone from the problem's spec, are
-stacked on the difference rows ``xi_j - xi_{j+1} <= 0``, and the floor is
-passed as the variables' lower bounds. HiGHS's presolve is off: it did not
-shorten these solves, and on the step-up matrices, about half full, its
-time grew by a fifth when another process streamed memory. Those dense
-programs are solved by row generation (Kelley's cutting-plane method): at
-the optimum only a few dozen of their n rows are tight, so ``solve`` hands
-HiGHS a growing subset of the rows until no other row is violated. A sparse
-matrix goes to HiGHS whole, in one round. HiGHS is deterministic, so
-repeated solves are bit-identical.
+A kFWER program (kfwer-su, kfwer-sd) has a known optimum: the
+Lehmann-Romano column bounds when stepping down, a back-substitution over
+the nested row supports (``matrices.saturate_rows``) when stepping up.
+``solve`` computes it in O(n) memory and O(nnz(A)) time, builds no matrix
+and calls no solver. Every tail-FDP program, and a closed
+form that fails its monotone or floor test, is solved by HiGHS through
+``scipy.optimize.linprog``: the rows of A's sparse form, built by ``solve``
+alone from the problem's spec, are stacked on the difference rows
+``xi_j - xi_{j+1} <= 0``, and the floor is passed as the variables' lower
+bounds. HiGHS's presolve is off: it did not shorten these solves, and on
+the step-up matrices, about half full, its time grew by a fifth when
+another process streamed memory. Those dense programs are solved by row
+generation (Kelley's cutting-plane method): at the optimum only a few
+dozen of their n rows are tight, so ``solve`` hands HiGHS a growing subset
+of the rows until no other row is violated. A sparse matrix goes to HiGHS
+whole, in one round. Both paths are deterministic, so repeated solves are
+bit-identical.
 
 xi is the program's one product: the objective, M1, M2 and provenance are
 functions of A, the floor and xi, and are fields of ``LPSolution``.
-``_solution`` alone accepts a candidate xi, from HiGHS or from the cache,
+``_solution`` alone accepts a candidate xi, solved or from the cache,
 raises SolverError on a rejection, and derives those fields from the
 floor's bound vector and the one ``A @ xi`` that its check computed; both
 are taken without building A, so a cache hit builds no matrix.
@@ -41,8 +47,8 @@ import scipy
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .constants import CriticalVector, Family
-from .matrices import ErrorRateSpec, associated_matrix, bound_vector
+from .constants import CriticalVector, Family, rs_constants
+from .matrices import ErrorRateSpec, associated_matrix, bound_vector, saturate_rows
 
 __all__ = [
     "SOLVER_VERSION",
@@ -54,7 +60,7 @@ __all__ = [
     "solve_cached",
 ]
 
-SOLVER_VERSION = f"highs-rowgen-nopresolve-scipy-{scipy.__version__}"
+SOLVER_VERSION = f"kfwer-closedform+highs-rowgen-nopresolve-scipy-{scipy.__version__}"
 FEASIBILITY_TOL = 1e-9
 START_ROWS = 40  # rows of the first restricted program of a dense matrix
 
@@ -88,7 +94,7 @@ class LPSolution:
     m2 = max (A xi)_i / (A floor)_i over rows with positive floor bound.
     Both are vertex diagnostics: the objective value is the unique part of
     the optimum, the maximizing vertex need not be. ``iterations`` is 0 for
-    a cache hit.
+    a cache hit or a closed-form solve.
     """
 
     xi: CriticalVector
@@ -169,9 +175,51 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
                       iterations=iterations)
 
 
+def _closed_form(problem: LPProblem) -> np.ndarray | None:
+    """The optimum of a kFWER program, or None for a tail-FDP one; A is not
+    built.
+
+    The threshold k is constant, so rows below k are empty and columns below
+    k lie in no row; they stay at the floor, the vertex HiGHS returns.
+    Step-down row i >= k holds i/k on column n - i + k alone, so the optimum
+    for any nonnegative weights is the coordinatewise largest feasible
+    vector: the Lehmann-Romano constants k/(n + k - j) (2005), lifted to the
+    floor where rounding leaves them a hair below.
+
+    Step-up row i >= k holds columns n - i + k..n, so the supports are
+    nested. Let i* be the last tight row, one whose floor bound is 1 to
+    within 1e-12 (k - 1 when there is none). Its coefficients are positive,
+    so every column in its support, and every row up to i*, is held at the
+    floor. Each later row adds one column, and ``saturate_rows`` sets the
+    rows i*+1..n to exactly 1 in turn. No feasible xi has an objective
+    above ``sum_{i<=i*} w_i (A floor)_i + sum_{i>i*} w_i``, and this vector
+    attains that bound, so it is optimal whenever it is nondecreasing and
+    at or above the floor (complementary slackness with dual y = w on the
+    tight rows; Bertsimas & Tsitsiklis 1997, ch. 4); ``solve`` checks both.
+
+    Tail-FDP at gamma * n < 1 has the constant threshold 1 too, the program
+    of kFWER with k = 1, but goes to HiGHS: perfbench's tracer test counts
+    the matrix bytes of such a solve (fdp-sd, gamma 0.05, n = 15).
+    """
+    spec = problem.spec
+    if spec.rate.is_fdp:
+        return None
+    k = spec.k
+    xi = problem.floor.values.copy()
+    if spec.rate.direction == "sd":
+        xi[k - 1:] = np.maximum(rs_constants(spec).values[k - 1:], xi[k - 1:])
+        return xi
+    tight = np.flatnonzero(problem.floor_bounds >= 1.0 - 1e-12)
+    return saturate_rows(spec, xi, int(tight[-1]) + 2 if tight.size else k)
+
+
 def solve(problem: LPProblem) -> LPSolution:
-    """Solve the program with HiGHS by row generation and package the optimum
-    with its diagnostics.
+    """Solve the program and package the optimum with its diagnostics.
+
+    A kFWER program takes ``_closed_form``'s optimum: no matrix is built,
+    no HiGHS call is made and ``iterations`` is 0. If that vector is not
+    nondecreasing or falls below the floor, the program goes to HiGHS like
+    any other.
 
     A matrix with at most ``2 * START_ROWS * n`` nonzeros, about as many as
     a first restricted program of a step-up matrix would hold, goes to HiGHS
@@ -198,6 +246,9 @@ def solve(problem: LPProblem) -> LPSolution:
     the floor exactly.
     """
     c = problem.floor.values
+    xi = _closed_form(problem)
+    if xi is not None and np.all(np.diff(xi) >= 0) and np.all(xi >= c):
+        return _solution(problem, xi, 0)
     n = problem.n
     A = associated_matrix(problem.spec).rows
     active, scale, upper = None, np.ones(n), np.full(n, np.inf)

@@ -670,6 +670,10 @@ def never_build(spec):
     raise AssertionError(f"dense matrix built for {spec}")
 
 
+def never_call_highs(*args, **kwargs):
+    raise AssertionError("HiGHS called")
+
+
 def patch_matrix_builds(monkeypatch, builder):
     """Rebind ``associated_matrix`` in every mtbounds module that holds it."""
     for name, module in list(sys.modules.items()):
@@ -678,7 +682,8 @@ def patch_matrix_builds(monkeypatch, builder):
 
 
 class TestMatrixFree:
-    """Commands that only need A @ c never build the dense matrix."""
+    """Commands that only need A @ c never build the dense matrix or call
+    HiGHS; a cold kFWER optimize is one of them, solved in closed form."""
 
     @pytest.mark.parametrize("argv", [
         ["adjust", "--family", "bh", "--rate", "fdp-su", "--gamma", "0.05", "--alpha", "0.5"],
@@ -687,9 +692,12 @@ class TestMatrixFree:
         ["verify", "--family", "bh", "--n", "15", "--rate", "kfwer-su", "--k", "2"],
         ["constants", "--family", "bh", "--n", "15", "--rate", "fdp-su", "--gamma", "0.05"],
         ["constants", "--family", "rs", "--n", "15", "--rate", "kfwer-su", "--k", "1"],
+        ["optimize", "--family", "rs", "--n", "300", "--rate", "kfwer-su", "--k", "2"],
+        ["optimize", "--family", "bh", "--n", "300", "--rate", "kfwer-sd", "--k", "2"],
     ], ids=lambda argv: "-".join(argv[:5:2]))
     def test_no_dense_build(self, argv, bh95_file, monkeypatch, capsys):
         patch_matrix_builds(monkeypatch, never_build)
+        monkeypatch.setattr(lp, "linprog", never_call_highs)
         if argv[0] == "adjust":
             argv = argv + ["--input", str(bh95_file)]
         code, out, err = run(capsys, *argv)
@@ -784,8 +792,8 @@ PINNED_SHA256 = {
     ('constants', 'json'): "6e49f535b226f6834ebacb329f96eaf90b9c268d2c14bc2fee0a396514399c8c",
     ('matrix', 'csv'): "ec82d0d203df770330d52060eaaa60d029ad3cca08556f340294b7106bba721a",
     ('matrix', 'json'): "e399e885374405c872aa3fb0a281407e4c05d903a793a77e572b6ed0c9f87769",
-    ('optimize', 'csv'): "e6f8e6d7a79e9cd88ba31da3203e9629dac6807a94c8351fcba721bc32c75653",
-    ('optimize', 'json'): "442678ff1e2f20f46c7ec79e9605e5ca5b2f0569d6231de8d436cb9508a9667f",
+    ('optimize', 'csv'): "6c227d68a3d3beede3dc116f239c0b758c86d3b70893f1ff8e0d8e7f2066bd72",
+    ('optimize', 'json'): "76567ae85a41b56cb17ce2f1749d1fe10b51173b7b6ed6019a71873fac2d7bdc",
     ('simulate', 'csv'): "e0a5f4a5088263d2e2c6ec7f3a82e2df48eb06a045c6e2f20e31a06a22871f7d",
     ('simulate', 'json'): "a1631b45d0bfcca620c2f0ccb9f6ae97c34104befead50dc0f8f29e027920fdc",
     ('verify', 'csv'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",

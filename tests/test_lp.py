@@ -16,10 +16,11 @@ from mtbounds import (
     bound_vector,
     build_problem,
     family_constants,
+    rs_constants,
     solve,
     solve_cached,
 )
-from mtbounds import lp
+from mtbounds import lp, matrices
 from mtbounds.lp import SOLVER_VERSION
 
 
@@ -513,7 +514,8 @@ class TestRowGeneration:
             problem.weights @ bound_vector(matrix.spec, full), rel=1e-9)
         pos = floor.values > 0
         assert solution.m1 == pytest.approx(np.max(full[pos] / floor.values[pos]), rel=1e-9)
-        if matrix.rows.nnz <= 2 * lp.START_ROWS * n:  # today's program, in one round
+        one_round = matrix.rows.nnz <= 2 * lp.START_ROWS * n  # today's program, in one round
+        if matrix.spec.rate.is_fdp and one_round:
             assert np.array_equal(solution.xi.values, full)
 
     def test_rounds(self, monkeypatch):
@@ -529,10 +531,10 @@ class TestRowGeneration:
 
         monkeypatch.setattr(lp, "linprog", recording)
         n = 400
-        for rate, kwarg in [(Rate.FDP_SD, {"gamma": 0.05}), (Rate.KFWER_SU, {"k": 2})]:
+        for rate, family in [(Rate.FDP_SD, "rs"), (Rate.FDP_SU, "bh")]:
             calls.clear()
-            matrix = associated_matrix(ErrorRateSpec(rate, n, **kwarg))
-            solution = solve(build_problem(matrix.spec, rescaled_floor(matrix, "rs")))
+            matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=0.05))
+            solution = solve(build_problem(matrix.spec, rescaled_floor(matrix, family)))
             assert solution.iterations == sum(nit for _, _, nit in calls)
             if rate is Rate.FDP_SD:
                 assert [(rows, np.isinf(upper).all()) for rows, upper, _ in calls] == [
@@ -542,3 +544,161 @@ class TestRowGeneration:
                 assert rows[0] == lp.START_ROWS + 1 and len(rows) > 1
                 assert rows == sorted(set(rows)) and rows[-1] < n
                 assert all(np.isfinite(upper).all() for _, upper, _ in calls)
+
+
+def closed_form_weights(kind, n):
+    if kind == "uniform":
+        return None
+    if kind == "random":
+        return np.random.default_rng(n).uniform(0.0, 1.0, n)
+    return np.arange(1.0, n + 1.0) ** 4  # skewed toward the rows with many true nulls
+
+
+def highs_forbidden(*args, **kwargs):
+    raise AssertionError("HiGHS called for a closed-form program")
+
+
+def recording_linprog(calls):
+    def recording(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape)
+        return linprog(*args, **kwargs)
+    return recording
+
+
+# (rate, n, k, family, weights): every program here has a constant threshold.
+CLOSED_FORM_CASES = [
+    (rate, n, k, family, weights)
+    for rate in (Rate.KFWER_SU, Rate.KFWER_SD)
+    for n in (1, 2, 3, 10, 50, 400)
+    for k in sorted({1, 2, 5, n})
+    if k <= n
+    for family in ("bh", "rs")
+    for weights in ("uniform", "random", "skewed")
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "rate,n,k,family,weights", CLOSED_FORM_CASES,
+        ids=[f"{r.value}-{n}-{k}-{f}-{w}" for r, n, k, f, w in CLOSED_FORM_CASES])
+    def test_exact_optimum(self, rate, n, k, family, weights, monkeypatch):
+        """Step-up attains the bound of its optimality proof; step-down is
+        the Lehmann-Romano vector of column bounds. Both match a whole-program
+        HiGHS solve on F(xi) and M1."""
+        spec = ErrorRateSpec(rate, n, k=k)
+        floor = family_constants(family, n, spec)
+        problem = build_problem(spec, floor, closed_form_weights(weights, n))
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        solution = solve(problem)
+        matrix = associated_matrix(spec)
+        check_solution_invariants(matrix, floor, solution)
+        assert solution.iterations == 0
+        xi, c, w = solution.xi.values, floor.values, problem.weights
+        assert np.array_equal(xi[:k - 1], c[:k - 1])  # columns in no row stay at the floor
+        if rate is Rate.KFWER_SU:
+            tight = np.flatnonzero(problem.floor_bounds >= 1.0 - 1e-12)
+            last = tight[-1] + 1 if tight.size else k - 1
+            bound = w[:last] @ problem.floor_bounds[:last] + w[last:].sum()
+            assert solution.objective == pytest.approx(bound, rel=1e-12)
+        else:
+            lehmann_romano = rs_constants(spec).values[k - 1:]
+            assert lehmann_romano == pytest.approx(
+                1.0 / matrix.entries.max(axis=0)[k - 1:], rel=1e-15)  # the column bounds
+            assert np.array_equal(xi[k - 1:], np.maximum(lehmann_romano, c[k - 1:]))
+        full = full_matrix_solve(problem)
+        assert solution.objective == pytest.approx(w @ bound_vector(spec, full), rel=1e-9)
+        pos = c > 0
+        assert solution.m1 == pytest.approx(np.max(full[pos] / c[pos]), rel=1e-9)
+
+    @pytest.mark.parametrize("rate", [Rate.KFWER_SU, Rate.KFWER_SD])
+    @pytest.mark.parametrize("n,k", [(1, 1), (10, 2), (50, 5)])
+    def test_zero_floor(self, rate, n, k, monkeypatch):
+        """With no tight row, step-up sets rows k..n to 1: all mass on xi_n."""
+        spec = ErrorRateSpec(rate, n, k=k)
+        problem = build_problem(spec, CriticalVector(np.zeros(n)))
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        solution = solve(problem)
+        assert solution.objective == pytest.approx(n - k + 1, rel=1e-12)
+        if rate is Rate.KFWER_SU:
+            assert solution.xi.values.tolist() == [0.0] * (n - 1) + [1.0]
+
+    @pytest.mark.parametrize("n,k", [(10, 2), (50, 2), (50, 5)])
+    def test_back_substitution_starts_after_the_last_tight_row(self, n, k, monkeypatch):
+        """A floor whose tight rows have a gap (row r + 1 below 1, rows r and
+        r + 2..n at 1) is its own optimum: every column lies in a tight row."""
+        spec = ErrorRateSpec(Rate.KFWER_SU, n, k=k)
+        x = solve(build_problem(spec, family_constants("bh", n, spec))).xi.values.copy()
+        r = int(np.flatnonzero(bound_vector(spec, x) >= 1.0 - 1e-12)[0]) + 1
+        j = n - r + k - 2  # 0-based column that row r + 1 adds
+        x[j] -= 1e-3 * (x[j] - x[j - 1])
+        floor = CriticalVector(matrices.saturate_rows(spec, x, r + 2))
+        bounds = bound_vector(spec, floor)
+        assert bounds[r - 1] >= 1.0 - 1e-12 and bounds[r] < 1.0 - 1e-6
+        assert np.all(bounds[r + 1:] >= 1.0 - 1e-12)
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        solution = solve(build_problem(spec, floor))
+        assert np.array_equal(solution.xi.values, floor.values)
+
+    def test_decreasing_back_substitution_falls_back_to_highs(self, monkeypatch):
+        spec = ErrorRateSpec(Rate.KFWER_SU, 50, k=2)
+        floor = family_constants("bh", 50, spec)
+        problem = build_problem(spec, floor)
+        closed = solve(problem)
+        calls = []
+        monkeypatch.setattr(lp, "_closed_form", lambda problem: np.linspace(1.0, 0.5, 50))
+        monkeypatch.setattr(lp, "linprog", recording_linprog(calls))
+        solution = solve(problem)
+        assert calls and solution.iterations > 0
+        check_solution_invariants(associated_matrix(spec), floor, solution)
+        assert solution.objective == pytest.approx(closed.objective, rel=1e-9)
+
+    def test_back_substitution_below_floor_falls_back_to_highs(self, monkeypatch):
+        """A shrunk floor has no tight row, and setting rows k..n to 1 drives
+        xi below it; HiGHS solves that program."""
+        matrix = associated_matrix(ErrorRateSpec(Rate.KFWER_SU, 10, k=2))
+        floor = CriticalVector(rescaled_floor(matrix).values * 0.5)
+        assert lp._closed_form(build_problem(matrix.spec, floor))[8] < floor.values[8]
+        calls = []
+        monkeypatch.setattr(lp, "linprog", recording_linprog(calls))
+        solution = solve(build_problem(matrix.spec, floor))
+        assert calls and solution.iterations > 0
+        check_solution_invariants(matrix, floor, solution)
+        assert solution.objective == pytest.approx(
+            scipy_optimum(matrix, floor), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("family", ["bh", "rs"])
+    @pytest.mark.parametrize("n", [1, 10, 19])
+    def test_fdp_programs_with_constant_threshold_go_to_highs(self, n, family):
+        """fdp-su with gamma * n < 1 and fdp-sd at gamma 0 are kFWER programs
+        with k = 1, but HiGHS solves them; the optima agree."""
+        pairs = [(ErrorRateSpec(Rate.FDP_SU, n, gamma=0.0), Rate.KFWER_SU),
+                 (ErrorRateSpec(Rate.FDP_SU, n, gamma=0.99 / n), Rate.KFWER_SU),
+                 (ErrorRateSpec(Rate.FDP_SD, n, gamma=0.0), Rate.KFWER_SD)]
+        for fdp, kfwer_rate in pairs:
+            kfwer = ErrorRateSpec(kfwer_rate, n, k=1)
+            fdp_solution, kfwer_solution = (
+                solve(build_problem(spec, family_constants(family, n, spec)))
+                for spec in (fdp, kfwer))
+            assert fdp_solution.iterations > 0 and kfwer_solution.iterations == 0
+            assert fdp_solution.objective == pytest.approx(kfwer_solution.objective, rel=1e-9)
+            assert fdp_solution.m1 == pytest.approx(kfwer_solution.m1, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        ErrorRateSpec(Rate.KFWER_SU, 300, k=2), ErrorRateSpec(Rate.KFWER_SD, 300, k=2),
+    ], ids=["kfwer-su", "kfwer-sd"])
+    def test_cold_solve_builds_nothing_and_is_cached(self, spec, tmp_path, monkeypatch):
+        problem = build_problem(spec, family_constants("rs", spec.n, spec))
+
+        def no_matrix(spec):
+            raise AssertionError("matrix built for a closed-form program")
+
+        monkeypatch.setattr(lp, "associated_matrix", no_matrix)
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        fresh = solve_cached(problem, tmp_path)
+        assert fresh.iterations == 0
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        monkeypatch.setattr(lp, "solve", no_solve)
+        served = solve_cached(problem, tmp_path)
+        assert served.xi.values.tobytes() == fresh.xi.values.tobytes()
+        assert ((served.objective, served.m1, served.m2)
+                == (fresh.objective, fresh.m1, fresh.m2))

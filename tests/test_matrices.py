@@ -473,6 +473,29 @@ def test_event_system_structure(rate, n):
         assert np.all(last <= np.arange(1, n + 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("rate", [Rate.KFWER_SU, Rate.KFWER_SD])
+def test_saturate_rows_sets_the_later_rows_to_one(rate, n):
+    """Rows start..n of A @ xi are 1 to rounding; the columns no such row
+    solves for keep their value, and the dense system agrees."""
+    for k in sorted({1, min(2, n), n}):
+        spec = ErrorRateSpec(rate, n, k=k)
+        c = np.random.default_rng(n).uniform(0.0, 0.01, n)
+        for start in range(k, n + 1):
+            xi = matrices.saturate_rows(spec, c, start)
+            assert np.allclose(bound_vector(spec, xi)[start - 1:], 1.0, rtol=1e-12, atol=0)
+            assert np.allclose(associated_matrix(spec).entries[start - 1:] @ xi, 1.0,
+                               rtol=1e-12, atol=0)
+            solved = n + k - 1 - np.arange(start, n + 1)  # row i's column n - i + k, 0-based
+            kept = np.setdiff1d(np.arange(n), solved)
+            assert np.array_equal(xi[kept], c[kept])
+
+
+def test_saturate_rows_rejects_capped_levels():
+    with pytest.raises(ValueError, match="fdp-su caps its levels"):
+        matrices.saturate_rows(ErrorRateSpec(Rate.FDP_SU, 20, gamma=0.25), np.zeros(20), 1)
+
+
 def test_rescale_reads_the_spec():
     """perfbench still passes an AssociatedMatrix; rescale reads its spec."""
     spec = ErrorRateSpec(Rate.FDP_SU, 40, gamma=0.1)
