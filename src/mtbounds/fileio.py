@@ -78,24 +78,32 @@ def read_pvalues(path: str | Path) -> PValueVector:
     """Parse a p-value file: one decimal per line, or ``label,value`` rows.
 
     Blank lines and ``#`` comments are skipped. Raises InputFormatError with
-    the line number on non-numeric or out-of-range values.
+    the line number on non-numeric or out-of-range values; the first bad line
+    in the file is the one named.
     """
-    values: list[float] = []
-    labels: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in _data_lines(fh):
-            label = None
-            text = line
-            if "," in line:
-                label, text = (part.strip() for part in line.split(",", 1))
-            value = _number(path, line_no, text)
+        text = fh.read()
+    lines = [line.strip() for line in text.split("\n")]
+    data = [line for line in lines if line and line[0] != "#"]
+    if not data:
+        raise InputFormatError(path, 0, "no p-values found")
+    texts, labels = data, None
+    if "," in text:  # a line without one is labelled by its position, as by default
+        cells = [line.split(",", 1) if "," in line else (str(i), line)
+                 for i, line in enumerate(data, start=1)]
+        labels = tuple(label.strip() for label, _ in cells)
+        texts = [value.strip() for _, value in cells]
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        values = None
+    if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
+        # some line is bad: name the first one in file order, whichever check it fails
+        for line_no, line in _data_lines(lines):
+            value = _number(path, line_no, line.split(",", 1)[-1].strip())
             if not 0.0 <= value <= 1.0:
                 raise InputFormatError(path, line_no, f"p-value out of [0, 1]: {value!r}")
-            values.append(value)
-            labels.append(label if label is not None else str(len(values)))
-    if not values:
-        raise InputFormatError(path, 0, "no p-values found")
-    return PValueVector(np.array(values), labels=tuple(labels))
+    return PValueVector(values, labels=labels)
 
 
 def read_weights(path: str | Path, n: int) -> np.ndarray:
@@ -227,33 +235,31 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _decision_rows(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray):
-    """(index, label, p-value, adjusted p-value, rejected) per hypothesis in
-    input order."""
-    rows = zip(p.labels, p.values.tolist(), adjusted.tolist())
-    for i, (label, value, adjusted_value) in enumerate(rows, start=1):
-        yield i, label, value, adjusted_value, i in decision.rejected
-
-
 def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                   header: str) -> str:
+    rejected = decision.rejected
     lines = [
         f"# procedure: {header}",
         f"# rejections: {decision.n_rejected}",
         "index,label,pvalue,adjusted_pvalue,rejected",
     ]
-    lines += [f"{i},{label},{_fmt(value)},{_fmt(adj)},{int(rejected)}"
-              for i, label, value, adj, rejected in _decision_rows(p, decision, adjusted)]
+    # repr is _fmt here: p-values are never NaN, nor are adjusted values,
+    # ratios clipped to 1; most adjusted values are that 1, whose repr is known
+    rows = zip(range(1, p.n + 1), p.labels, p.values.tolist(), adjusted.tolist())
+    lines += [f"{i},{label},{value!r},{'1.0' if adj == 1.0 else repr(adj)},{int(i in rejected)}"
+              for i, label, value, adj in rows]
     return "\n".join(lines) + "\n"
 
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
-    keys = ("index", "label", "pvalue", "adjusted_pvalue", "rejected")
+    rows = zip(p.labels, p.values.tolist(), adjusted.tolist())
     payload = {
         "procedure": header,
         "rejections": decision.n_rejected,
-        "hypotheses": [dict(zip(keys, row)) for row in _decision_rows(p, decision, adjusted)],
+        "hypotheses": [{"index": i, "label": label, "pvalue": value, "adjusted_pvalue": adj,
+                        "rejected": i in decision.rejected}
+                       for i, (label, value, adj) in enumerate(rows, start=1)],
     }
     return json.dumps(payload, indent=2) + "\n"
 

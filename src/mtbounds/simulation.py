@@ -6,7 +6,9 @@ Gaussian p-values and applies every configured procedure. True nulls occupy
 the first ``true_count`` coordinates (mu = 0), the rest sit at ``effect``.
 The study runs the same pieces that ``sample_statistics`` and
 ``two_sided_p`` expose, a batch of replications at a time, and the step
-rules of ``procedures``; it counts false rejections itself.
+rules of ``procedures`` on p-values sorted by value. A step rule that
+rejects k hypotheses rejects exactly those with p <= thr[k-1], so its false
+rejections V are the true nulls with p <= thr[k-1], and 0 when k = 0.
 
 Replication r consumes its own counter block of the Philox stream (key =
 seed, counter = r * 2**128). Its noise is drawn once and shared by every
@@ -214,24 +216,41 @@ def _procedure_tables(
     return tables, failures
 
 
-def _run_batch(config: SimConfig, tables, cells: list[tuple[int, np.ndarray]],
-               R: np.ndarray, V: np.ndarray, start: int) -> None:
-    """The batch of replications from ``start`` in every cell: the noise is
-    drawn once, and each (true_count, mu) cell adds its own means to it. R
-    and V are indexed [cell, procedure, replication]."""
+def _false_rejections(nulls: np.ndarray, thr: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per replication (column of ``nulls``, one row per true null), the
+    true nulls' p-values at or below thr[k-1]: the false rejections of a step
+    rule that rejected k hypotheses. The thresholds are nondecreasing, so a
+    p-value past position k at or below thr[k-1] would pass thr[k] too:
+    step-up would reject k+1, step-down would not stop at k. Replications
+    with k = 0 read thr[-1], which the mask replaces by -inf. The counts lie
+    in 0..len(nulls), so the smallest unsigned type holding that sums them."""
+    cut = np.where(k > 0, thr[k - 1], -np.inf)
+    return np.add.reduce(nulls <= cut, axis=0, dtype=np.min_scalar_type(len(nulls)))
+
+
+def _run_batch(config: SimConfig, tables, R: np.ndarray, V: np.ndarray, start: int) -> None:
+    """The batch of replications from ``start`` in every cell. The noise is
+    drawn once and turned into p-values once for the nulls and once per
+    effect (``noise + 0.0`` and ``noise`` have the same ``|.|``, so each
+    p-value keeps its bits); cell (t, d) takes its first t columns from the
+    null block and the rest from effect d's. R and V are indexed
+    [cell, procedure, replication], cells in (true count, effect) order."""
     stop = min(start + _BATCH, config.reps)
     noise = _noise(_replication_normals(config.seed, start, stop, config.n + 1), config.rho)
-    rows = np.arange(stop - start)
-    for c, (true_count, mu) in enumerate(cells):
-        p = two_sided_p(noise + mu)
-        order = np.argsort(p, axis=1, kind="stable")
-        ps = np.take_along_axis(p, order, axis=1)
-        # the true nulls are the first true_count hypotheses
-        false_running = np.cumsum(order < true_count, axis=1, dtype=R.dtype)
-        for j, (_, direction, thr, _) in enumerate(tables):
-            k = _rejection_counts(ps, thr, direction)
-            R[c, j, start:stop] = k
-            V[c, j, start:stop] = np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
+    null_p = two_sided_p(noise)
+    null_rows = np.ascontiguousarray(null_p.T)  # a row per hypothesis: counts add whole rows
+    n_effects = len(config.effects)
+    for e, effect in enumerate(config.effects):
+        effect_p = two_sided_p(noise + effect)
+        for i, true_count in enumerate(config.true_counts):
+            c = i * n_effects + e
+            # the true nulls are the first true_count hypotheses
+            ps = np.concatenate((null_p[:, :true_count], effect_p[:, true_count:]), axis=1)
+            ps.sort(axis=1)
+            for j, (_, direction, thr, _) in enumerate(tables):
+                k = _rejection_counts(ps, thr, direction)
+                R[c, j, start:stop] = k
+                V[c, j, start:stop] = _false_rejections(null_rows[:true_count], thr, k)
 
 
 def run_study(
@@ -254,12 +273,11 @@ def run_study(
     if not tables:
         raise SolverError(f"every procedure failed: {failures}")
     grid = [(t, d) for t in config.true_counts for d in config.effects]
-    cells = [(t, _mean_vector(config.n, t, d)) for t, d in grid]
     # counts lie in 0..n: the smallest unsigned type holding n stores them exactly
     R = np.zeros((len(grid), len(tables), config.reps), dtype=np.min_scalar_type(config.n))
     V = np.zeros_like(R)
     starts = range(0, config.reps, _BATCH)
-    run = partial(_run_batch, config, tables, cells, R, V)
+    run = partial(_run_batch, config, tables, R, V)
     if threads == 1 or len(starts) == 1:  # a worker thread adds its own malloc arena
         list(map(run, starts))
     else:

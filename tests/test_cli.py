@@ -303,23 +303,36 @@ class TestAdjustCommand:
         payload = json.loads(out)
         assert [h["label"] for h in payload["hypotheses"]] == ["geneA", "geneB", "geneC"]
 
-    def test_malformed_input_exits_2_with_line(self, tmp_path, capsys):
+    # the first bad line in file order is named, whichever check it fails
+    @pytest.mark.parametrize("text, message", [
+        ("0.1\nnot-a-number\n", "not a number: 'not-a-number'"),
+        ("0.1\nabc\n1.5\n", "not a number: 'abc'"),
+        ("a,0.1\ng,abc\n", "not a number: 'abc'"),
+    ], ids=["not-a-number", "before-out-of-range", "labelled"])
+    def test_malformed_input_exits_2_with_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("0.1\nnot-a-number\n")
+        path.write_text(text)
         code, _, err = run(capsys, "adjust", "--input", str(path),
                            "--rate", "fdp-su", "--family", "bh",
                            "--gamma", "0.1", "--alpha", "0.5")
         assert code == 2
-        assert ":2:" in err
+        assert err == f"error: {path}:2: {message}\n"
 
-    def test_out_of_range_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("0.1\n1.7\n", "p-value out of [0, 1]: 1.7"),
+        ("0.1\n1.5\nabc\n", "p-value out of [0, 1]: 1.5"),
+        ("0.1\nnan\n", "p-value out of [0, 1]: nan"),
+        ("0.1\ninf\n", "p-value out of [0, 1]: inf"),
+        ("a,0.1\ng,-0.5\n", "p-value out of [0, 1]: -0.5"),
+    ], ids=["above-one", "before-not-a-number", "nan", "inf", "labelled-negative"])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("0.1\n1.7\n")
+        path.write_text(text)
         code, _, err = run(capsys, "adjust", "--input", str(path),
                            "--rate", "fdp-su", "--family", "bh",
                            "--gamma", "0.1", "--alpha", "0.5")
         assert code == 2
-        assert ":2:" in err
+        assert err == f"error: {path}:2: {message}\n"
 
     def test_blank_and_comment_lines_skipped(self, bh95_file, tmp_path, capsys):
         argv = ["--family", "by", "--alpha", "0.05"]
@@ -327,6 +340,20 @@ class TestAdjustCommand:
         path = tmp_path / "commented.txt"
         path.write_text("# BH95\n\n" + "".join(f"{p}\n  \n# next\n" for p in BH95_PVALUES))
         assert run(capsys, "adjust", "--input", str(path), *argv) == expected
+
+    def test_decisions_csv_matches_per_value_formatting(self, tmp_path):
+        # reference: every value through fileio._fmt, one row at a time
+        path = tmp_path / "p.txt"
+        path.write_text("a, -0.0\n0.0\n# c,d\n\nb ,1e-300\n5e-324\n1\n0.30000000000000004\n")
+        p = fileio.read_pvalues(path)
+        assert p.labels == ("a", "2", "b", "4", "5", "6")
+        adjusted = np.array([-0.0, 0.0, 1.0, 0.5, 1e-300, 0.30000000000000004])
+        decision = procedures.DecisionSet(frozenset({1, 3, 6}))
+        expected = ["# procedure: X", "# rejections: 3",
+                    "index,label,pvalue,adjusted_pvalue,rejected"]
+        expected += [f"{i},{label},{fileio._fmt(v)},{fileio._fmt(a)},{int(i in decision.rejected)}"
+                     for i, (label, v, a) in enumerate(zip(p.labels, p.values, adjusted), start=1)]
+        assert fileio.decisions_csv(p, decision, adjusted, "X") == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("text", ["", "# no values\n\n"], ids=["empty", "comments-only"])
     def test_empty_input_exits_2(self, tmp_path, text, capsys):

@@ -667,6 +667,23 @@ class TestClosedForm:
             scipy_optimum(matrix, floor), rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("family", ["bh", "rs"])
+    @pytest.mark.parametrize("n,k", [(10, 2), (50, 2), (50, 5)])
+    def test_nearly_tight_floor_is_not_tight(self, n, k, family):
+        """A floor whose largest row bound lies in (1 - 1e-6, 1 - 1e-12) has
+        no tight row, and F(xi) is that of a whole-program HiGHS solve. Were
+        those rows taken as tight, xi would keep their columns at the floor
+        and F(xi) would fall short by about 1e-7 relative."""
+        spec = ErrorRateSpec(Rate.KFWER_SU, n, k=k)
+        floor = CriticalVector(family_constants(family, n, spec).values * (1 - 1e-7))
+        problem = build_problem(spec, floor)
+        assert 1 - 1e-6 < problem.floor_bounds.max() < 1 - 1e-12
+        solution = solve(problem)
+        check_solution_invariants(associated_matrix(spec), floor, solution)
+        full = full_matrix_solve(problem)
+        assert solution.objective == pytest.approx(
+            problem.weights @ bound_vector(spec, full), rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["bh", "rs"])
     @pytest.mark.parametrize("n", [1, 10, 19])
     def test_fdp_programs_with_constant_threshold_go_to_highs(self, n, family):
         """fdp-su with gamma * n < 1 and fdp-sd at gamma 0 are kFWER programs

@@ -13,7 +13,8 @@ from mtbounds import (
     two_sided_p,
 )
 from mtbounds import fileio
-from mtbounds.simulation import _BATCH, _replication_normals
+from mtbounds.procedures import _rejection_counts
+from mtbounds.simulation import _BATCH, _false_rejections, _replication_normals
 
 
 class TestTwoSidedP:
@@ -102,6 +103,46 @@ class TestSubstreams:
             assert np.array_equal(z[rep], fresh.standard_normal(51)), rep
 
 
+def sorted_order_false_rejections(p, true_count, k):
+    """Reference V: the true nulls among the first k positions of the stable
+    sort order, counted by a running sum over the sorted indices."""
+    order = np.argsort(p, axis=1, kind="stable")
+    false_running = np.cumsum(order < true_count, axis=1)
+    rows = np.arange(p.shape[0])
+    return np.where(k > 0, false_running[rows, np.maximum(k - 1, 0)], 0)
+
+
+class TestFalseRejections:
+    # p-values and thresholds on a 0.01 grid, so that p-values tie with each
+    # other and with the cut thr[k-1]
+    @pytest.mark.parametrize("direction", ["su", "sd"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_sorted_order_count(self, direction, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        # null-like rows and rows of small p-values, so k runs from 0 to n
+        p = np.round(rng.uniform(size=(500, n)) ** rng.choice([1, 6], size=(500, 1)), 2)
+        thr = np.round(np.sort(rng.uniform(0, 0.6, size=n)), 2)
+        k = _rejection_counts(np.sort(p, axis=1), thr, direction)
+        assert k.min() == 0 and k.max() == n
+        cut = thr[np.maximum(k - 1, 0)][:, None]
+        assert np.any((k > 0)[:, None] & (p == cut))  # p-values right at the cut
+        for true_count in {0, 1, n // 2, n}:
+            got = _false_rejections(p[:, :true_count].T, thr, k)
+            assert np.array_equal(got, sorted_order_false_rejections(p, true_count, k))
+
+    def test_no_rejection_counts_none(self):
+        nulls = np.zeros((4, 3))  # four true nulls in three replications
+        thr = np.array([0.0, 0.0, 0.5, 1.0])
+        assert np.array_equal(_false_rejections(nulls, thr, np.zeros(3, dtype=int)), [0, 0, 0])
+        assert np.array_equal(_false_rejections(nulls, thr, np.array([1, 3, 4])), [4, 4, 4])
+
+    def test_counts_past_255_nulls(self):
+        nulls = np.zeros((300, 2))
+        counts = _false_rejections(nulls, np.full(300, 0.5), np.array([0, 300]))
+        assert counts.tolist() == [0, 300]
+
+
 def small_config(**overrides):
     base = dict(n=10, true_counts=(0, 5, 10), effects=(3.0,), reps=400, seed=123)
     base.update(overrides)
@@ -154,7 +195,10 @@ class TestRunStudy:
 
     def test_statistics_match_sample_statistics(self, monkeypatch):
         # row r of what the study turns into p-values is the draw that
-        # sample_statistics makes from replication r's own generator
+        # sample_statistics makes from replication r's own generator. Each
+        # batch converts the null block once and then one block per effect;
+        # cell (t, d) takes its first t columns from the null block and the
+        # rest from effect d's.
         import mtbounds.simulation as sim
 
         seen = []
@@ -165,17 +209,21 @@ class TestRunStudy:
             return real(t)
 
         monkeypatch.setattr(sim, "two_sided_p", record)
-        config = SimConfig(n=7, true_counts=(0, 3), effects=(0.5, 2.0), rho=0.3,
+        config = SimConfig(n=7, true_counts=(0, 3, 7), effects=(0.5, 2.0), rho=0.3,
                            reps=_BATCH + 5, seed=2**63 + 11)
         run_study(config, threads=1)
-        cells = [(t, d) for t in config.true_counts for d in config.effects]
-        assert len(seen) == 2 * len(cells)  # two batches, every cell in each
-        for c, (true_count, effect) in enumerate(cells):
-            stats = np.concatenate([seen[c], seen[len(cells) + c]])
-            for r in (0, 1, _BATCH - 1, _BATCH, _BATCH + 4):
-                rng = np.random.Generator(np.random.Philox(key=config.seed, counter=r << 128))
-                draw = sample_statistics(config.n, true_count, effect, config.rho, rng)
-                assert np.array_equal(stats[r], draw), (true_count, effect, r)
+        per_batch = 1 + len(config.effects)
+        assert len(seen) == 2 * per_batch  # two batches: the nulls, then each effect
+        null, *effects = (np.concatenate([seen[b], seen[per_batch + b]])
+                          for b in range(per_batch))
+        for true_count in config.true_counts:
+            for effect, block in zip(config.effects, effects):
+                stats = np.concatenate([null[:, :true_count], block[:, true_count:]], axis=1)
+                for r in (0, 1, _BATCH - 1, _BATCH, _BATCH + 4):
+                    rng = np.random.Generator(np.random.Philox(key=config.seed,
+                                                               counter=r << 128))
+                    draw = sample_statistics(config.n, true_count, effect, config.rho, rng)
+                    assert np.array_equal(stats[r], draw), (true_count, effect, r)
 
     def test_seed_changes_results(self):
         r1 = run_study(small_config(), threads=1)
