@@ -28,13 +28,13 @@ __all__ = [
 
 
 class Family(str, Enum):
+    """Where a vector came from, named as ``--family`` names it; ``custom``
+    is any other vector. Rescaling and LP improvement keep the family."""
+
     BH = "bh"
-    LR_FDP = "lr-fdp"
-    LR_KFWER = "lr-kfwer"
+    RS = "rs"
     BY = "by"
-    GR_SD = "gr-sd"
-    RESCALED = "rescaled"
-    MODIFIED = "modified"
+    GR = "gr"
     CUSTOM = "custom"
 
 
@@ -43,8 +43,9 @@ class CriticalVector:
     """A nondecreasing nonnegative vector of n critical constants.
 
     Values above 1 are legal here (against p-values in [0, 1] they act as
-    1). ``params`` records provenance such as gamma, k, the parent family
-    or the rescaling divisor.
+    1). ``params`` records the family's parameters, such as n, gamma or k,
+    and what later stages did: ``stage`` is "rescaled" or "modified" (a raw
+    vector has none), next to the rescaling ``divisor`` and the ``scale``.
     """
 
     values: np.ndarray
@@ -69,7 +70,8 @@ class CriticalVector:
         return self.values.size
 
     def scaled(self, s: float) -> "CriticalVector":
-        """The vector s*values with the same provenance, s > 0."""
+        """The vector s*values, s > 0, of the same family and stage; ``scale``
+        records the product of the factors."""
         if not s > 0:  # NaN fails the comparison too
             raise ValueError("scale must be positive")
         params = dict(self.params or {})
@@ -93,8 +95,7 @@ def rs_constants(spec: ErrorRateSpec) -> CriticalVector:
     n = spec.n
     k = spec.threshold
     i = np.arange(1, n + 1)
-    family = Family.LR_FDP if spec.rate.is_fdp else Family.LR_KFWER
-    return CriticalVector(k / (n + k - np.maximum(i, k)), family, dict([("n", n), spec.param]))
+    return CriticalVector(k / (n + k - np.maximum(i, k)), Family.RS, dict([("n", n), spec.param]))
 
 
 def _harmonic_prefix(n: int) -> np.ndarray:
@@ -123,7 +124,7 @@ def gr_sd_constants(n: int) -> CriticalVector:
     i = np.arange(1, n + 1, dtype=float)
     tail = n - i
     d = np.max((i / n) * (h[(n - i.astype(int))] + tail / (tail + 1.0) - tail / n))
-    return CriticalVector(np.arange(1, n + 1) / (n * d), Family.GR_SD, {"n": n, "divisor": float(d)})
+    return CriticalVector(np.arange(1, n + 1) / (n * d), Family.GR, {"n": n, "divisor": float(d)})
 
 
 def rescale(c: CriticalVector,
@@ -131,15 +132,13 @@ def rescale(c: CriticalVector,
     """Divide c by D = max(A @ c), the smallest factor making it feasible.
 
     ``spec`` names A (an ErrorRateSpec, or an AssociatedMatrix whose spec
-    is read); A itself is never built. Returns the rescaled vector (family
-    RESCALED, parent recorded in params) and D. Raises if the bound is
-    identically zero (c cannot be normalized).
+    is read); A itself is never built. Returns the rescaled vector, of c's
+    family with D as its ``divisor`` and stage "rescaled", and D. Raises if
+    the bound is identically zero (c cannot be normalized).
     """
     bounds = bound_vector(getattr(spec, "spec", spec), c)
     d = float(np.max(bounds))
     if d <= 0.0:
         raise ValueError("bound vector is identically zero; cannot rescale")
-    params = {"parent": c.family.value, "divisor": d}
-    if c.params:
-        params.update({k: v for k, v in c.params.items() if k != "divisor"})
-    return CriticalVector(c.values / d, Family.RESCALED, params), d
+    params = {**(c.params or {}), "divisor": d, "stage": "rescaled"}
+    return CriticalVector(c.values / d, c.family, params), d

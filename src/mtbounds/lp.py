@@ -25,8 +25,9 @@ of the rows until no other row is violated. A sparse matrix goes to HiGHS
 whole, in one round. Both paths are deterministic, so repeated solves are
 bit-identical.
 
-xi is the program's one product: the objective, M1, M2 and provenance are
-functions of A, the floor and xi, and are fields of ``LPSolution``.
+xi is the program's one product: the objective, M1 and M2 are functions
+of A, the floor and xi, and are fields of ``LPSolution``; xi keeps the
+floor's family and params, at stage "modified".
 ``_solution`` alone accepts a candidate xi, solved or from the cache,
 raises SolverError on a rejection, and derives those fields from the
 floor's bound vector and the one ``A @ xi`` that its check computed; both
@@ -47,7 +48,7 @@ import scipy
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .constants import CriticalVector, Family, rs_constants
+from .constants import CriticalVector, rs_constants
 from .matrices import ErrorRateSpec, associated_matrix, bound_vector, saturate_rows
 
 __all__ = [
@@ -143,18 +144,16 @@ def build_problem(
 
 
 def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution:
-    """Accept the candidate ``xi`` for ``problem`` and package it as the
-    MODIFIED vector with its provenance and diagnostics.
+    """Accept the candidate ``xi`` for ``problem`` and package it, as a
+    vector of the floor's family and params at stage "modified", with its
+    diagnostics.
 
     Raises SolverError unless xi is finite, nondecreasing, of length n, at
     or above the floor and has max(A @ xi) <= 1 + FEASIBILITY_TOL.
     """
-    params = dict(problem.floor.params or {})
-    if "parent" in params:
-        params["origin"] = params.pop("parent")
-    params["parent"] = problem.floor.family.value
+    params = {**(problem.floor.params or {}), "stage": "modified"}
     try:  # CriticalVector checks finite, nonnegative and nondecreasing
-        vec = CriticalVector(xi, Family.MODIFIED, params)
+        vec = CriticalVector(xi, problem.floor.family, params)
     except ValueError as exc:
         raise SolverError(f"solver failed: {exc}") from None
     if vec.n != problem.n:
@@ -302,7 +301,7 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
     An entry is named by a hash of rate, n, parameter, floor values and
     weights, and holds the solver version and xi (more fields are ignored).
     A hit passes xi through the acceptance check of a fresh optimum, which
-    recomputes the objective, M1, M2 and provenance, and reports 0
+    recomputes the objective, M1, M2, family and params, and reports 0
     iterations; xi round-trips bit-for-bit (JSON stores shortest-roundtrip
     decimals). An entry of another solver version, or one that does not
     decode or fails the check, is re-solved and overwritten in place. Only

@@ -20,6 +20,7 @@ import numpy as np
 from . import lp
 from .constants import (
     CriticalVector,
+    Family,
     bh_constants,
     by_constants,
     gr_sd_constants,
@@ -44,7 +45,7 @@ __all__ = [
 # matrix's feasible set; by and gr ship pre-normalized for FDR control, each
 # with its stepping direction and its constants.
 FDR_FAMILIES = {"by": ("su", by_constants), "gr": ("sd", gr_sd_constants)}
-FAMILIES = ("bh", "rs", *FDR_FAMILIES)
+FAMILIES = tuple(f.value for f in Family if f is not Family.CUSTOM)
 
 
 def _check_family(family: str, modified: bool) -> None:

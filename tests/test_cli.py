@@ -96,10 +96,35 @@ class TestConstantsCommand:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["family"] == "rescaled"
-        assert payload["params"] == {"parent": "bh", "divisor": 2.125, "n": 4}
+        assert payload["family"] == "bh"
+        assert payload["params"] == {"n": 4, "divisor": 2.125, "stage": "rescaled"}
         assert payload["values"] == [float(line.split(",")[1])
                                      for line in csv_out.splitlines()[2:]]
+
+    @pytest.mark.parametrize("family, rate, stage", [
+        *[(family, None, None) for family in procedures.FAMILIES],
+        *[(family, rate, stage) for family in ("bh", "rs") for rate in matrices.Rate
+          for stage in ("rescaled", "modified")],
+    ])
+    def test_every_stage_keeps_the_selector_name(self, family, rate, stage, capsys):
+        """A vector is named by the --family selector it came from at every
+        stage, and params["stage"] says whether it was rescaled or modified."""
+        spec, gamma, flags = None, None, []
+        if rate is not None:
+            spec = matrices.ErrorRateSpec(rate, 8, **({"gamma": 0.1} if rate.is_fdp else {"k": 2}))
+            name, value = spec.param
+            flags = ["--rate", rate.value, f"--{name}", str(value)]
+        elif family == "rs":  # raw rs reads gamma
+            gamma, flags = 0.1, ["--gamma", "0.1"]
+        modified = stage == "modified"
+        code, out, err = run(capsys, "constants", "--family", family, "--n", "8", *flags,
+                             *(["--modified"] if modified else []), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        c = procedures.family_constants(family, 8, spec, gamma, modified=modified)
+        assert (payload["family"], payload["params"].get("stage")) == (family, stage)
+        assert (c.family, c.params.get("stage")) == (family, stage)
+        assert payload["values"] == c.values.tolist()
 
 
 def test_constants_without_params_name_the_family_alone():
@@ -175,7 +200,7 @@ class TestOptimizeCommand:
         header = {line[2:].split(": ")[0]: line.split(": ")[1]
                   for line in csv_out.splitlines() if line.startswith("#")}
         assert payload["spec"] == {"rate": "fdp-sd", "n": 10, "gamma": 0.05}
-        assert payload["floor_family"] == "rescaled"
+        assert payload["floor_family"] == "bh"
         assert (payload["solver"], payload["status"]) == (lp.SOLVER_VERSION, "optimal")
         assert header["status"] == "optimal"
         for key in ("F_floor", "F_xi", "M1", "M2"):
@@ -263,14 +288,35 @@ class TestVerifyCommand:
         assert json.loads(out) == {"max_bound": float(np.max(matrices.bound_vector(spec, c))),
                                    "feasible": feasible}
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # optimize and constants JSON at n=4 as written when a rescaled or
+    # modified vector named its stage as its family
+    OLD_JSON = {
+        "old-optimize-json": """{"spec": {"rate": "fdp-sd", "n": 4, "gamma": 0.05},
+            "floor_family": "rescaled",
+            "solver": "kfwer-closedform+highs-rowgen-nopresolve-scipy-1.17.1",
+            "status": "optimal", "F_floor": 3.333333333333333, "F_xi": 4.0,
+            "M1": 1.5, "M2": 1.5,
+            "floor": [0.16666666666666666, 0.3333333333333333, 0.5, 0.6666666666666666],
+            "xi": [0.25, 0.3333333333333333, 0.5, 1.0]}""",
+        "old-constants-json": """{"family": "modified",
+            "params": {"divisor": 1.0, "n": 4, "gamma": 0.05,
+                       "origin": "lr-fdp", "parent": "rescaled"},
+            "values": [0.25, 0.3333333333333333, 0.5, 1.0]}""",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", *OLD_JSON])
     def test_optimize_output_roundtrip(self, fmt, tmp_path, capsys):
-        """verify reads xi from optimize's output in either format."""
-        spec = ["--rate", "fdp-sd", "--n", "20", "--gamma", "0.05"]
+        """verify reads xi from optimize's output in either format, and the
+        vector of optimize and constants JSON in the old family names."""
+        spec = ["--rate", "fdp-sd", "--n", "4" if fmt in self.OLD_JSON else "20",
+                "--gamma", "0.05"]
         solution = tmp_path / f"solution.{fmt}"
-        code, _, _ = run(capsys, "optimize", *spec, "--family", "bh", "--format", fmt,
-                         "--output", str(solution))
-        assert code == 0
+        if fmt in self.OLD_JSON:
+            solution.write_text(self.OLD_JSON[fmt])
+        else:
+            code, _, _ = run(capsys, "optimize", *spec, "--family", "bh", "--format", fmt,
+                             "--output", str(solution))
+            assert code == 0
         code, out, err = run(capsys, "verify", *spec, "--input", str(solution))
         assert (code, err) == (0, "")
         assert out == run(capsys, "verify", *spec, "--family", "bh", "--modified")[1]
@@ -559,7 +605,7 @@ class TestUsageErrors:
     def test_constants_rs_gamma_without_rate(self, capsys):
         code, out, err = run(capsys, "constants", "--family", "rs", "--n", "3", "--gamma", "0.2")
         assert (code, err) == (0, "")
-        assert out == ("# family: lr-fdp gamma=0.2 n=3\nindex,value\n1,0.3333333333333333\n"
+        assert out == ("# family: rs gamma=0.2 n=3\nindex,value\n1,0.3333333333333333\n"
                        "2,0.5\n3,1.0\n")
 
     @pytest.mark.parametrize("text, message", [
@@ -815,12 +861,12 @@ PINNED_SHA256 = {
     ('adjust-by', 'json'): "85111098b34033d965c783d4a482469c2a895418863c942e2b64b2e360acb9db",
     ('adjust-labels', 'csv'): "c35ff1610f0bebe8d184f3370c0299aad2890c8837a25f25a3db478303f64ed7",
     ('adjust-labels', 'json'): "601809787d405ee3acc8a42a8ea5affe40b91bbd3608b0d78b9f1f31ab85d748",
-    ('constants', 'csv'): "bdfa37cb60579e861246ff35379e2d2799028c74a26186a5c036ee67324040a0",
-    ('constants', 'json'): "6e49f535b226f6834ebacb329f96eaf90b9c268d2c14bc2fee0a396514399c8c",
+    ('constants', 'csv'): "629989c8fe964ff12e1810640e49ff84f36715f9561effd852d62ec0c2c15e62",
+    ('constants', 'json'): "9271c04460a7d954723f988cedae7cc7289574d7a2d82f82aa02a8680c1e95a4",
     ('matrix', 'csv'): "ec82d0d203df770330d52060eaaa60d029ad3cca08556f340294b7106bba721a",
     ('matrix', 'json'): "e399e885374405c872aa3fb0a281407e4c05d903a793a77e572b6ed0c9f87769",
-    ('optimize', 'csv'): "6c227d68a3d3beede3dc116f239c0b758c86d3b70893f1ff8e0d8e7f2066bd72",
-    ('optimize', 'json'): "76567ae85a41b56cb17ce2f1749d1fe10b51173b7b6ed6019a71873fac2d7bdc",
+    ('optimize', 'csv'): "b34d71c27c9e0e55f938d8756256bf3c222da329acc6fb71b54093b51b989faf",
+    ('optimize', 'json'): "9ca3e6251b127a197308103bb47e63472a9f407b25f14850511dc55e324867c4",
     ('simulate', 'csv'): "e0a5f4a5088263d2e2c6ec7f3a82e2df48eb06a045c6e2f20e31a06a22871f7d",
     ('simulate', 'json'): "a1631b45d0bfcca620c2f0ccb9f6ae97c34104befead50dc0f8f29e027920fdc",
     ('verify', 'csv'): "4fd7ec81f48c6d663bed0a91bc28669065c4e6064fc3c88d765e6621de67549b",

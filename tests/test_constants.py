@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from mtbounds import (
     CriticalVector,
     ErrorRateSpec,
-    Family,
     Rate,
     associated_matrix,
     bh_constants,
@@ -128,7 +127,7 @@ class TestRescale:
         ]:
             rescaled, divisor = rescale(c, matrix)
             assert np.max(bound_vector(matrix.spec, rescaled)) == pytest.approx(1.0, abs=1e-12)
-            assert rescaled.family is Family.RESCALED
+            assert (rescaled.family, rescaled.params["stage"]) == (c.family, "rescaled")
 
     def test_divisor_attained_at_row_32(self):
         spec = ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05)

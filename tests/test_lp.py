@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from mtbounds import (
     CriticalVector,
     ErrorRateSpec,
+    Family,
     Rate,
     associated_matrix,
     bh_constants,
@@ -326,14 +327,15 @@ class TestCache:
 
     def test_key_ignores_floor_provenance(self, tmp_path, monkeypatch):
         """A custom floor with the bits of a rescaled one is the same program,
-        so it is served from that entry, with provenance from its own floor."""
+        so it is served from that entry, with family and params from its own
+        floor."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
         floor = rescaled_floor(matrix, "bh")
         fresh = solve_cached(build_problem(matrix.spec, floor), tmp_path)
         monkeypatch.setattr(lp, "solve", no_solve)
         served = solve_cached(build_problem(matrix.spec, CriticalVector(floor.values)), tmp_path)
         assert np.array_equal(served.xi.values, fresh.xi.values)
-        assert served.xi.params == {"parent": "custom"}
+        assert (served.xi.family, served.xi.params) == (Family.CUSTOM, {"stage": "modified"})
 
     @pytest.mark.parametrize("corrupt", [
         lambda entry: {"solver_version": entry["solver_version"]},
@@ -370,7 +372,7 @@ class TestCache:
         entry = json.loads(path.read_text())
         path.write_text(json.dumps({**entry, "objective": 999.0, "floor_objective": 5.0,
                                     "m1": 42.0, "m2": 7.0,
-                                    "xi_params": {"parent": "forged"}}))
+                                    "xi_params": {"stage": "forged"}}))
         served = solve_cached(problem, tmp_path)
         assert np.array_equal(served.xi.values, fresh.xi.values)
         assert ((served.objective, served.floor_objective, served.m1, served.m2)

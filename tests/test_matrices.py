@@ -503,7 +503,7 @@ def test_rescale_reads_the_spec():
     from_matrix, d_matrix = rescale(bh_constants(40), associated_matrix(spec))
     assert d_spec == d_matrix
     assert np.array_equal(from_spec.values, from_matrix.values)
-    assert from_spec.family is Family.RESCALED
+    assert (from_spec.family, from_spec.params["stage"]) == (Family.BH, "rescaled")
     assert np.max(bound_vector(spec, from_spec)) <= 1 + 1e-12
 
 
