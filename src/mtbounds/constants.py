@@ -133,12 +133,13 @@ def rescale(c: CriticalVector,
 
     ``spec`` names A (an ErrorRateSpec, or an AssociatedMatrix whose spec
     is read); A itself is never built. Returns the rescaled vector, of c's
-    family with D as its ``divisor`` and stage "rescaled", and D. Raises if
-    the bound is identically zero (c cannot be normalized).
+    family at stage "rescaled" with ``divisor`` D times c's own (by, gr), and
+    D. Raises if the bound is identically zero (c cannot be normalized).
     """
     bounds = bound_vector(getattr(spec, "spec", spec), c)
     d = float(np.max(bounds))
     if d <= 0.0:
         raise ValueError("bound vector is identically zero; cannot rescale")
-    params = {**(c.params or {}), "divisor": d, "stage": "rescaled"}
+    params = dict(c.params or {})
+    params.update(divisor=d * float(params.get("divisor", 1.0)), stage="rescaled")
     return CriticalVector(c.values / d, c.family, params), d

@@ -58,6 +58,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json_list(items, depth: int = 1) -> str:
+    """A nonempty JSON array of encoded items, nested ``depth`` deep, as
+    ``json.dumps(indent=2)`` lays it out; it writes a finite float with
+    ``float.__repr__``."""
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(head: dict, **lists: str) -> str:
+    """``json.dumps({**head, **lists}, indent=2)`` and a newline, for a
+    nonempty ``head`` and top-level lists that ``_json_list`` wrote."""
+    tail = "".join(f',\n  "{key}": {text}' for key, text in lists.items())
+    return json.dumps(head, indent=2)[:-2] + tail + "\n}\n"
+
+
 def _data_lines(lines):
     """(line number, stripped line) for each line of an input file that is
     neither blank nor a ``#`` comment; lines count from 1."""
@@ -138,11 +153,9 @@ def matrix_csv(spec: ErrorRateSpec) -> str:
 
 
 def matrix_json(spec: ErrorRateSpec) -> str:
-    payload = {
-        "spec": _spec_payload(spec),
-        "entries": [[float(x) for x in row] for row in associated_matrix(spec).entries],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rows = associated_matrix(spec).entries.tolist()
+    return _json_object({"spec": _spec_payload(spec)},
+                        entries=_json_list(_json_list(map(repr, row), 2) for row in rows))
 
 
 def _params_text(c: CriticalVector) -> str:
@@ -158,12 +171,8 @@ def constants_csv(c: CriticalVector) -> str:
 
 
 def constants_json(c: CriticalVector) -> str:
-    payload = {
-        "family": c.family.value,
-        "params": dict(c.params or {}),
-        "values": [float(v) for v in c.values],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_object({"family": c.family.value, "params": dict(c.params or {})},
+                        values=_json_list(map(repr, c.values.tolist())))
 
 
 def read_constants(path: str | Path, n: int) -> CriticalVector:
@@ -220,7 +229,7 @@ def solution_csv(problem: LPProblem, solution: LPSolution) -> str:
 
 
 def solution_json(problem: LPProblem, solution: LPSolution) -> str:
-    payload = {
+    head = {
         "spec": _spec_payload(problem.spec),
         "floor_family": problem.floor.family.value,
         "solver": solution.solver_version,
@@ -229,10 +238,9 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
         "F_xi": solution.objective,
         "M1": None if math.isnan(solution.m1) else solution.m1,
         "M2": None if math.isnan(solution.m2) else solution.m2,
-        "floor": [float(v) for v in problem.floor.values],
-        "xi": [float(v) for v in solution.xi.values],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_object(head, floor=_json_list(map(repr, problem.floor.values.tolist())),
+                        xi=_json_list(map(repr, solution.xi.values.tolist())))
 
 
 def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
@@ -253,15 +261,13 @@ def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
-    rows = zip(p.labels, p.values.tolist(), adjusted.tolist())
-    payload = {
-        "procedure": header,
-        "rejections": decision.n_rejected,
-        "hypotheses": [{"index": i, "label": label, "pvalue": value, "adjusted_pvalue": adj,
-                        "rejected": i in decision.rejected}
-                       for i, (label, value, adj) in enumerate(rows, start=1)],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rows = zip(range(1, p.n + 1), p.labels, p.values.tolist(), adjusted.tolist())
+    items = (f'{{\n      "index": {i},\n      "label": {json.dumps(label)},\n'
+             f'      "pvalue": {value!r},\n      "adjusted_pvalue": {adj!r},\n'
+             f'      "rejected": {"true" if i in decision.rejected else "false"}\n    }}'
+             for i, label, value, adj in rows)
+    return _json_object({"procedure": header, "rejections": decision.n_rejected},
+                        hypotheses=_json_list(items))
 
 
 def verify_csv(worst: float, feasible: bool) -> str:

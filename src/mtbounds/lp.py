@@ -13,10 +13,10 @@ the nested row supports (``matrices.saturate_rows``) when stepping up.
 ``solve`` computes it in O(n) memory and O(nnz(A)) time, builds no matrix
 and calls no solver. Every tail-FDP program, and a closed
 form that fails its monotone or floor test, is solved by HiGHS through
-``scipy.optimize.linprog``: the rows of A's sparse form, built by ``solve``
-alone from the problem's spec, are stacked on the difference rows
-``xi_j - xi_{j+1} <= 0``, and the floor is passed as the variables' lower
-bounds. HiGHS's presolve is off: it did not shorten these solves, and on
+``scipy.optimize.linprog``: each round's constraints are one sparse array
+of rows of A's sparse form, which ``solve`` alone builds from the spec, on
+the difference rows ``xi_j - xi_{j+1} <= 0``; the floor is passed as the
+variables' lower bounds. HiGHS's presolve is off: it did not shorten these solves, and on
 the step-up matrices, about half full, its time grew by a fifth when
 another process streamed memory. Those dense programs are solved by row
 generation (Kelley's cutting-plane method): at the optimum only a few
@@ -30,8 +30,9 @@ of A, the floor and xi, and are fields of ``LPSolution``; xi keeps the
 floor's family and params, at stage "modified".
 ``_solution`` alone accepts a candidate xi, solved or from the cache,
 raises SolverError on a rejection, and derives those fields from the
-floor's bound vector and the one ``A @ xi`` that its check computed; both
-are taken without building A, so a cache hit builds no matrix.
+floor's bound vector and the one ``A @ xi`` of its check (row generation
+passes its last round's); both are taken without building A, so a cache
+hit builds no matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .constants import CriticalVector, rs_constants
 from .matrices import ErrorRateSpec, associated_matrix, bound_vector, saturate_rows
@@ -143,10 +142,11 @@ def build_problem(
     return LPProblem(spec=spec, floor=floor, weights=w, floor_bounds=floor_bounds)
 
 
-def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution:
+def _solution(problem: LPProblem, xi: np.ndarray, iterations: int,
+              bounds: np.ndarray | None = None) -> LPSolution:
     """Accept the candidate ``xi`` for ``problem`` and package it, as a
     vector of the floor's family and params at stage "modified", with its
-    diagnostics.
+    diagnostics; ``bounds``, when given, is A @ xi, already computed.
 
     Raises SolverError unless xi is finite, nondecreasing, of length n, at
     or above the floor and has max(A @ xi) <= 1 + FEASIBILITY_TOL.
@@ -160,7 +160,8 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int) -> LPSolution
         raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.n}")
     if np.any(vec.values < problem.floor.values):
         raise SolverError("solver failed: xi falls below the floor")
-    bounds = bound_vector(problem.spec, vec)
+    if bounds is None:
+        bounds = bound_vector(problem.spec, vec)
     worst = float(np.max(bounds))
     if worst > 1.0 + FEASIBILITY_TOL:
         raise SolverError(f"solver failed: xi is infeasible, max bound {worst:.12g} > 1")
@@ -231,13 +232,13 @@ def solve(problem: LPProblem) -> LPSolution:
     floor bound and row n, under the implied bounds
     ``xi_j <= min_{l>=j} 1/max_i A_il`` (raised to the floor where it lies
     above them within tolerance) that keep the restricted program bounded.
-    There each variable is measured in units of its implied bound and each
-    difference row in units of its larger variable, so HiGHS's absolute
-    tolerances become relative ones. Each round adds every inactive row
-    whose bound at the round's optimum exceeds 1, and the loop stops when
-    there is none. Each restricted program relaxes the full one, so its
-    optimum, once no row is violated, is the full optimum. ``iterations``
-    sums over the rounds.
+    Each round is one ``csr_array``: the active rows, each variable in units
+    of its implied bound, then the difference rows, each in units of its
+    larger variable, so HiGHS's absolute tolerances become relative ones.
+    Each round adds every inactive row whose bound at the round's optimum
+    exceeds 1, and the loop stops when there is none. Each restricted
+    program relaxes the full one, so its optimum, once no row is violated,
+    is the full optimum. ``iterations`` sums over the rounds.
 
     Never returns an infeasible point: a non-optimal HiGHS status, a
     monotonicity violation beyond FEASIBILITY_TOL, or a vector that fails
@@ -248,30 +249,37 @@ def solve(problem: LPProblem) -> LPSolution:
     xi = _closed_form(problem)
     if xi is not None and np.all(np.diff(xi) >= 0) and np.all(xi >= c):
         return _solution(problem, xi, 0)
+    from scipy import sparse  # imported on first use: most runs solve no LP
     n = problem.n
     A = associated_matrix(problem.spec).rows
     active, scale, upper = None, np.ones(n), np.full(n, np.inf)
     if A.nnz > 2 * START_ROWS * n:
         start = np.argsort(-problem.floor_bounds, kind="stable")[:START_ROWS]
         active = np.union1d(start, [n - 1])
+        column_max = np.zeros(n)
+        np.maximum.at(column_max, A.indices, A.data)
         with np.errstate(divide="ignore"):
-            implied = 1.0 / A.max(axis=0).toarray().ravel()
+            implied = 1.0 / column_max
         implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], c)
         # HiGHS's bound tolerance is absolute: unscaled, fdp-su at gamma 0 and
         # n=2000 ended 5e-8 below floors near 1e-3, and lifting xi to the floor
         # put a row's bound at 1 + 4.9e-6.
         scale = np.where(np.isfinite(implied), implied, 1.0)
         upper = implied / scale
-    units = sparse.diags(scale)
-    # xi_j - xi_{j+1} <= 0, in units of xi_{j+1}
-    steps = sparse.diags([scale[:-1] / scale[1:], -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    # xi_j - xi_{j+1} <= 0, in units of xi_{j+1}: row j holds scale_j/scale_{j+1}, -1
+    step_columns = np.arange(n - 1).repeat(2) + np.tile([0, 1], n - 1)
+    step_data = np.column_stack([scale[:-1] / scale[1:], -np.ones(n - 1)]).ravel()
     objective = -(problem.weights @ A) * scale  # a_j = sum_i w_i A_ij
-    iterations = 0
+    iterations, bounds = 0, None
     while True:
-        rows = (A if active is None else A[active]) @ units
+        rows = A if active is None else A[active]
         result = linprog(
             objective,
-            A_ub=sparse.vstack([rows, steps], format="csr"),
+            A_ub=sparse.csr_array(
+                (np.concatenate([rows.data * scale[rows.indices], step_data]),
+                 np.concatenate([rows.indices, step_columns]),
+                 np.concatenate([rows.indptr, rows.nnz + 2 * np.arange(1, n)])),
+                shape=(rows.shape[0] + n - 1, n)),
             b_ub=np.concatenate([np.ones(rows.shape[0]), np.zeros(n - 1)]),
             bounds=np.column_stack([c / scale, upper]),
             method="highs",
@@ -286,12 +294,18 @@ def solve(problem: LPProblem) -> LPSolution:
             raise SolverError("solver failed: xi is not nondecreasing")
         if active is None:
             break
-        violated = np.setdiff1d(np.flatnonzero(bound_vector(problem.spec, stepped) > 1.0),
-                                active, assume_unique=True)
+        bounds = bound_vector(problem.spec, stepped)
+        violated = np.setdiff1d(np.flatnonzero(bounds > 1.0), active, assume_unique=True)
         if violated.size == 0:
             break
         active = np.union1d(active, violated)
-    return _solution(problem, stepped, iterations)
+    return _solution(problem, stepped, iterations, bounds)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution:

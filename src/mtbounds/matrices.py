@@ -30,7 +30,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "Rate",
@@ -142,6 +141,7 @@ class AssociatedMatrix:
         levels = np.arange(indptr[-1], dtype=index) - np.repeat(indptr[:-1] - first, counts)
         data = i / np.where(levels == last[i - 1], levels, levels * (levels + 1.0))
         columns = np.minimum(levels + n - i, cap[levels - 1]) - 1
+        from scipy import sparse  # imported on first use: most runs build no sparse A
         return sparse.csr_matrix((data, columns, indptr), shape=(n, n))
 
     @cached_property
@@ -222,7 +222,7 @@ def bound_vector(spec: ErrorRateSpec, c) -> np.ndarray:
     total = capped[split]
     diagonal = np.flatnonzero(split < ends)
     starts = first + split[diagonal] + n - diagonal - 2  # 0-based, first diagonal level
-    total[diagonal] += [v[s:s + b - a] @ w[a:b] for s, a, b in zip(
+    total[diagonal] += [v[s:s + b - a].dot(w[a:b]) for s, a, b in zip(
         starts.tolist(), split[diagonal].tolist(), ends[diagonal].tolist())]
     final = np.maximum(last, first)
     total += v[np.minimum(final + n - rows, cap[final - 1]) - 1] / final
@@ -253,7 +253,7 @@ def saturate_rows(spec: ErrorRateSpec, c, start: int) -> np.ndarray:
             xi[j] = 1.0 / (i / first)
         else:
             end = top + n - i - 1  # 0-based column of the last level
-            rest = i * (xi[j + 1:end] @ w[1:top - first]) + i / top * xi[end]
+            rest = i * xi[j + 1:end].dot(w[1:top - first]) + i / top * xi[end]
             xi[j] = (1.0 - rest) / (i / (first * (first + 1.0)))
     return xi
 

@@ -28,7 +28,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .lp import SolverError
 from .matrices import ErrorRateSpec, Rate
@@ -142,6 +141,7 @@ def two_sided_p(t):
     """Two-sided Gaussian p-values 2*(1 - Phi(|t|)) = erfc(|t|/sqrt(2)),
     elementwise; a scalar statistic gives a float. The p-values are computed
     in the one array that ``abs`` allocates."""
+    from scipy.special import erfc  # imported on first use: only simulate needs it
     p = np.abs(np.atleast_1d(t), dtype=float)
     if not np.max(p, initial=0.0) < math.inf:  # NaN fails the comparison too
         raise ValueError("test statistics must be finite")

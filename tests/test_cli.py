@@ -4,10 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from mtbounds import CriticalVector, cli, fileio, lp, matrices, procedures, simulation
+from mtbounds import CriticalVector, Family, cli, fileio, lp, matrices, procedures, simulation
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -889,6 +890,85 @@ def test_stdout_bytes_pinned(name, fmt, bh95_file, tmp_path, capsys):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.replace(lp.SOLVER_VERSION, "SOLVER").encode()).hexdigest()
     assert digest == PINNED_SHA256[name, fmt]
+
+
+def dumped(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+finite = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+labels = st.one_of(st.sampled_from(['"', 'a"b', "\\", "ü", "€\"x", "\n", ""]),
+                   st.text(max_size=6))
+constant_vectors = st.lists(finite, min_size=1, max_size=12).map(
+    lambda values: CriticalVector(np.sort(values)))
+
+
+class TestJsonWriters:
+    """The JSON writers lay floats and objects out by hand; each must print
+    exactly what ``json.dumps(payload, indent=2)`` prints."""
+
+    @given(rate=st.sampled_from(list(matrices.Rate)), n=st.integers(1, 9), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matrix(self, rate, n, data):
+        param = ({"gamma": data.draw(st.sampled_from([0.0, 0.05, 0.25]))} if rate.is_fdp
+                 else {"k": data.draw(st.integers(1, n))})
+        spec = matrices.ErrorRateSpec(rate, n, **param)
+        entries = matrices.associated_matrix(spec).entries
+        payload = {"spec": {"rate": rate.value, "n": n, **param},
+                   "entries": [[float(x) for x in row] for row in entries]}
+        assert fileio.matrix_json(spec) == dumped(payload)
+
+    @given(c=constant_vectors, params=st.dictionaries(
+        st.sampled_from(["n", "gamma", "k", "divisor", "stage", "scale"]),
+        st.one_of(st.integers(0, 10**6), st.floats(), labels), max_size=4))
+    def test_constants(self, c, params):
+        c = CriticalVector(c.values, Family.BH, params)
+        payload = {"family": "bh", "params": dict(params),
+                   "values": [float(v) for v in c.values]}
+        assert fileio.constants_json(c) == dumped(payload)
+
+    @given(floor=constant_vectors, data=st.data(),
+           diagnostics=st.lists(st.one_of(finite, st.just(float("nan"))), min_size=4,
+                                max_size=4))
+    def test_solution(self, floor, data, diagnostics):
+        n = floor.n
+        xi = CriticalVector(np.sort(data.draw(st.lists(finite, min_size=n, max_size=n))))
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, n, gamma=0.05)
+        problem = lp.LPProblem(spec, floor, np.ones(n), np.zeros(n))
+        f_xi, f_floor, m1, m2 = diagnostics
+        solution = lp.LPSolution(xi, f_xi, f_floor, m1, m2, 0)
+        payload = {
+            "spec": {"rate": "fdp-su", "n": n, "gamma": 0.05},
+            "floor_family": floor.family.value,
+            "solver": lp.SOLVER_VERSION,
+            "status": "optimal",
+            "F_floor": f_floor,
+            "F_xi": f_xi,
+            "M1": None if np.isnan(m1) else m1,
+            "M2": None if np.isnan(m2) else m2,
+            "floor": [float(v) for v in floor.values],
+            "xi": [float(v) for v in xi.values],
+        }
+        assert fileio.solution_json(problem, solution) == dumped(payload)
+
+    @given(rows=st.lists(st.tuples(labels, unit, unit, st.booleans()), min_size=1, max_size=12),
+           header=labels)
+    def test_decisions(self, rows, header):
+        p = procedures.PValueVector(np.array([r[1] for r in rows]),
+                                    labels=tuple(r[0] for r in rows))
+        adjusted = np.array([r[2] for r in rows])
+        decision = procedures.DecisionSet(frozenset(
+            i for i, r in enumerate(rows, start=1) if r[3]))
+        payload = {
+            "procedure": header,
+            "rejections": decision.n_rejected,
+            "hypotheses": [{"index": i, "label": label, "pvalue": float(value),
+                            "adjusted_pvalue": float(adj), "rejected": i in decision.rejected}
+                           for i, (label, value, adj) in enumerate(
+                               zip(p.labels, p.values, adjusted), start=1)],
+        }
+        assert fileio.decisions_json(p, decision, adjusted, header) == dumped(payload)
 
 
 class TestParserReuse:

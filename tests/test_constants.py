@@ -142,6 +142,19 @@ class TestRescale:
         scaled, _ = rescale(CriticalVector(c.values * scale), A)
         assert np.allclose(base.values, scaled.values, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("family", [by_constants, gr_sd_constants])
+    def test_divisor_keeps_the_whole_normalisation(self, family):
+        """A vector that ships normalized records its own divisor times D."""
+        c = family(5)
+        rescaled, d = rescale(c, ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1))
+        assert rescaled.params["divisor"] == d * c.params["divisor"]
+        np.testing.assert_allclose(rescaled.values * 5 * rescaled.params["divisor"],
+                                   np.arange(1.0, 6.0), rtol=0, atol=1e-15)
+
+    def test_divisor_of_a_raw_vector_is_d(self):
+        rescaled, d = rescale(bh_constants(50), ErrorRateSpec(Rate.FDP_SU, 50, gamma=0.05))
+        assert rescaled.params["divisor"] == d
+
     def test_zero_bound_is_error(self):
         # rows 1-2 zero, nonzero rows touch columns 3..5
         A = associated_matrix(ErrorRateSpec(Rate.KFWER_SD, 5, k=3))

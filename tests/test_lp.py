@@ -475,6 +475,84 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
         np.max(bound_vector(matrix.spec, solution.xi) / bound_vector(matrix.spec, floor)), rel=1e-12)
 
 
+def stacked_round(A, active, scale):
+    """The reference program of one round: ``A[active] @ diag(scale)``
+    stacked on the scaled difference rows by ``sparse.vstack``, canonical."""
+    n = A.shape[1]
+    steps = sparse.diags([scale[:-1] / scale[1:], -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    rows = (A if active is None else A[active]) @ sparse.diags(scale)
+    stacked = sparse.vstack([rows, steps], format="csr")
+    stacked.sort_indices()
+    return stacked
+
+
+ROUND_CASES = [(rate, gamma, family, n) for rate in (Rate.FDP_SU, Rate.FDP_SD)
+               for gamma in (0.0, 0.05) for family in ("bh", "rs") for n in (15, 100, 300)]
+
+
+class TestRoundPrograms:
+    @pytest.mark.parametrize("rate,gamma,family,n", ROUND_CASES,
+                             ids=[f"{r.value}-{g}-{f}-{n}" for r, g, f, n in ROUND_CASES])
+    def test_highs_receives_the_stacked_program(self, rate, gamma, family, n, monkeypatch):
+        """Every round hands HiGHS the program of ``stacked_round`` entry for
+        entry, in the same order, with the same bounds, objective and right-hand
+        side; the active rows and the scale are replayed from the outside."""
+        rounds = []
+
+        def recording(*args, **kwargs):
+            result = linprog(*args, **kwargs)
+            rounds.append((args[0], kwargs, result.x))
+            return result
+
+        monkeypatch.setattr(lp, "linprog", recording)
+        spec = ErrorRateSpec(rate, n, gamma=gamma)
+        problem = build_problem(spec, family_constants(family, n, spec))
+        solve(problem)
+        A, c = associated_matrix(spec).rows, problem.floor.values
+        active, scale, upper = None, np.ones(n), np.full(n, np.inf)
+        if A.nnz > 2 * lp.START_ROWS * n:
+            active = np.union1d(np.argsort(-problem.floor_bounds, kind="stable")[:lp.START_ROWS],
+                                [n - 1])
+            with np.errstate(divide="ignore"):
+                implied = 1.0 / A.max(axis=0).toarray().ravel()
+            implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], c)
+            scale = np.where(np.isfinite(implied), implied, 1.0)
+            upper = implied / scale
+        for objective, kwargs, x in rounds:
+            got, reference = sparse.csr_array(kwargs["A_ub"]), stacked_round(A, active, scale)
+            assert got.has_sorted_indices and got.shape == reference.shape
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(reference, field)), field
+            m = reference.shape[0] - (n - 1)
+            assert np.array_equal(kwargs["b_ub"], np.concatenate([np.ones(m), np.zeros(n - 1)]))
+            assert np.array_equal(kwargs["bounds"], np.column_stack([c / scale, upper]))
+            assert np.array_equal(objective, -(problem.weights @ A) * scale)
+            if active is not None:
+                stepped = np.maximum.accumulate(np.maximum(x * scale, c))
+                violated = np.flatnonzero(bound_vector(spec, stepped) > 1.0)
+                active = np.union1d(active, violated)
+        assert rounds  # the program went to HiGHS
+
+    def test_row_generation_computes_one_bound_vector_per_round(self, monkeypatch):
+        """Each round checks its optimum with one A @ xi, and the accepted
+        optimum's diagnostics reuse the last one."""
+        spec = ErrorRateSpec(Rate.FDP_SU, 300, gamma=0.05)
+        problem = build_problem(spec, family_constants("bh", 300, spec))
+        bound_calls, highs_calls = [], []
+
+        def counting(spec, c):
+            bound_calls.append(spec)
+            return bound_vector(spec, c)
+
+        monkeypatch.setattr(lp, "bound_vector", counting)
+        monkeypatch.setattr(lp, "linprog", recording_linprog(highs_calls))
+        solution = solve(problem)
+        assert len(highs_calls) > 1  # a row-generation solve
+        assert len(bound_calls) == len(highs_calls)
+        assert solution.m2 == pytest.approx(
+            np.max(bound_vector(spec, solution.xi) / problem.floor_bounds), rel=1e-12)
+
+
 def full_matrix_solve(problem):
     """The whole program in one HiGHS call with the solver's options, post-
     processed as ``solve`` post-processes each round."""

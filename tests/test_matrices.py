@@ -247,6 +247,40 @@ class TestBoundVector:
         with pytest.raises(ValueError):
             bound_vector(ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.1), np.zeros(6))
 
+    @pytest.mark.parametrize("n", [15, 100, 2000])
+    @pytest.mark.parametrize("rate", list(Rate), ids=lambda r: r.value)
+    def test_bit_identical_to_per_row_matmul(self, rate, n):
+        spec = ErrorRateSpec(rate, n, **({"gamma": 0.05} if rate.is_fdp else {"k": 2}))
+        for c in (bh_constants(n).values, np.sort(np.random.default_rng(n).uniform(size=n))):
+            got, reference = bound_vector(spec, c), per_row_bound_vector(spec, c)
+            assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+
+def per_row_bound_vector(spec, v):
+    """``bound_vector``'s sums row by row, each diagonal run's dot product
+    taken with ``@``: the levels before a row's crossover come from one
+    prefix sum of capped terms, the later ones run along L + n - i."""
+    n = spec.n
+    first, last, cap = _event_system(spec)
+    levels = np.arange(first, n + 1)
+    w = 1.0 / (levels * (levels + 1.0))
+    gap = np.where(cap < n, cap - np.arange(1, n + 1), n)[first - 1:]
+    capped = np.concatenate(([0.0], np.cumsum(v[cap[first - 1:] - 1] * w)))
+    out = np.zeros(n)
+    for i in range(1, n + 1):
+        top = int(last[i - 1])
+        if top < first:
+            continue
+        end = top - first  # the last level, counted from first
+        split = min(int(np.searchsorted(gap, n - i)), end)
+        total = capped[split]
+        if split < end:
+            s = first + split + n - i - 1
+            total += v[s:s + end - split] @ w[split:end]
+        total += v[min(top + n - i, cap[top - 1]) - 1] / top
+        out[i - 1] = i * total
+    return out
+
 
 class TestIsFeasible:
     def test_rescaled_is_feasible(self):
