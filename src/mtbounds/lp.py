@@ -7,30 +7,29 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-A kFWER program (kfwer-su, kfwer-sd) has a known optimum: the
-Lehmann-Romano column bounds when stepping down, a back-substitution over
-the nested row supports (``matrices.saturate_rows``) when stepping up.
-``solve`` computes it in O(n) memory and O(nnz(A)) time, builds no matrix
-and calls no solver. Every tail-FDP program, and a closed
-form that fails its monotone or floor test, is solved by HiGHS through
-``scipy.optimize.linprog``: each round's constraints are one sparse array
-of rows of A's sparse form, which ``solve`` alone builds from the spec, on
-the difference rows ``xi_j - xi_{j+1} <= 0``; the floor is passed as the
-variables' lower bounds. HiGHS's presolve is off: it did not shorten these solves, and on
-the step-up matrices, about half full, its time grew by a fifth when
-another process streamed memory. Those dense programs are solved by row
-generation (Kelley's cutting-plane method): at the optimum only a few
-dozen of their n rows are tight, so ``solve`` hands HiGHS a growing subset
-of the rows until no other row is violated. A sparse matrix goes to HiGHS
-whole, in one round. Both paths are deterministic, so repeated solves are
-bit-identical.
+A kFWER program (kfwer-su, kfwer-sd) has a known optimum, a
+back-substitution over the nested row supports (``matrices.saturate_rows``)
+that gives the Lehmann-Romano column bounds when stepping down. ``solve``
+computes it in O(n) memory and O(nnz(A)) time, builds no matrix and calls
+no solver. Every tail-FDP program, and a closed form that fails its
+monotone or floor test, is solved by HiGHS through ``scipy.optimize.linprog``
+in one loop of row generation (Kelley's cutting-plane method): each round
+hands HiGHS one sparse array of rows of A's sparse form, which ``solve``
+alone builds from the spec, on the difference rows ``xi_j - xi_{j+1} <= 0``,
+with the floor as the variables' lower bounds, until no other row is
+violated. Only a few dozen of a dense matrix's n rows are tight at the
+optimum, so it starts from a few dozen; a sparse one starts from every row
+and takes one round. HiGHS's presolve is off: it did not shorten these
+solves, and on the step-up matrices, about half full, its time grew by a
+fifth when another process streamed memory. The loop is deterministic, so
+repeated solves are bit-identical.
 
 xi is the program's one product: the objective, M1 and M2 are functions
 of A, the floor and xi, and are fields of ``LPSolution``; xi keeps the
 floor's family and params, at stage "modified".
 ``_solution`` alone accepts a candidate xi, solved or from the cache,
 raises SolverError on a rejection, and derives those fields from the
-floor's bound vector and the one ``A @ xi`` of its check (row generation
+floor's bound vector and the one ``A @ xi`` of its check (a HiGHS solve
 passes its last round's); both are taken without building A, so a cache
 hit builds no matrix.
 """
@@ -47,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .constants import CriticalVector, rs_constants
+from .constants import CriticalVector
 from .matrices import ErrorRateSpec, associated_matrix, bound_vector, saturate_rows
 
 __all__ = [
@@ -78,10 +77,6 @@ class LPProblem:
     floor: CriticalVector
     weights: np.ndarray
     floor_bounds: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
 
 
 @dataclass(frozen=True)
@@ -156,8 +151,8 @@ def _solution(problem: LPProblem, xi: np.ndarray, iterations: int,
         vec = CriticalVector(xi, problem.floor.family, params)
     except ValueError as exc:
         raise SolverError(f"solver failed: {exc}") from None
-    if vec.n != problem.n:
-        raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.n}")
+    if vec.n != problem.spec.n:
+        raise SolverError(f"solver failed: xi has length {vec.n}, expected {problem.spec.n}")
     if np.any(vec.values < problem.floor.values):
         raise SolverError("solver failed: xi falls below the floor")
     if bounds is None:
@@ -183,8 +178,9 @@ def _closed_form(problem: LPProblem) -> np.ndarray | None:
     k lie in no row; they stay at the floor, the vertex HiGHS returns.
     Step-down row i >= k holds i/k on column n - i + k alone, so the optimum
     for any nonnegative weights is the coordinatewise largest feasible
-    vector: the Lehmann-Romano constants k/(n + k - j) (2005), lifted to the
-    floor where rounding leaves them a hair below.
+    vector: ``saturate_rows`` from row k, the Lehmann-Romano constants
+    k/(n + k - j) (2005), lifted to the floor where rounding leaves them a
+    hair below.
 
     Step-up row i >= k holds columns n - i + k..n, so the supports are
     nested. Let i* be the last tight row, one whose floor bound is 1 to
@@ -204,13 +200,11 @@ def _closed_form(problem: LPProblem) -> np.ndarray | None:
     spec = problem.spec
     if spec.rate.is_fdp:
         return None
-    k = spec.k
-    xi = problem.floor.values.copy()
+    k, floor = spec.k, problem.floor.values
     if spec.rate.direction == "sd":
-        xi[k - 1:] = np.maximum(rs_constants(spec).values[k - 1:], xi[k - 1:])
-        return xi
+        return np.maximum(saturate_rows(spec, floor, k), floor)
     tight = np.flatnonzero(problem.floor_bounds >= 1.0 - 1e-12)
-    return saturate_rows(spec, xi, int(tight[-1]) + 2 if tight.size else k)
+    return saturate_rows(spec, floor, int(tight[-1]) + 2 if tight.size else k)
 
 
 def solve(problem: LPProblem) -> LPSolution:
@@ -221,24 +215,24 @@ def solve(problem: LPProblem) -> LPSolution:
     nondecreasing or falls below the floor, the program goes to HiGHS like
     any other.
 
-    A matrix with at most ``2 * START_ROWS * n`` nonzeros, about as many as
-    a first restricted program of a step-up matrix would hold, goes to HiGHS
-    whole, in one round, because row generation is slower there: on a 2-vCPU
-    machine, the six fdp-sd programs at gamma 0.05 (n = 100, 200, 300; bh
-    and rs floors) took 30 ms together whole and 48-62 ms by row generation
-    from ``START_ROWS`` rows. A denser one (the step-up rates beyond n of
-    about 160, fdp-sd once gamma * n passes about 160) is solved on an
-    active set of its rows: first the ``START_ROWS`` rows with the largest
-    floor bound and row n, under the implied bounds
-    ``xi_j <= min_{l>=j} 1/max_i A_il`` (raised to the floor where it lies
-    above them within tolerance) that keep the restricted program bounded.
-    Each round is one ``csr_array``: the active rows, each variable in units
-    of its implied bound, then the difference rows, each in units of its
-    larger variable, so HiGHS's absolute tolerances become relative ones.
-    Each round adds every inactive row whose bound at the round's optimum
-    exceeds 1, and the loop stops when there is none. Each restricted
-    program relaxes the full one, so its optimum, once no row is violated,
-    is the full optimum. ``iterations`` sums over the rounds.
+    Any other program is solved by row generation on an active set of A's
+    rows. A matrix with at most ``2 * START_ROWS * n`` nonzeros, about as
+    many as a first restricted program of a step-up matrix would hold,
+    starts from every row, unscaled and unbounded above, and takes one
+    round: on a 2-vCPU machine, the six fdp-sd programs at gamma 0.05
+    (n = 100, 200, 300; bh and rs floors) took 30 ms together that way and
+    48-62 ms from ``START_ROWS`` rows. A denser one (the step-up rates beyond
+    n of about 160, fdp-sd once gamma * n passes about 160) starts from the
+    ``START_ROWS`` rows with the largest floor bound and row n, under the
+    implied bounds ``xi_j <= min_{l>=j} 1/max_i A_il`` (raised to the floor
+    where it lies above them within tolerance) that keep the restricted
+    program bounded. Each round is one ``csr_array``: ``A[active]``, each
+    variable in units of its implied bound, then the difference rows, each
+    in units of its larger variable, so HiGHS's absolute tolerances become
+    relative ones. Each round checks its optimum with one ``A @ xi``, adds
+    every inactive row whose bound there exceeds 1 and stops when there is
+    none. Each restricted program relaxes the full one, so its optimum, once
+    no row is violated, is the full optimum. ``iterations`` sums the rounds.
 
     Never returns an infeasible point: a non-optimal HiGHS status, a
     monotonicity violation beyond FEASIBILITY_TOL, or a vector that fails
@@ -250,9 +244,9 @@ def solve(problem: LPProblem) -> LPSolution:
     if xi is not None and np.all(np.diff(xi) >= 0) and np.all(xi >= c):
         return _solution(problem, xi, 0)
     from scipy import sparse  # imported on first use: most runs solve no LP
-    n = problem.n
+    n = problem.spec.n
     A = associated_matrix(problem.spec).rows
-    active, scale, upper = None, np.ones(n), np.full(n, np.inf)
+    active, scale, upper = np.arange(n), np.ones(n), np.full(n, np.inf)
     if A.nnz > 2 * START_ROWS * n:
         start = np.argsort(-problem.floor_bounds, kind="stable")[:START_ROWS]
         active = np.union1d(start, [n - 1])
@@ -270,9 +264,9 @@ def solve(problem: LPProblem) -> LPSolution:
     step_columns = np.arange(n - 1).repeat(2) + np.tile([0, 1], n - 1)
     step_data = np.column_stack([scale[:-1] / scale[1:], -np.ones(n - 1)]).ravel()
     objective = -(problem.weights @ A) * scale  # a_j = sum_i w_i A_ij
-    iterations, bounds = 0, None
+    iterations = 0
     while True:
-        rows = A if active is None else A[active]
+        rows = A[active]
         result = linprog(
             objective,
             A_ub=sparse.csr_array(
@@ -292,8 +286,6 @@ def solve(problem: LPProblem) -> LPSolution:
         stepped = np.maximum.accumulate(xi)
         if np.max(stepped - xi) > FEASIBILITY_TOL:
             raise SolverError("solver failed: xi is not nondecreasing")
-        if active is None:
-            break
         bounds = bound_vector(problem.spec, stepped)
         violated = np.setdiff1d(np.flatnonzero(bounds > 1.0), active, assume_unique=True)
         if violated.size == 0:
@@ -326,7 +318,6 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
     if not cache_dir:
         return solve(problem)
     cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
     spec = problem.spec
     key = hashlib.sha256(f"{spec.rate.value}|{spec.n}|{spec.param[1]!r}".encode()
                          + problem.floor.values.tobytes() + problem.weights.tobytes())
@@ -338,6 +329,7 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
     except (OSError, ValueError, KeyError, TypeError, SolverError):
         pass  # a miss: re-solve and overwrite
     solution = solve(problem)
+    cache.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.stem, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -231,18 +231,20 @@ def bound_vector(spec: ErrorRateSpec, c) -> np.ndarray:
 
 def saturate_rows(spec: ErrorRateSpec, c, start: int) -> np.ndarray:
     """c with rows start..n of A @ xi set to exactly 1, in turn, each solved
-    for the column of its first level; A is not built. start >= k(1).
+    for the column of its first level; A is not built. k(1) <= start <= n+1.
 
     Only for a system whose levels all sit on their diagonal columns
     L + n - i (no level capped below n, as for every kFWER rate): row i's
     first level then holds column k(1) + n - i, which no earlier row holds,
-    and every other column of the row is already fixed. Time is O(nnz(A))
-    over those rows, memory O(n).
+    and every other column of the row is already fixed; a row of one level
+    gets k(1)/i there. Time is O(nnz(A)) over those rows, memory O(n).
     """
     n = spec.n
     first, last, cap = _event_system(spec)
     if np.any(cap[first - 1:] < n):
         raise ValueError(f"{spec.rate.value} caps its levels; its rows share columns")
+    if not first <= start <= n + 1:
+        raise ValueError(f"start must satisfy {first} <= start <= n + 1 = {n + 1}, got {start}")
     xi = np.array(getattr(c, "values", c), dtype=float)
     levels = np.arange(first, n + 1)
     w = 1.0 / (levels * (levels + 1.0))
@@ -250,7 +252,7 @@ def saturate_rows(spec: ErrorRateSpec, c, start: int) -> np.ndarray:
         top = int(last[i - 1])  # levels first..top on columns first+n-i..top+n-i
         j = first + n - i - 1  # 0-based
         if top == first:
-            xi[j] = 1.0 / (i / first)
+            xi[j] = first / i
         else:
             end = top + n - i - 1  # 0-based column of the last level
             rest = i * xi[j + 1:end].dot(w[1:top - first]) + i / top * xi[end]

@@ -407,6 +407,8 @@ class TestCache:
         assert solution.iterations > 0
 
     def test_failed_solve_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        """A failed solve stores nothing, and creates no cache directory that
+        did not exist yet."""
         matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
         problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
         calls = []
@@ -421,6 +423,25 @@ class TestCache:
                 solve_cached(problem, tmp_path)
         assert list(tmp_path.iterdir()) == []
         assert len(calls) == 2  # the failure was not served from the cache
+        with pytest.raises(lp.SolverError):
+            solve_cached(problem, tmp_path / "new" / "cache")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_made_only_to_write(self, tmp_path, monkeypatch):
+        """A miss creates the missing cache directory, parents too, to store
+        its entry; a hit makes no directory."""
+        matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
+        problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
+        cache = tmp_path / "new" / "cache"
+        fresh = solve_cached(problem, cache)
+        assert len(list(cache.glob("*.json"))) == 1
+
+        def no_mkdir(*args, **kwargs):
+            raise AssertionError("mkdir on a cache hit")
+
+        monkeypatch.setattr(lp.Path, "mkdir", no_mkdir)
+        monkeypatch.setattr(lp, "solve", no_solve)
+        assert np.array_equal(solve_cached(problem, cache).xi.values, fresh.xi.values)
 
 
 def test_non_optimal_highs_status_raises(monkeypatch):
@@ -533,11 +554,18 @@ class TestRoundPrograms:
                 active = np.union1d(active, violated)
         assert rounds  # the program went to HiGHS
 
-    def test_row_generation_computes_one_bound_vector_per_round(self, monkeypatch):
+    @pytest.mark.parametrize("rate,gamma,n,family,rounds", [
+        (Rate.FDP_SU, 0.05, 300, "bh", None),  # dense: several rounds
+        (Rate.FDP_SD, 0.05, 300, "rs", 1),  # sparse: every row from the start
+        (Rate.FDP_SU, 0.05, 100, "bh", 1),
+    ], ids=["fdp-su-300", "fdp-sd-300", "fdp-su-100"])
+    def test_row_generation_computes_one_bound_vector_per_round(
+            self, rate, gamma, n, family, rounds, monkeypatch):
         """Each round checks its optimum with one A @ xi, and the accepted
-        optimum's diagnostics reuse the last one."""
-        spec = ErrorRateSpec(Rate.FDP_SU, 300, gamma=0.05)
-        problem = build_problem(spec, family_constants("bh", 300, spec))
+        optimum's diagnostics reuse the last one. A sparse matrix starts
+        from all its rows, so its first round is its last."""
+        spec = ErrorRateSpec(rate, n, gamma=gamma)
+        problem = build_problem(spec, family_constants(family, n, spec))
         bound_calls, highs_calls = [], []
 
         def counting(spec, c):
@@ -547,7 +575,11 @@ class TestRoundPrograms:
         monkeypatch.setattr(lp, "bound_vector", counting)
         monkeypatch.setattr(lp, "linprog", recording_linprog(highs_calls))
         solution = solve(problem)
-        assert len(highs_calls) > 1  # a row-generation solve
+        if rounds is None:
+            assert len(highs_calls) > 1  # a row-generation solve from START_ROWS rows
+        else:
+            assert len(highs_calls) == rounds
+            assert highs_calls[0][0] == 2 * n - 1  # all n rows and the n - 1 difference rows
         assert len(bound_calls) == len(highs_calls)
         assert solution.m2 == pytest.approx(
             np.max(bound_vector(spec, solution.xi) / problem.floor_bounds), rel=1e-12)
@@ -556,7 +588,7 @@ class TestRoundPrograms:
 def full_matrix_solve(problem):
     """The whole program in one HiGHS call with the solver's options, post-
     processed as ``solve`` post-processes each round."""
-    n, c = problem.n, problem.floor.values
+    n, c = problem.spec.n, problem.floor.values
     A = associated_matrix(problem.spec).rows
     steps = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
     result = linprog(-(problem.weights @ A),
@@ -599,7 +631,7 @@ class TestRowGeneration:
             assert np.array_equal(solution.xi.values, full)
 
     def test_rounds(self, monkeypatch):
-        """A sparse matrix goes to HiGHS whole and unbounded above; a dense
+        """A sparse matrix starts from every row, unbounded above; a dense
         one starts from START_ROWS rows plus row n under finite implied
         bounds, grows its active set, and sums the rounds' iterations."""
         calls = []
@@ -689,6 +721,21 @@ class TestClosedForm:
         assert solution.objective == pytest.approx(w @ bound_vector(spec, full), rel=1e-9)
         pos = c > 0
         assert solution.m1 == pytest.approx(np.max(full[pos] / c[pos]), rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["bh", "rs"])
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 400, 20000) for k in (1, 2, 5)
+                                     if k <= n])
+    def test_step_down_is_lehmann_romano_bit_for_bit(self, n, k, family, monkeypatch):
+        """The back-substitution of ``saturate_rows`` gives the kfwer-sd
+        optimum the bits of the Lehmann-Romano constants, lifted to the
+        floor; the columns below k stay at the floor."""
+        spec = ErrorRateSpec(Rate.KFWER_SD, n, k=k)
+        floor = family_constants(family, n, spec).values
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        xi = solve(build_problem(spec, CriticalVector(floor))).xi.values
+        expected = np.maximum(rs_constants(spec).values, floor)
+        assert xi[k - 1:].tobytes() == expected[k - 1:].tobytes()
+        assert xi[:k - 1].tobytes() == floor[:k - 1].tobytes()
 
     @pytest.mark.parametrize("rate", [Rate.KFWER_SU, Rate.KFWER_SD])
     @pytest.mark.parametrize("n,k", [(1, 1), (10, 2), (50, 5)])

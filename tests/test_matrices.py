@@ -525,9 +525,32 @@ def test_saturate_rows_sets_the_later_rows_to_one(rate, n):
             assert np.array_equal(xi[kept], c[kept])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 2000])
+@pytest.mark.parametrize("rate", [Rate.KFWER_SU, Rate.KFWER_SD])
+def test_saturate_rows_solves_a_one_level_row_as_k_over_i(rate, n):
+    """A row of one level (every kfwer-sd row i >= k, kfwer-su row k alone)
+    gets exactly k/i on its column n - i + k, the Lehmann-Romano constant."""
+    for k in sorted({1, min(2, n), min(5, n), n}):
+        spec = ErrorRateSpec(rate, n, k=k)
+        xi = matrices.saturate_rows(spec, np.zeros(n), k)
+        rows = range(k, n + 1) if rate is Rate.KFWER_SD else [k]
+        for i in rows:
+            assert xi[n - i + k - 1] == k / i, (spec, i)
+
+
 def test_saturate_rows_rejects_capped_levels():
     with pytest.raises(ValueError, match="fdp-su caps its levels"):
         matrices.saturate_rows(ErrorRateSpec(Rate.FDP_SU, 20, gamma=0.25), np.zeros(20), 1)
+
+
+@pytest.mark.parametrize("rate", [Rate.KFWER_SU, Rate.KFWER_SD])
+def test_saturate_rows_checks_start(rate):
+    """start must lie in k(1)..n + 1; n + 1 solves no row."""
+    spec, c = ErrorRateSpec(rate, 10, k=2), np.linspace(0.0, 0.01, 10)
+    for start in (-1, 0, 1, 12):
+        with pytest.raises(ValueError, match=rf"2 <= start <= n \+ 1 = 11, got {start}"):
+            matrices.saturate_rows(spec, c, start)
+    assert np.array_equal(matrices.saturate_rows(spec, c, 11), c)
 
 
 def test_rescale_reads_the_spec():
