@@ -73,13 +73,15 @@ def _json_object(head: dict, **lists: str) -> str:
     return json.dumps(head, indent=2)[:-2] + tail + "\n}\n"
 
 
-def _data_lines(lines):
-    """(line number, stripped line) for each line of an input file that is
-    neither blank nor a ``#`` comment; lines count from 1."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line
+def _read_lines(path) -> tuple[str, dict[int, str]]:
+    """The text of an input file and its data lines, each stripped and keyed
+    by its line number from 1. The file is UTF-8, with or without a byte-order
+    mark; a line ends at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines and ``#``
+    comments are not data."""
+    with open(path, encoding="utf-8-sig") as fh:  # universal newlines: each end reads "\n"
+        text = fh.read()
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return text, {line_no: line for line_no, line in lines if line and line[0] != "#"}
 
 
 def _number(path, line_no: int, text: str) -> float:
@@ -96,26 +98,23 @@ def read_pvalues(path: str | Path) -> PValueVector:
     the line number on non-numeric or out-of-range values; the first bad line
     in the file is the one named.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [line.strip() for line in text.split("\n")]
-    data = [line for line in lines if line and line[0] != "#"]
+    text, data = _read_lines(path)
     if not data:
         raise InputFormatError(path, 0, "no p-values found")
-    texts, labels = data, None
-    if "," in text:  # a line without one is labelled by its position, as by default
+    texts, labels = data.values(), None
+    if "," in text:  # a line without one is labelled by its position, as in _labels
         cells = [line.split(",", 1) if "," in line else (str(i), line)
-                 for i, line in enumerate(data, start=1)]
+                 for i, line in enumerate(texts, start=1)]
         labels = tuple(label.strip() for label, _ in cells)
         texts = [value.strip() for _, value in cells]
     try:
-        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        values = np.fromiter(map(float, texts), dtype=float, count=len(data))
     except ValueError:
         values = None
     if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
         # some line is bad: name the first one in file order, whichever check it fails
-        for line_no, line in _data_lines(lines):
-            value = _number(path, line_no, line.split(",", 1)[-1].strip())
+        for line_no, value_text in zip(data, texts):
+            value = _number(path, line_no, value_text)
             if not 0.0 <= value <= 1.0:
                 raise InputFormatError(path, line_no, f"p-value out of [0, 1]: {value!r}")
     return PValueVector(values, labels=labels)
@@ -124,12 +123,11 @@ def read_pvalues(path: str | Path) -> PValueVector:
 def read_weights(path: str | Path, n: int) -> np.ndarray:
     """Parse a weights file: one nonnegative decimal per line, n lines."""
     weights: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in _data_lines(fh):
-            w = _number(path, line_no, line)
-            if w < 0 or not math.isfinite(w):
-                raise InputFormatError(path, line_no, f"weight must be finite and >= 0: {w!r}")
-            weights.append(w)
+    for line_no, line in _read_lines(path)[1].items():
+        w = _number(path, line_no, line)
+        if w < 0 or not math.isfinite(w):
+            raise InputFormatError(path, line_no, f"weight must be finite and >= 0: {w!r}")
+        weights.append(w)
     if len(weights) != n:
         raise InputFormatError(path, 0, f"expected {n} weights, found {len(weights)}")
     return np.array(weights)
@@ -178,17 +176,17 @@ def constants_json(c: CriticalVector) -> str:
 def read_constants(path: str | Path, n: int) -> CriticalVector:
     """Read n constants back from either output format of ``constants`` or
     ``optimize``: a JSON file's ``values`` list, else its ``xi`` list; a CSV
-    row's last column. Every error, an invalid constant vector or another
-    count included, names the file."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    row's last column. A file is JSON when its first non-blank character is
+    ``{`` or ``[``. Every error, an invalid constant vector or another count
+    included, names the file."""
+    text, data = _read_lines(path)
+    if text.lstrip().startswith(("{", "[")):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputFormatError(path, exc.lineno, exc.msg) from None
         key = "values" if "values" in payload else "xi"
-        values = payload.get(key)
+        values = payload.get(key) if isinstance(payload, dict) else None  # an array has no keys
         if not isinstance(values, list):
             raise InputFormatError(path, 0, "JSON constants need a 'values' or 'xi' list")
         if not all(type(v) in (int, float) for v in values):  # not bool, str, null or list
@@ -199,8 +197,7 @@ def read_constants(path: str | Path, n: int) -> CriticalVector:
             raise InputFormatError(path, 0, f"{key!r} holds a number beyond float range") from None
     else:
         values = [_number(path, line_no, line.split(",")[-1])
-                  for line_no, line in _data_lines(text.splitlines())
-                  if not line.startswith("index,")]
+                  for line_no, line in data.items() if not line.startswith("index,")]
         if not values:
             raise InputFormatError(path, 0, "no constants found")
     try:
@@ -243,6 +240,11 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
                         xi=_json_list(map(repr, solution.xi.values.tolist())))
 
 
+def _labels(p: PValueVector):
+    """Each hypothesis's label; an unlabelled one is labelled by its 1-based index."""
+    return p.labels if p.labels is not None else map(str, range(1, p.n + 1))
+
+
 def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                   header: str) -> str:
     rejected = decision.rejected
@@ -253,7 +255,7 @@ def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
     ]
     # repr is _fmt here: p-values are never NaN, nor are adjusted values,
     # ratios clipped to 1; most adjusted values are that 1, whose repr is known
-    rows = zip(range(1, p.n + 1), p.labels, p.values.tolist(), adjusted.tolist())
+    rows = zip(range(1, p.n + 1), _labels(p), p.values.tolist(), adjusted.tolist())
     lines += [f"{i},{label},{value!r},{'1.0' if adj == 1.0 else repr(adj)},{int(i in rejected)}"
               for i, label, value, adj in rows]
     return "\n".join(lines) + "\n"
@@ -261,7 +263,7 @@ def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
-    rows = zip(range(1, p.n + 1), p.labels, p.values.tolist(), adjusted.tolist())
+    rows = zip(range(1, p.n + 1), _labels(p), p.values.tolist(), adjusted.tolist())
     items = (f'{{\n      "index": {i},\n      "label": {json.dumps(label)},\n'
              f'      "pvalue": {value!r},\n      "adjusted_pvalue": {adj!r},\n'
              f'      "rejected": {"true" if i in decision.rejected else "false"}\n    }}'

@@ -248,15 +248,15 @@ def saturate_rows(spec: ErrorRateSpec, c, start: int) -> np.ndarray:
     xi = np.array(getattr(c, "values", c), dtype=float)
     levels = np.arange(first, n + 1)
     w = 1.0 / (levels * (levels + 1.0))
-    for i in range(start, n + 1):
+    rows = np.arange(start, n + 1)
+    single = last[start - 1:] == first  # a row of one level reads no other column
+    xi[first + n - rows[single] - 1] = first / rows[single]
+    for i in rows[~single].tolist():
         top = int(last[i - 1])  # levels first..top on columns first+n-i..top+n-i
         j = first + n - i - 1  # 0-based
-        if top == first:
-            xi[j] = first / i
-        else:
-            end = top + n - i - 1  # 0-based column of the last level
-            rest = i * xi[j + 1:end].dot(w[1:top - first]) + i / top * xi[end]
-            xi[j] = (1.0 - rest) / (i / (first * (first + 1.0)))
+        end = top + n - i - 1  # 0-based column of the last level
+        rest = i * xi[j + 1:end].dot(w[1:top - first]) + i / top * xi[end]
+        xi[j] = (1.0 - rest) / (i / (first * (first + 1.0)))
     return xi
 
 

@@ -62,8 +62,8 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class PValueVector:
-    """Raw p-values with hypothesis labels; an unlabelled hypothesis is
-    labelled by its 1-based index."""
+    """Raw p-values, with hypothesis labels or None; the writers in ``fileio``
+    label an unlabelled hypothesis by its 1-based index."""
 
     values: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -76,9 +76,7 @@ class PValueVector:
             raise ValueError("p-values must lie in [0, 1]")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(1, v.size + 1)))
-        elif len(self.labels) != v.size:
+        if self.labels is not None and len(self.labels) != v.size:
             raise ValueError("labels length must match values")
 
     @property

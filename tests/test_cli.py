@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import sys
@@ -418,6 +419,43 @@ class TestAdjustCommand:
         assert code == 2
 
 
+# data on file lines 2, 4 and 6; a BOM before line 1 would make it a data line
+GRAMMAR_LINES = ["# comment", "0.01", "", "  0.02  ", "  # indented comment", "0.5", ""]
+FILE_FORMS = {
+    "plain": lambda text: text.encode(),
+    "bom": lambda text: codecs.BOM_UTF8 + text.encode(),
+    "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+    "cr": lambda text: text.replace("\n", "\r").encode(),
+}
+
+
+class TestInputGrammar:
+    """P-value, weights and constants files share one line grammar."""
+
+    READERS = (lambda path: fileio.read_pvalues(path).values,
+               lambda path: fileio.read_weights(path, 3),
+               lambda path: fileio.read_constants(path, 3).values)
+
+    @pytest.mark.parametrize("form", FILE_FORMS)
+    def test_every_reader_reads_the_same_lines(self, form, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(FILE_FORMS[form]("\n".join(GRAMMAR_LINES)))
+        for read in self.READERS:
+            assert read(path).tolist() == [0.01, 0.02, 0.5]
+        # a form feed inside a line does not end it
+        bad = GRAMMAR_LINES[:3] + ["0.02\f0.03"] + GRAMMAR_LINES[4:]
+        path.write_bytes(FILE_FORMS[form]("\n".join(bad)))
+        for read in self.READERS:
+            with pytest.raises(fileio.InputFormatError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}:4: not a number: '0.02\\x0c0.03'"
+
+    def test_json_constants_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "constants.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'{\r\n  "values": [0.25, 0.5]\r\n}\r\n')
+        assert fileio.read_constants(path, 2).values.tolist() == [0.25, 0.5]
+
+
 class TestSimulateCommand:
     def test_deterministic_csv(self, capsys):
         argv = ["simulate", "--n", "10", "--d", "3", "--reps", "200",
@@ -537,9 +575,10 @@ class TestUsageErrors:
         ('{"values": [0.25, NaN]}', ":0: values must be finite"),
         ('{"values": [-0.25, 0.5]}', ":0: values must be nonnegative"),
         ('{"values": []}', ":0: values must be a nonempty 1-D array"),
+        (" [0.25, 0.5]", ":0: JSON constants need a 'values' or 'xi' list"),
     ], ids=["no-values", "values-dict", "object-entry", "string-entry", "numeric-string",
             "bool-entry", "huge-integer", "null-entry", "nested-list", "not-json",
-            "nan-entry", "negative-entry", "empty-list"])
+            "nan-entry", "negative-entry", "empty-list", "array"])
     def test_verify_malformed_json_constants_exits_2(self, tmp_path, payload, message, capsys):
         const_file = tmp_path / "constants.json"
         const_file.write_text(payload)

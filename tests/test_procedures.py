@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from mtbounds import (
     adjusted_pvalues,
     bound_vector,
     family_constants,
+    fileio,
     rs_constants,
     run_procedure,
     step_down,
@@ -80,8 +83,14 @@ def reference_count(sorted_p, thresholds, direction):
 
 class TestLabelsAndCounts:
     def test_unlabelled_hypotheses_take_their_index(self):
-        assert pv(0.3, 0.1, 0.2).labels == ("1", "2", "3")
+        p = pv(0.3, 0.1, 0.2)
+        assert p.labels is None
         assert PValueVector(np.array([0.3, 0.1]), labels=("a", "b")).labels == ("a", "b")
+        decision, adjusted = DecisionSet(frozenset({2})), np.array([0.6, 0.3, 0.45])
+        rows = fileio.decisions_csv(p, decision, adjusted, "X").splitlines()[3:]
+        assert [row.split(",")[:2] for row in rows] == [["1", "1"], ["2", "2"], ["3", "3"]]
+        hypotheses = json.loads(fileio.decisions_json(p, decision, adjusted, "X"))["hypotheses"]
+        assert [(h["index"], h["label"]) for h in hypotheses] == [(1, "1"), (2, "2"), (3, "3")]
 
     def test_labels_must_match_values(self):
         for labels in ((), ("a",), ("a", "b", "c")):
