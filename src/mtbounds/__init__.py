@@ -1,84 +1,19 @@
 """Critical-constant bounds, LP-improved procedures and power studies for
-multiple testing under arbitrary p-value dependence."""
+multiple testing under arbitrary p-value dependence.
 
-from .constants import (
-    CriticalVector,
-    Family,
-    bh_constants,
-    by_constants,
-    gr_sd_constants,
-    rescale,
-    rs_constants,
-)
-from .lp import (
-    LPProblem,
-    LPSolution,
-    SolverError,
-    build_problem,
-    solve,
-    solve_cached,
-)
-from .matrices import (
-    AssociatedMatrix,
-    ErrorRateSpec,
-    Rate,
-    associated_matrix,
-    bound_vector,
-    row_events,
-)
-from .procedures import (
-    DecisionSet,
-    ProcedureSpec,
-    PValueVector,
-    adjusted_pvalues,
-    family_constants,
-    run_procedure,
-    step_down,
-    step_up,
-)
-from .simulation import (
-    CellStats,
-    SimConfig,
-    SimReport,
-    run_study,
-    sample_statistics,
-    two_sided_p,
-)
+The package re-exports the public names of ``constants``, ``lp``,
+``matrices``, ``procedures`` and ``simulation``: each module's ``__all__``
+is the one place that decides what is public. ``fileio`` and ``cli`` stay
+submodules."""
+
+from . import constants, lp, matrices, procedures, simulation
+from .constants import *  # noqa: F401,F403
+from .lp import *  # noqa: F401,F403
+from .matrices import *  # noqa: F401,F403
+from .procedures import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociatedMatrix",
-    "CellStats",
-    "CriticalVector",
-    "DecisionSet",
-    "ErrorRateSpec",
-    "Family",
-    "LPProblem",
-    "LPSolution",
-    "ProcedureSpec",
-    "PValueVector",
-    "Rate",
-    "SimConfig",
-    "SimReport",
-    "SolverError",
-    "adjusted_pvalues",
-    "associated_matrix",
-    "bh_constants",
-    "bound_vector",
-    "build_problem",
-    "by_constants",
-    "family_constants",
-    "gr_sd_constants",
-    "rescale",
-    "row_events",
-    "rs_constants",
-    "run_procedure",
-    "run_study",
-    "sample_statistics",
-    "solve",
-    "solve_cached",
-    "step_down",
-    "step_up",
-    "two_sided_p",
-]
+__all__ = [*constants.__all__, *lp.__all__, *matrices.__all__, *procedures.__all__,
+           *simulation.__all__]

@@ -50,7 +50,6 @@ from .constants import CriticalVector
 from .matrices import ErrorRateSpec, associated_matrix, bound_vector, saturate_rows
 
 __all__ = [
-    "SOLVER_VERSION",
     "SolverError",
     "LPProblem",
     "LPSolution",

@@ -38,7 +38,6 @@ __all__ = [
     "associated_matrix",
     "bound_vector",
     "row_events",
-    "saturate_rows",
 ]
 
 

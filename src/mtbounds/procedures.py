@@ -35,7 +35,6 @@ __all__ = [
     "step_up",
     "step_down",
     "adjusted_pvalues",
-    "FAMILIES",
     "ProcedureSpec",
     "family_constants",
     "run_procedure",

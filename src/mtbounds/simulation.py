@@ -150,12 +150,6 @@ def two_sided_p(t):
     return p if np.ndim(t) else float(p[0])
 
 
-def _mean_vector(n: int, true_count: int, effect: float) -> np.ndarray:
-    mu = np.full(n, float(effect))
-    mu[:true_count] = 0.0
-    return mu
-
-
 def _noise(z: np.ndarray, rho: float) -> np.ndarray:
     """The equicorrelated noise sqrt(rho)*z0 + sqrt(1-rho)*z_i, computed in
     place over the last axis of ``z`` (z0 first) and returned as a view of
@@ -175,7 +169,9 @@ def sample_statistics(n: int, true_count: int, effect: float, rho: float,
         raise ValueError("true_count must lie in 0..n")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    return _noise(rng.standard_normal(n + 1), rho) + _mean_vector(n, true_count, effect)
+    x = _noise(rng.standard_normal(n + 1), rho)
+    x[true_count:] += effect  # the first true_count hypotheses are null
+    return x
 
 
 def _replication_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:

@@ -575,3 +575,34 @@ def test_associated_matrix_is_the_one_public_constructor():
     assert not hasattr(mtbounds, "fdp_sd_matrix")
     spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.05)
     assert matrices.fdp_sd_matrix(20, 0.05) == associated_matrix(spec)
+
+
+PUBLIC_NAMES = {
+    "AssociatedMatrix", "CellStats", "CriticalVector", "DecisionSet", "ErrorRateSpec",
+    "Family", "LPProblem", "LPSolution", "ProcedureSpec", "PValueVector", "Rate",
+    "SimConfig", "SimReport", "SolverError", "adjusted_pvalues", "associated_matrix",
+    "bh_constants", "bound_vector", "build_problem", "by_constants", "family_constants",
+    "gr_sd_constants", "rescale", "row_events", "rs_constants", "run_procedure",
+    "run_study", "sample_statistics", "solve", "solve_cached", "step_down", "step_up",
+    "two_sided_p",
+}
+
+
+def test_package_reexports_its_modules_public_names():
+    """``mtbounds.__all__`` is its five modules' lists in turn, each name
+    bound to the module's own object; names kept for the modules' own
+    importers stay off the package."""
+    from mtbounds import constants, lp, procedures, simulation
+    modules = (constants, lp, matrices, procedures, simulation)
+    assert mtbounds.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(mtbounds.__all__)) == len(mtbounds.__all__)
+    assert set(mtbounds.__all__) == PUBLIC_NAMES
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mtbounds, name) is getattr(module, name), name
+    from mtbounds.lp import SOLVER_VERSION
+    from mtbounds.matrices import fdp_sd_matrix, saturate_rows
+    from mtbounds.procedures import FAMILIES
+    internal = {"SOLVER_VERSION": SOLVER_VERSION, "saturate_rows": saturate_rows,
+                "FAMILIES": FAMILIES, "fdp_sd_matrix": fdp_sd_matrix}
+    assert not [name for name in internal if hasattr(mtbounds, name)]
