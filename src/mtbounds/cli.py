@@ -17,9 +17,10 @@ import sys
 import numpy as np
 
 from . import fileio, lp
-from .matrices import ErrorRateSpec, Rate, bound_vector
-from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, family_constants,
-                         run_procedure)
+from .constants import bh_constants, rs_constants
+from .matrices import ErrorRateSpec, Rate, associated_matrix, bound_vector
+from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, _check_family,
+                         family_constants, run_procedure)
 from .simulation import SimConfig, run_study
 
 USAGE_ERROR = 2
@@ -40,17 +41,33 @@ def _write(args, kind: str, *data) -> int:
 
 
 def cmd_matrix(args) -> int:
-    return _write(args, "matrix", _rate_spec(args))
+    return _write(args, "matrix", associated_matrix(_rate_spec(args)))
 
 
 def cmd_constants(args) -> int:
     if args.alpha is not None:
         _check_alpha(args.alpha)
-    spec = _rate_spec(args) if args.rate else None
-    if spec is not None and args.family in FDR_FAMILIES:
-        raise ValueError(f"family {args.family!r} is pre-normalized and takes no --rate")
-    c = family_constants(args.family, args.n, spec, None if spec else args.gamma,
-                         modified=args.modified, cache_dir=args.cache_dir)
+    family, n = args.family, args.n
+    if args.rate:
+        spec = _rate_spec(args)
+        if family in FDR_FAMILIES:
+            raise ValueError(f"family {family!r} is pre-normalized and takes no --rate")
+        c = family_constants(family, n, spec, modified=args.modified, cache_dir=args.cache_dir)
+    else:  # the raw family; raw rs reads --gamma
+        _check_family(family, args.modified)
+        if args.gamma is not None and family != "rs":
+            raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
+                             f"got family {family!r}")
+        if family in FDR_FAMILIES:
+            c = family_constants(family, n)
+        elif args.modified:
+            raise ValueError("modified constants need an error-rate matrix")
+        elif family == "bh":
+            c = bh_constants(n)
+        elif args.gamma is None:
+            raise ValueError("family 'rs' needs gamma or an error-rate matrix")
+        else:  # the threshold reads gamma alone, so either fdp direction serves
+            c = rs_constants(ErrorRateSpec(Rate.FDP_SU, n, gamma=args.gamma))
     return _write(args, "constants", c if args.alpha is None else c.scaled(args.alpha))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import CriticalVector
 from .lp import LPProblem, LPSolution
-from .matrices import ErrorRateSpec, associated_matrix
+from .matrices import AssociatedMatrix, ErrorRateSpec
 from .procedures import DecisionSet, PValueVector
 from .simulation import SimReport
 
@@ -144,16 +144,15 @@ def _spec_payload(spec: ErrorRateSpec) -> dict:
     return {"rate": spec.rate.value, "n": spec.n, name: value}
 
 
-def matrix_csv(spec: ErrorRateSpec) -> str:
-    lines = [f"# spec: {_spec_text(spec)}"]
-    lines += [",".join(_fmt(x) for x in row) for row in associated_matrix(spec).entries]
+def matrix_csv(matrix: AssociatedMatrix) -> str:
+    lines = [f"# spec: {_spec_text(matrix.spec)}"]
+    lines += [",".join(map(repr, row.tolist())) for row in matrix.entries]  # never NaN
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(spec: ErrorRateSpec) -> str:
-    rows = associated_matrix(spec).entries.tolist()
-    return _json_object({"spec": _spec_payload(spec)},
-                        entries=_json_list(_json_list(map(repr, row), 2) for row in rows))
+def matrix_json(matrix: AssociatedMatrix) -> str:
+    rows = (_json_list(map(repr, row.tolist()), 2) for row in matrix.entries)
+    return _json_object({"spec": _spec_payload(matrix.spec)}, entries=_json_list(rows))
 
 
 def _params_text(c: CriticalVector) -> str:

@@ -7,31 +7,14 @@ coordinatewise, so the resulting procedure rejects everything the floor
 procedure rejects; the objective is the sum of the rows' maximal
 significance bounds and serves as a surrogate for power.
 
-A kFWER program (kfwer-su, kfwer-sd) has a known optimum, a
-back-substitution over the nested row supports (``matrices.saturate_rows``)
-that gives the Lehmann-Romano column bounds when stepping down. ``solve``
-computes it in O(n) memory and O(nnz(A)) time, builds no matrix and calls
-no solver. Every tail-FDP program, and a closed form that fails its
-monotone or floor test, is solved by HiGHS through ``scipy.optimize.linprog``
-in one loop of row generation (Kelley's cutting-plane method): each round
-hands HiGHS one sparse array of rows of A's sparse form, which ``solve``
-alone builds from the spec, on the difference rows ``xi_j - xi_{j+1} <= 0``,
-with the floor as the variables' lower bounds, until no other row is
-violated. Only a few dozen of a dense matrix's n rows are tight at the
-optimum, so it starts from a few dozen; a sparse one starts from every row
-and takes one round. HiGHS's presolve is off: it did not shorten these
-solves, and on the step-up matrices, about half full, its time grew by a
-fifth when another process streamed memory. The loop is deterministic, so
-repeated solves are bit-identical.
-
-xi is the program's one product: the objective, M1 and M2 are functions
-of A, the floor and xi, and are fields of ``LPSolution``; xi keeps the
-floor's family and params, at stage "modified".
-``_solution`` alone accepts a candidate xi, solved or from the cache,
-raises SolverError on a rejection, and derives those fields from the
-floor's bound vector and the one ``A @ xi`` of its check (a HiGHS solve
-passes its last round's); both are taken without building A, so a cache
-hit builds no matrix.
+``solve`` takes a kFWER program's closed form and hands any other to HiGHS,
+through ``scipy.optimize.linprog``, in rounds of row generation (Kelley's
+cutting-plane method); ``_solution`` accepts each optimum, solved or
+cached. HiGHS's presolve is off: it did not shorten these solves, and on
+the step-up matrices, about half full, its time grew by a fifth when
+another process streamed memory, a measurement taken before solves became
+row generation. The loop is deterministic, so repeated solves are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -305,14 +288,18 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
 
     An entry is named by a hash of rate, n, parameter, floor values and
     weights, and holds the solver version and xi (more fields are ignored).
-    A hit passes xi through the acceptance check of a fresh optimum, which
-    recomputes the objective, M1, M2, family and params, and reports 0
-    iterations; xi round-trips bit-for-bit (JSON stores shortest-roundtrip
-    decimals). An entry of another solver version, or one that does not
-    decode or fails the check, is re-solved and overwritten in place. Only
-    accepted solutions are stored, each written to a temporary file and
-    renamed into place, so a reader never sees a partial entry and a failed
-    solve is tried again.
+    A hit builds no matrix: it passes xi through the acceptance check of a
+    fresh optimum, which recomputes the objective, M1, M2, family and
+    params, and reports 0 iterations; xi round-trips bit-for-bit (JSON
+    stores shortest-roundtrip decimals). An entry of another solver
+    version, or one that does not decode or fails the check, is re-solved
+    and overwritten in place. Only accepted solutions are stored, each
+    written to a temporary file and renamed into place, so a reader never
+    sees a partial entry and a failed solve is tried again. After its
+    write, a miss removes every temporary file of its key, those of writers
+    killed before their rename included; a writer whose temporary a peer
+    removed returns its solution, which the deterministic solve makes the
+    one the peer stored.
     """
     if not cache_dir:
         return solve(problem)
@@ -335,7 +322,9 @@ def solve_cached(problem: LPProblem, cache_dir: str | Path | None) -> LPSolution
             fh.write(json.dumps({"solver_version": SOLVER_VERSION,
                                  "xi": solution.xi.values.tolist()}))
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    except FileNotFoundError:  # a peer stored this solution and removed our temporary
+        pass
+    finally:  # ours, a peer's or one a killed writer left
+        for stale in cache.glob(f"{path.stem}*.tmp"):
+            stale.unlink(missing_ok=True)
     return solution

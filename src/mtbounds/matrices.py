@@ -15,8 +15,8 @@ forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
 the LP's checks of its floor and its optimum compare that maximum with
 ``1 + lp.FEASIBILITY_TOL``, the one feasibility test. Elsewhere A is named
 by its ``ErrorRateSpec``: only ``lp.solve`` builds an ``AssociatedMatrix``,
-to read its sparse ``rows``, and only the ``matrix`` writers in ``fileio``,
-to read its dense ``entries``.
+to read its sparse ``rows``, and only ``cli.cmd_matrix``, for the
+``matrix`` writers in ``fileio`` to print its dense ``entries``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
@@ -121,7 +121,7 @@ class AssociatedMatrix:
         return self.spec.n
 
     @cached_property
-    def rows(self) -> sparse.csr_matrix:
+    def rows(self) -> sparse.csr_array:
         """A in canonical CSR form, assembled row by row from the event system.
 
         Row i is the generalized Bonferroni bound on the union of its events
@@ -141,7 +141,7 @@ class AssociatedMatrix:
         data = i / np.where(levels == last[i - 1], levels, levels * (levels + 1.0))
         columns = np.minimum(levels + n - i, cap[levels - 1]) - 1
         from scipy import sparse  # imported on first use: most runs build no sparse A
-        return sparse.csr_matrix((data, columns, indptr), shape=(n, n))
+        return sparse.csr_array((data, columns, indptr), shape=(n, n))
 
     @cached_property
     def entries(self) -> np.ndarray:

@@ -27,7 +27,7 @@ from .constants import (
     rescale,
     rs_constants,
 )
-from .matrices import ErrorRateSpec, Rate
+from .matrices import ErrorRateSpec
 
 __all__ = [
     "PValueVector",
@@ -208,7 +208,6 @@ def family_constants(
     family: str,
     n: int,
     spec: ErrorRateSpec | None = None,
-    gamma: float | None = None,
     *,
     modified: bool = False,
     cache_dir: str | Path | None = None,
@@ -216,38 +215,22 @@ def family_constants(
     """The level-1 constants of a named family, along the one path
     family -> raw vector -> rescale -> [LP improvement].
 
-    ``spec`` names the bound matrix. ``by`` and ``gr`` come
-    pre-normalized, ignore it and have no modified variant (ValueError).
-    ``bh`` and ``rs`` are rescaled into the matrix's feasible set without
-    building it and, when ``modified``, improved by the LP (through the
-    cache in ``cache_dir``), which reads the matrix's sparse rows only on a
-    cache miss; without a spec they stay raw. Raw ``rs`` is
-    ``rs_constants`` of the spec or, without one, of the tail-FDP rate at
-    ``gamma``; any other use of ``gamma`` raises ValueError, and so does a
-    spec for another n. Raises lp.SolverError when the LP has no accepted
-    solution.
+    ``by`` and ``gr`` come pre-normalized, ignore ``spec`` and have no
+    modified variant (ValueError). ``bh`` and ``rs`` need ``spec``, the
+    bound matrix of n hypotheses (ValueError otherwise): they are rescaled
+    into its feasible set without building it and, when ``modified``,
+    improved by the LP (through the cache in ``cache_dir``), which reads the
+    matrix's sparse rows only on a cache miss. Raises lp.SolverError when
+    the LP has no accepted solution.
     """
     _check_family(family, modified)
-    if gamma is not None and (family != "rs" or spec is not None):
-        raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
-                         f"got family {family!r}")
     if family in FDR_FAMILIES:
         return FDR_FAMILIES[family][1](n)
-    if spec is not None and spec.n != n:
-        raise ValueError(f"error-rate spec is for n={spec.n}, got n={n}")
-    if modified and spec is None:
-        raise ValueError("modified constants need an error-rate matrix")
-    if family == "bh":
-        raw = bh_constants(n)
-    elif spec is not None:
-        raw = rs_constants(spec)
-    elif gamma is None:
-        raise ValueError("family 'rs' needs gamma or an error-rate matrix")
-    else:  # the threshold reads gamma alone, so either fdp direction serves
-        raw = rs_constants(ErrorRateSpec(Rate.FDP_SU, n, gamma=gamma))
     if spec is None:
-        return raw
-    floor, _ = rescale(raw, spec)
+        raise ValueError(f"family {family!r} requires an error-rate spec")
+    if spec.n != n:
+        raise ValueError(f"error-rate spec is for n={spec.n}, got n={n}")
+    floor, _ = rescale(bh_constants(n) if family == "bh" else rs_constants(spec), spec)
     if not modified:
         return floor
     return lp.solve_cached(lp.build_problem(spec, floor), cache_dir).xi

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from mtbounds import CriticalVector, Family, cli, fileio, lp, matrices, procedures, simulation
+from mtbounds import (CriticalVector, Family, cli, constants, fileio, lp, matrices, procedures,
+                      simulation)
 from mtbounds.cli import main
 from conftest import BH95_PVALUES
 
@@ -123,7 +124,11 @@ class TestConstantsCommand:
                              *(["--modified"] if modified else []), "--format", "json")
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        c = procedures.family_constants(family, 8, spec, gamma, modified=modified)
+        if spec is None and family in ("bh", "rs"):  # the raw family
+            c = (constants.bh_constants(8) if family == "bh" else constants.rs_constants(
+                matrices.ErrorRateSpec(matrices.Rate.FDP_SU, 8, gamma=gamma)))
+        else:
+            c = procedures.family_constants(family, 8, spec, modified=modified)
         assert (payload["family"], payload["params"].get("stage")) == (family, stage)
         assert (c.family, c.params.get("stage")) == (family, stage)
         assert payload["values"] == c.values.tolist()
@@ -678,6 +683,12 @@ class TestUsageErrors:
          "modified constants need an error-rate matrix"),
         (["constants", "--family", "rs", "--n", "5"],
          "family 'rs' needs gamma or an error-rate matrix"),
+        (["constants", "--family", "bh", "--n", "5", "--gamma", "0.2", "--modified"],
+         "gamma is read only by family 'rs' without an error-rate spec, got family 'bh'"),
+        (["constants", "--family", "by", "--n", "5", "--gamma", "0.2", "--modified"],
+         "family 'by' has no modified variant"),
+        (["constants", "--family", "gr", "--n", "5", "--gamma", "0.2", "--modified"],
+         "family 'gr' has no modified variant"),
         (["simulate", "--n", "5", "--reps", "10", "--threads", "0"], "threads must be positive"),
         (["simulate", "--n", "0", "--reps", "10"], "n must be a positive integer, got 0"),
         (["simulate", "--n", "5", "--reps", "10", "--alpha", "1"],
@@ -697,6 +708,8 @@ class TestUsageErrors:
         (["adjust", "--input", "pvalues.txt", "--rate", "fdp-su", "--gamma", "0.05",
           "--alpha", "0.5"], "adjust requires --family"),
     ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
+            "constants-bh-gamma-modified", "constants-by-gamma-modified",
+            "constants-gr-gamma-modified",
             "simulate-threads-0", "simulate-n-0", "simulate-alpha-1", "simulate-gamma-1",
             "constants-bh-n-0", "constants-by-n-0", "constants-gr-n-0", "constants-rs-n-0",
             "constants-rs-gamma-1.5", "constants-no-family", "optimize-no-family",
@@ -956,7 +969,7 @@ class TestJsonWriters:
         entries = matrices.associated_matrix(spec).entries
         payload = {"spec": {"rate": rate.value, "n": n, **param},
                    "entries": [[float(x) for x in row] for row in entries]}
-        assert fileio.matrix_json(spec) == dumped(payload)
+        assert fileio.matrix_json(matrices.associated_matrix(spec)) == dumped(payload)
 
     @given(c=constant_vectors, params=st.dictionaries(
         st.sampled_from(["n", "gamma", "k", "divisor", "stage", "scale"]),

@@ -1,7 +1,9 @@
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -470,6 +472,45 @@ class TestCache:
         monkeypatch.setattr(lp, "solve", no_solve)
         assert solve_cached(problem, tmp_path).xi.values.tobytes() == expected
         assert list(tmp_path.glob("*.json")) == entries
+
+    def test_miss_removes_the_temporaries_of_its_key(self, tmp_path):
+        """A cold solve removes the temporary file that a writer of its key
+        left when it was killed before its rename, and no other key's."""
+        spec = ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05)
+        problem = build_problem(spec, family_constants("bh", 15, spec))
+        solve_cached(problem, tmp_path)
+        entry = next(tmp_path.glob("*.json"))
+        stored = entry.read_bytes()
+        entry.unlink()
+        stale, foreign = tmp_path / f"{entry.stem}abcd.tmp", tmp_path / f"{'0' * 64}abcd.tmp"
+        for path in (stale, foreign):
+            path.write_text('{"solver_version"')
+        solve_cached(problem, tmp_path)
+        assert entry.read_bytes() == stored
+        assert list(tmp_path.glob("*.tmp")) == [foreign]
+
+    def test_writer_whose_temporary_a_peer_removed(self, tmp_path, monkeypatch):
+        """A peer that stores the entry first removes this writer's temporary
+        with its own, so the rename finds no file; the writer returns its
+        solution, the one the peer stored."""
+        spec = ErrorRateSpec(Rate.FDP_SU, 15, gamma=0.05)
+        problem = build_problem(spec, family_constants("bh", 15, spec))
+        replace, renames = os.replace, []
+
+        def peer_first(tmp, path):
+            Path(path).write_bytes(Path(tmp).read_bytes())  # the peer's entry
+            os.unlink(tmp)
+            renames.append(tmp)
+            return replace(tmp, path)
+
+        monkeypatch.setattr(os, "replace", peer_first)
+        solution = solve_cached(problem, tmp_path)
+        assert len(renames) == 1
+        assert solution.xi.values.tobytes() == solve(problem).xi.values.tobytes()
+        assert len(list(tmp_path.glob("*.json"))) == 1 and not list(tmp_path.glob("*.tmp"))
+        monkeypatch.undo()
+        monkeypatch.setattr(lp, "solve", no_solve)
+        assert solve_cached(problem, tmp_path).xi.values.tobytes() == solution.xi.values.tobytes()
 
 
 def test_non_optimal_highs_status_raises(monkeypatch):

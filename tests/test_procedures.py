@@ -16,7 +16,6 @@ from mtbounds import (
     bound_vector,
     family_constants,
     fileio,
-    rs_constants,
     run_procedure,
     step_down,
     step_up,
@@ -282,14 +281,10 @@ class TestRunProcedure:
             with pytest.raises(ValueError, match="error-rate spec is for n=5, got n=10"):
                 family_constants(family, 10, ErrorRateSpec(Rate.KFWER_SD, 5, k=2))
 
-    def test_gamma_only_for_raw_rs(self):
-        raw = family_constants("rs", 10, gamma=0.1)
-        assert np.array_equal(raw.values,
-                              rs_constants(ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.1)).values)
-        for family, spec in [("rs", ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.1)), ("bh", None),
-                             ("by", None), ("gr", None)]:
-            with pytest.raises(ValueError, match="gamma is read only by family 'rs'"):
-                family_constants(family, 10, spec, gamma=0.1)
+    @pytest.mark.parametrize("family", ["bh", "rs"])
+    def test_rescaled_family_without_spec_raises(self, family):
+        with pytest.raises(ValueError, match=f"family {family!r} requires an error-rate spec"):
+            family_constants(family, 10)
 
     def test_kfwer_pipeline(self):
         p = pv(0.001, 0.002, 0.2, 0.9)
