@@ -28,8 +28,6 @@ NUMERIC_ERROR = 3
 
 
 def _rate_spec(args) -> ErrorRateSpec:
-    if args.rate is None:
-        raise ValueError("--rate is required for this command")
     return ErrorRateSpec(Rate(args.rate), args.n, k=args.k, gamma=args.gamma)
 
 
@@ -73,8 +71,6 @@ def cmd_constants(args) -> int:
 
 def cmd_optimize(args) -> int:
     spec = _rate_spec(args)
-    if args.family in FDR_FAMILIES:
-        raise ValueError(f"family {args.family!r} is pre-normalized; nothing to optimize")
     floor = family_constants(args.family, args.n, spec)
     weights = fileio.read_weights(args.weights, args.n) if args.weights else None
     problem = lp.build_problem(spec, floor, weights=weights)
@@ -83,32 +79,23 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _rate_spec(args)
-    if args.input:
-        if args.family is not None or args.modified:
-            raise ValueError("--input takes neither --family nor --modified")
+    if args.input:  # argparse keeps --family out
+        if args.modified:
+            raise ValueError("--input does not take --modified")
         c = fileio.read_constants(args.input, args.n)
     else:
-        if args.family is None:
-            raise ValueError("verify needs --input or --family")
         c = family_constants(args.family, args.n, spec,
                              modified=args.modified, cache_dir=args.cache_dir)
     worst = float(np.max(bound_vector(spec, c)))
     return _write(args, "verify", worst, worst <= 1.0 + lp.FEASIBILITY_TOL)
 
 
-def _procedure_spec(args) -> ProcedureSpec:
-    if args.alpha is None:
-        raise ValueError("adjust requires --alpha")
-    return ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
-                         rate=_rate_spec(args) if args.rate else None,
-                         modified=args.modified)
-
-
 def cmd_adjust(args) -> int:
     p = fileio.read_pvalues(args.input)
     if args.n is None:
         args.n = p.n
-    spec = _procedure_spec(args)
+    spec = ProcedureSpec(family=args.family, n=args.n, alpha=args.alpha,
+                         rate=_rate_spec(args) if args.rate else None, modified=args.modified)
     decision, adjusted = run_procedure(p, spec, cache_dir=args.cache_dir)
     return _write(args, "decisions", p, decision, adjusted,
                   f"{spec.name} alpha={spec.alpha!r} n={spec.n}")
@@ -142,43 +129,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, rate: bool = False, family: bool = False,
-               alpha: bool = False, cache: bool = False) -> None:
-        p.add_argument("--n", type=int, help="number of hypotheses")
+    def common(p: argparse.ArgumentParser, *, needs: tuple[str, ...] = ("n",),
+               rate: bool = False, family: tuple[str, ...] = (), alpha: bool = False,
+               cache: bool = False) -> None:
+        """Add the shared flags; those named in ``needs`` are required, and
+        ``family`` lists the families the command accepts."""
+        def flag(name: str, **kwargs) -> None:
+            p.add_argument(f"--{name}", required=name in needs, **kwargs)
+
+        flag("n", type=int, help="number of hypotheses")
         if rate:
-            p.add_argument("--rate", choices=[r.value for r in Rate],
-                           help="error rate and stepping direction")
+            flag("rate", choices=[r.value for r in Rate], help="error rate and stepping direction")
             p.add_argument("--k", type=int, help="k for kFWER rates")
             p.add_argument("--gamma", type=float, help="gamma for FDP rates")
         if family:
-            p.add_argument("--family", choices=FAMILIES,
-                           help="constant family")
+            flag("family", choices=family, help="constant family")
         if alpha:
-            p.add_argument("--alpha", type=float, help="significance level multiplier")
+            flag("alpha", type=float, help="significance level multiplier")
         if cache:
             p.add_argument("--cache-dir", help="directory for cached solver output")
         p.add_argument("--output", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--format", choices=["csv", "json"], default="csv",
+                       help="output format (default: csv)")
 
     p = sub.add_parser("matrix", help="export a bound matrix")
-    common(p, rate=True)
+    common(p, needs=("n", "rate"), rate=True)
 
     p = sub.add_parser("constants", help="emit a constant family (raw, rescaled or modified)")
-    common(p, rate=True, family=True, alpha=True, cache=True)
+    common(p, needs=("n", "family"), rate=True, family=FAMILIES, alpha=True, cache=True)
     p.add_argument("--modified", action="store_true", help="apply the LP improvement")
 
     p = sub.add_parser("optimize", help="solve the constant-improvement program")
-    common(p, rate=True, family=True, cache=True)
+    common(p, needs=("n", "rate", "family"), rate=True, cache=True,
+           family=tuple(f for f in FAMILIES if f not in FDR_FAMILIES))
     p.add_argument("--weights", help="file with one row weight per line")
 
     p = sub.add_parser("verify", help="check feasibility of constants against a matrix")
-    common(p, rate=True, family=True, cache=True)
-    p.add_argument("--modified", action="store_true")
-    p.add_argument("--input", help="constants file to verify (csv or json)")
+    common(p, needs=("n", "rate"), rate=True, cache=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=FAMILIES, help="constant family")
+    source.add_argument("--input", help="constants file to verify (csv or json)")
+    p.add_argument("--modified", action="store_true", help="apply the LP improvement")
 
     p = sub.add_parser("adjust", help="apply a procedure to a p-value file")
-    common(p, rate=True, family=True, alpha=True, cache=True)
-    p.add_argument("--modified", action="store_true")
+    common(p, needs=("family", "alpha"), rate=True, family=FAMILIES, alpha=True, cache=True)
+    p.add_argument("--modified", action="store_true", help="apply the LP improvement")
     p.add_argument("--input", required=True, help="p-value file (one per line, or label,value)")
 
     p = sub.add_parser("simulate", help="run the Monte Carlo power study")
@@ -191,9 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-counts", type=_int_list,
                    help="comma-separated grid of true-null counts")
     p.add_argument("--rho", type=float, help=f"equicorrelation (default {SimConfig.rho})")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fdr-level", type=float)
+    p.add_argument("--reps", type=int,
+                   help=f"Monte Carlo replications per cell (default {SimConfig.reps})")
+    p.add_argument("--seed", type=int,
+                   help=f"Philox key, in [0, 2**64) (default {SimConfig.seed})")
+    p.add_argument("--fdr-level", type=float,
+                   help=f"level of the by and gr FDR procedures (default {SimConfig.fdr_level})")
     p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
     p.add_argument("--trace", help="append per-replication rejection counts to this file")
     return parser
@@ -205,16 +203,12 @@ _parser = functools.cache(build_parser)  # argparse gives each call a fresh name
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.n is None and args.command != "adjust":
-        parser.error(f"{args.command} requires --n")
-    if vars(args).get("rate", "") is None:  # a rate command run without --rate
+    if vars(args).get("rate", "") is None:  # constants or adjust run without --rate
         if args.k is not None:
             parser.error("--k requires --rate")
         if args.gamma is not None and args.command != "constants":  # raw rs reads it
             parser.error("--gamma requires --rate")
     try:  # cmd_* is looked up per call, so a rebound function is the one that runs
-        if vars(args).get("family", "") is None and args.command != "verify":  # or --input
-            raise ValueError(f"{args.command} requires --family")
         return globals()[f"cmd_{args.command}"](args)
     except lp.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

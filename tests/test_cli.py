@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import hashlib
 import json
@@ -26,6 +27,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, also for input that argparse rejects: it raises SystemExit
+    before ``main`` can return."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def error_message(err):
+    """The message of a one-message usage error. ``main`` prints
+    ``error: <message>``; argparse prints a usage, then ``<prog>: error:
+    <message>``, with prog ``mtbounds`` or ``mtbounds <command>``."""
+    if err.startswith("usage: mtbounds "):
+        prog, _, message = err.rstrip("\n").rpartition("\n")[2].partition(": error: ")
+        assert prog.split()[0] == "mtbounds" and message, err
+        return message
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    return err[len("error: "):-1]
 
 
 class TestMatrixCommand:
@@ -552,7 +576,7 @@ class TestUsageErrors:
     def test_verify_input_with_family_flags_exits_2(self, tmp_path, flags, capsys):
         const_file = tmp_path / "constants.csv"
         const_file.write_text("index,value\n1,0.5\n2,1.0\n")
-        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "2",
+        code, out, err = run_to_exit(capsys, "verify", "--rate", "fdp-su", "--n", "2",
                              "--gamma", "0.1", "--input", str(const_file), *flags)
         assert code == 2
         assert out == ""
@@ -561,10 +585,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags", [["--rate", "fdp-su", "--gamma", "0.05", "--family", "bh"],
                                        ["--family", "by"]], ids=["bh", "by"])
     def test_adjust_without_alpha_exits_2(self, bh95_file, flags, capsys):
-        code, out, err = run(capsys, "adjust", "--input", str(bh95_file), *flags)
+        code, out, err = run_to_exit(capsys, "adjust", "--input", str(bh95_file), *flags)
         assert code == 2
         assert out == ""
-        assert "--alpha" in err
+        assert error_message(err) == "the following arguments are required: --alpha"
 
     @pytest.mark.parametrize("payload, message", [
         ("{}", "'values'"),
@@ -621,24 +645,30 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "does not take" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1", "--k", "3"],
-        ["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1"],
-        ["constants", "--family", "bh", "--n", "3", "--k", "2"],
-        ["constants", "--family", "rs", "--n", "3", "--gamma", "0.2", "--k", "2"],
-        ["matrix", "--n", "3", "--k", "2"],
-        ["optimize", "--family", "bh", "--n", "3", "--k", "2"],
-        ["verify", "--family", "bh", "--n", "3", "--k", "2"],
+    @pytest.mark.parametrize("argv, message", [
+        (["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1", "--k", "3"],
+         "--k requires --rate"),
+        (["adjust", "--family", "by", "--alpha", "0.05", "--gamma", "0.1"],
+         "--gamma requires --rate"),
+        (["constants", "--family", "bh", "--n", "3", "--k", "2"], "--k requires --rate"),
+        (["constants", "--family", "rs", "--n", "3", "--gamma", "0.2", "--k", "2"],
+         "--k requires --rate"),
+        # argparse requires --rate of these commands before the --k rule is read
+        (["matrix", "--n", "3", "--k", "2"], "the following arguments are required: --rate"),
+        (["optimize", "--family", "bh", "--n", "3", "--k", "2"],
+         "the following arguments are required: --rate"),
+        (["verify", "--family", "bh", "--n", "3", "--k", "2"],
+         "the following arguments are required: --rate"),
     ], ids=["adjust-by-gamma-k", "adjust-by-gamma", "constants-bh-k", "constants-rs-gamma-k",
             "matrix-k", "optimize-k", "verify-k"])
-    def test_rate_parameter_without_rate_exits_2(self, argv, bh95_file, capsys):
+    def test_rate_parameter_without_rate_exits_2(self, argv, message, bh95_file, capsys):
         if argv[0] == "adjust":
             argv = argv + ["--input", str(bh95_file)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out = capsys.readouterr()
         assert (exc.value.code, out.out) == (2, "")
-        assert "requires --rate" in out.err
+        assert error_message(out.err) == message
 
     @pytest.mark.parametrize("family", ["bh", "by", "gr"])
     def test_constants_gamma_unread_by_family_exits_2(self, family, capsys):
@@ -678,7 +708,7 @@ class TestUsageErrors:
         assert err == f"error: {const_file}{message}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["matrix", "--n", "5"], "--rate is required for this command"),
+        (["matrix", "--n", "5"], "the following arguments are required: --rate"),
         (["constants", "--family", "bh", "--n", "5", "--modified"],
          "modified constants need an error-rate matrix"),
         (["constants", "--family", "rs", "--n", "5"],
@@ -702,11 +732,11 @@ class TestUsageErrors:
          "n must be a positive integer, got 0"),
         (["constants", "--family", "rs", "--n", "5", "--gamma", "1.5"],
          "gamma must lie in [0, 1), got 1.5"),
-        (["constants", "--n", "5"], "constants requires --family"),
+        (["constants", "--n", "5"], "the following arguments are required: --family"),
         (["optimize", "--n", "5", "--rate", "fdp-su", "--gamma", "0.05"],
-         "optimize requires --family"),
+         "the following arguments are required: --family"),
         (["adjust", "--input", "pvalues.txt", "--rate", "fdp-su", "--gamma", "0.05",
-          "--alpha", "0.5"], "adjust requires --family"),
+          "--alpha", "0.5"], "the following arguments are required: --family"),
     ], ids=["matrix-no-rate", "constants-modified-no-rate", "constants-rs-no-gamma",
             "constants-bh-gamma-modified", "constants-by-gamma-modified",
             "constants-gr-gamma-modified",
@@ -715,9 +745,9 @@ class TestUsageErrors:
             "constants-rs-gamma-1.5", "constants-no-family", "optimize-no-family",
             "adjust-no-family"])
     def test_invalid_arguments_exit_2(self, argv, message, capsys):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_to_exit(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert error_message(err) == message
 
     def test_verify_input_length_mismatch_exits_2(self, tmp_path, capsys):
         const_file = tmp_path / "constants.csv"
@@ -728,13 +758,13 @@ class TestUsageErrors:
         assert err == f"error: {const_file}:0: expected 3 constants, found 2\n"
 
     def test_verify_without_input_or_family_exits_2(self, capsys):
-        code, out, err = run(capsys, "verify", "--rate", "fdp-su", "--n", "3", "--gamma", "0.1")
+        code, out, err = run_to_exit(capsys, "verify", "--rate", "fdp-su", "--n", "3",
+                                     "--gamma", "0.1")
         assert (code, out) == (2, "")
-        assert err == "error: verify needs --input or --family\n"
+        assert error_message(err) == "one of the arguments --family --input is required"
 
     @pytest.mark.parametrize("command, message", [
         ("constants", "is pre-normalized and takes no --rate"),
-        ("optimize", "is pre-normalized; nothing to optimize"),
     ])
     @pytest.mark.parametrize("family", ["by", "gr"])
     def test_fdr_family_with_rate_exits_2(self, command, message, family, capsys):
@@ -742,6 +772,14 @@ class TestUsageErrors:
                              "--rate", "fdp-su", "--gamma", "0.05")
         assert (code, out) == (2, "")
         assert err == f"error: family {family!r} {message}\n"
+
+    @pytest.mark.parametrize("family", ["by", "gr"])
+    def test_optimize_fdr_family_exits_2(self, family, capsys):
+        code, out, err = run_to_exit(capsys, "optimize", "--family", family, "--n", "5",
+                                     "--rate", "fdp-su", "--gamma", "0.05")
+        assert (code, out) == (2, "")
+        assert error_message(err).startswith(
+            f"argument --family: invalid choice: {family!r} (choose from ")
 
     @pytest.mark.parametrize("counts", [",", "", "1,a"], ids=["comma", "empty", "not-an-integer"])
     def test_empty_true_counts_exits_2(self, counts, capsys):
@@ -805,6 +843,51 @@ def patch_matrix_builds(monkeypatch, builder):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "mtbounds" and hasattr(module, "associated_matrix"):
             monkeypatch.setattr(module, "associated_matrix", builder)
+
+
+RATES = "{kfwer-su,kfwer-sd,fdp-su,fdp-sd}"
+
+# Per command: the flags its usage shows unbracketed, and some it brackets.
+CONTRACTS = {
+    "matrix": (["--n N", f"--rate {RATES}"], ["[--k K]", "[--gamma GAMMA]"]),
+    "constants": (["--n N", "--family {bh,rs,by,gr}"], [f"[--rate {RATES}]", "[--alpha ALPHA]"]),
+    "optimize": (["--n N", f"--rate {RATES}", "--family {bh,rs}"], ["[--weights WEIGHTS]"]),
+    "verify": (["--n N", f"--rate {RATES}", "(--family {bh,rs,by,gr} | --input INPUT)"],
+               ["[--modified]"]),
+    "adjust": (["--family {bh,rs,by,gr}", "--alpha ALPHA", "--input INPUT"],
+               ["[--n N]", f"[--rate {RATES}]", "[--modified]"]),
+    "simulate": (["--n N"], ["[--alpha ALPHA]", "[--reps REPS]"]),
+}
+
+
+class TestParserContract:
+    """Each command's usage states its contract: required flags unbracketed,
+    the families it accepts, and verify's choice of --family or --input."""
+
+    @pytest.mark.parametrize("command", CONTRACTS)
+    def test_usage_brackets_only_optional_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        usage = capsys.readouterr().out.partition("\n\n")[0]
+        usage = " ".join(usage.split())  # argparse wraps long usages
+        assert exc.value.code == 0
+        required, optional = CONTRACTS[command]
+        for flag in required:
+            assert flag in usage and f"[{flag}" not in usage, flag
+        for flag in optional:
+            assert flag in usage, flag
+
+    def test_missing_flags_are_named_in_one_message(self, capsys):
+        code, out, err = run_to_exit(capsys, "optimize")
+        assert (code, out) == (2, "")
+        assert error_message(err) == "the following arguments are required: --n, --rate, --family"
+
+    def test_every_flag_has_help(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        missing = [(name, action.option_strings[0]) for name, parser in commands.items()
+                   for action in parser._actions if not action.help]
+        assert missing == []
 
 
 class TestMatrixFree:

@@ -211,6 +211,44 @@ class TestFdpSdMatrix:
             assert np.all(down >= exact), n
 
 
+def exact_row_events(rate, n, gamma):
+    """Every row's (level, column) pairs by ``_event_system``'s rules, in
+    exact rationals from the typed decimal ``Fraction(repr(gamma))``: the
+    threshold k(l) = floor(gamma*l)+1, level L's cap (the last l with
+    k(l) <= max(L, k(1))), and each row's last level, by the step-up rule
+    or by the Romano-Shaikh step-down term."""
+    g = Fraction(repr(gamma))
+    k = [math.floor(g * l) + 1 for l in range(1, n + 1)]
+    cap = [sum(kl <= max(L, k[0]) for kl in k) for L in range(1, n + 1)]
+    if rate is Rate.FDP_SU:
+        last = [max(i - n + cap[i - 1], k[cap[i - 1] - 1]) for i in range(1, n + 1)]
+    else:
+        last = [min(k[-1], math.floor(g * ((n - i) / (1 - g) + 1)) + 1) for i in range(1, n + 1)]
+    return [[(L, min(L + n - i, cap[L - 1])) for L in range(k[0], min(i, last[i - 1]) + 1)]
+            for i in range(1, n + 1)]
+
+
+def float_edge(n, gamma, rows):
+    return pytest.param(n, gamma, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"the float threshold moves a boundary of {rows} (ROADMAP item 8)"))
+
+
+@pytest.mark.parametrize("n, gamma", [
+    *((n, gamma) for n in (50, 60, 100) for gamma in (0.05, 0.1, 0.25)),
+    float_edge(50, 0.58, "row 29"),
+    float_edge(100, 0.29, "row 29"),
+    float_edge(100, 0.57, "row 57"),
+    float_edge(100, 0.7, "rows 63-73"),
+])
+def test_tail_fdp_events_match_exact_derivation(n, gamma):
+    for rate in (Rate.FDP_SU, Rate.FDP_SD):
+        spec = ErrorRateSpec(rate, n, gamma=gamma)
+        exact = exact_row_events(rate, n, gamma)
+        differ = [i for i in range(1, n + 1) if row_events(spec, i) != exact[i - 1]]
+        assert differ == [], rate.value
+
+
 @given(n=st.integers(1, 120), data=st.data())
 def test_kfwer_row_sums(n, data):
     k = data.draw(st.integers(1, n))
