@@ -137,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         def flag(name: str, **kwargs) -> None:
             p.add_argument(f"--{name}", required=name in needs, **kwargs)
 
+        p.set_defaults(usage_error=p.error)  # main reports its rate rules in this usage
         flag("n", type=int, help="number of hypotheses")
         if rate:
             flag("rate", choices=[r.value for r in Rate], help="error rate and stepping direction")
@@ -201,13 +202,12 @@ _parser = functools.cache(build_parser)  # argparse gives each call a fresh name
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if vars(args).get("rate", "") is None:  # constants or adjust run without --rate
         if args.k is not None:
-            parser.error("--k requires --rate")
+            args.usage_error("--k requires --rate")
         if args.gamma is not None and args.command != "constants":  # raw rs reads it
-            parser.error("--gamma requires --rate")
+            args.usage_error("--gamma requires --rate")
     try:  # cmd_* is looked up per call, so a rebound function is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except lp.SolverError as exc:

@@ -4,8 +4,10 @@ CSV is the default surface: matrices are written as n rows of n decimals
 behind a ``# spec:`` comment header, constants and solutions as indexed
 rows, simulation reports with the fixed column set
 ``n,trueCount,d,procedure,avgPower,tailFDP,fdr,se_power``. Floats are
-emitted as shortest round-trip decimals so outputs (and the solution cache)
-reproduce bit-for-bit. JSON payloads mirror the CSV contents.
+emitted as their ``repr``, the shortest round-trip decimal, never as the input
+token, so outputs (and the solution cache) reproduce bit-for-bit; the decisions
+writers repr each adjusted p-value once per distinct bit pattern. JSON payloads
+mirror the CSV contents.
 """
 
 from __future__ import annotations
@@ -239,34 +241,38 @@ def solution_json(problem: LPProblem, solution: LPSolution) -> str:
                         xi=_json_list(map(repr, solution.xi.values.tolist())))
 
 
-def _labels(p: PValueVector):
-    """Each hypothesis's label; an unlabelled one is labelled by its 1-based index."""
-    return p.labels if p.labels is not None else map(str, range(1, p.n + 1))
+def _decision_columns(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
+                      words: tuple[str, str]) -> tuple:
+    """The index, label, pvalue, adjusted_pvalue and rejected columns of the
+    decisions writers, n strings each; an unlabelled hypothesis is labelled by
+    its index, and ``words`` spell rejected and not. Every float is ``repr``
+    (``_fmt`` without NaN), and each adjusted value, mostly the clipped 1.0, is
+    formatted once per distinct bit pattern: -0.0 == 0.0, but the reprs differ."""
+    index = list(map(str, range(1, p.n + 1)))
+    bits, inverse = np.unique(np.asarray(adjusted, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    hit = np.zeros(p.n, dtype=bool)
+    hit[np.fromiter(decision.rejected, dtype=np.intp, count=decision.n_rejected) - 1] = True
+    return (index, index if p.labels is None else p.labels, list(map(repr, p.values.tolist())),
+            texts[inverse].tolist(), np.where(hit, *words).tolist())
 
 
 def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                   header: str) -> str:
-    rejected = decision.rejected
-    lines = [
-        f"# procedure: {header}",
-        f"# rejections: {decision.n_rejected}",
-        "index,label,pvalue,adjusted_pvalue,rejected",
-    ]
-    # repr is _fmt here: p-values are never NaN, nor are adjusted values,
-    # ratios clipped to 1; most adjusted values are that 1, whose repr is known
-    rows = zip(range(1, p.n + 1), _labels(p), p.values.tolist(), adjusted.tolist())
-    lines += [f"{i},{label},{value!r},{'1.0' if adj == 1.0 else repr(adj)},{int(i in rejected)}"
-              for i, label, value, adj in rows]
+    lines = [f"# procedure: {header}", f"# rejections: {decision.n_rejected}",
+             "index,label,pvalue,adjusted_pvalue,rejected"]
+    lines += map(",".join, zip(*_decision_columns(p, decision, adjusted, ("1", "0"))))
     return "\n".join(lines) + "\n"
 
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
-    rows = zip(range(1, p.n + 1), _labels(p), p.values.tolist(), adjusted.tolist())
+    columns = _decision_columns(p, decision, adjusted, ("true", "false"))
     items = (f'{{\n      "index": {i},\n      "label": {json.dumps(label)},\n'
-             f'      "pvalue": {value!r},\n      "adjusted_pvalue": {adj!r},\n'
-             f'      "rejected": {"true" if i in decision.rejected else "false"}\n    }}'
-             for i, label, value, adj in rows)
+             f'      "pvalue": {value},\n      "adjusted_pvalue": {adj},\n'
+             f'      "rejected": {rejected}\n    }}'
+             for i, label, value, adj, rejected in zip(*columns))
     return _json_object({"procedure": header, "rejections": decision.n_rejected},
                         hypotheses=_json_list(items))
 

@@ -13,6 +13,7 @@ the tie order because the step rules only look at order statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,15 @@ class PValueVector:
         return self.values.size
 
     def order(self) -> np.ndarray:
-        """Stable ascending sort permutation (0-based original indices)."""
-        return np.argsort(self.values, kind="stable")
+        """Stable ascending sort permutation (0-based original indices), a
+        read-only array computed once per vector."""
+        return self._order
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        order = np.argsort(self.values, kind="stable")
+        order.setflags(write=False)
+        return order
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ def _step(p: PValueVector, c: CriticalVector, direction: str) -> DecisionSet:
         raise ValueError(f"constants have length {c.n}, p-values {p.n}")
     order = p.order()
     k = int(_rejection_counts(p.values[order], c.values, direction))
-    return DecisionSet(rejected=frozenset(int(j) + 1 for j in order[:k]))
+    return DecisionSet(rejected=frozenset((order[:k] + 1).tolist()))
 
 
 def step_up(p: PValueVector, c: CriticalVector) -> DecisionSet:

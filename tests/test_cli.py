@@ -43,10 +43,12 @@ def run_to_exit(capsys, *argv):
 def error_message(err):
     """The message of a one-message usage error. ``main`` prints
     ``error: <message>``; argparse prints a usage, then ``<prog>: error:
-    <message>``, with prog ``mtbounds`` or ``mtbounds <command>``."""
+    <message>``, with prog ``mtbounds <command>``: every usage error of a
+    command is reported in that command's usage."""
     if err.startswith("usage: mtbounds "):
         prog, _, message = err.rstrip("\n").rpartition("\n")[2].partition(": error: ")
-        assert prog.split()[0] == "mtbounds" and message, err
+        assert prog.split()[0] == "mtbounds" and len(prog.split()) == 2 and message, err
+        assert err.startswith(f"usage: {prog} "), err
         return message
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     return err[len("error: "):-1]
@@ -669,6 +671,9 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert (exc.value.code, out.out) == (2, "")
         assert error_message(out.err) == message
+        # every rule is reported in the command's own usage, not the top-level one
+        assert out.err.startswith(f"usage: mtbounds {argv[0]} "), out.err
+        assert out.err.splitlines()[-1] == f"mtbounds {argv[0]}: error: {message}"
 
     @pytest.mark.parametrize("family", ["bh", "by", "gr"])
     def test_constants_gamma_unread_by_family_exits_2(self, family, capsys):
@@ -1037,6 +1042,43 @@ labels = st.one_of(st.sampled_from(['"', 'a"b', "\\", "ü", "€\"x", "\n", ""])
                    st.text(max_size=6))
 constant_vectors = st.lists(finite, min_size=1, max_size=12).map(
     lambda values: CriticalVector(np.sort(values)))
+# adjusted p-values from a small pool repeat, as the clipped 1.0 does; -0.0 == 0.0,
+# but the two print apart
+adjusted_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 0.30000000000000004, 0.5, 1.0]), unit)
+
+
+def decision_rows(draw_rejected):
+    """Hypothesis rows (label, p-value, adjusted p-value, rejected)."""
+    return st.lists(st.tuples(labels, adjusted_values, adjusted_values, draw_rejected),
+                    min_size=1, max_size=12)
+
+
+def decision_inputs(rows, labelled):
+    p = procedures.PValueVector(np.array([r[1] for r in rows]),
+                                labels=tuple(r[0] for r in rows) if labelled else None)
+    decision = procedures.DecisionSet(frozenset(
+        i for i, r in enumerate(rows, start=1) if r[3]))
+    return p, decision, np.array([r[2] for r in rows])
+
+
+class TestDecisionsCsv:
+    """``decisions_csv`` formats whole columns; it must print what one row at
+    a time through ``fileio._fmt`` prints."""
+
+    @pytest.mark.parametrize("rejected", [st.booleans(), st.just(False), st.just(True)],
+                             ids=["drawn", "none", "all"])
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    @given(data=st.data(), header=labels)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_at_a_time(self, rejected, labelled, data, header):
+        p, decision, adjusted = decision_inputs(data.draw(decision_rows(rejected)), labelled)
+        names = p.labels if labelled else [str(i) for i in range(1, p.n + 1)]
+        expected = [f"# procedure: {header}", f"# rejections: {decision.n_rejected}",
+                    "index,label,pvalue,adjusted_pvalue,rejected"]
+        expected += [f"{i},{label},{fileio._fmt(v)},{fileio._fmt(a)},{int(i in decision.rejected)}"
+                     for i, (label, v, a) in enumerate(zip(names, p.values, adjusted), start=1)]
+        assert fileio.decisions_csv(p, decision, adjusted, header) == "\n".join(expected) + "\n"
 
 
 class TestJsonWriters:
@@ -1087,21 +1129,17 @@ class TestJsonWriters:
         }
         assert fileio.solution_json(problem, solution) == dumped(payload)
 
-    @given(rows=st.lists(st.tuples(labels, unit, unit, st.booleans()), min_size=1, max_size=12),
-           header=labels)
-    def test_decisions(self, rows, header):
-        p = procedures.PValueVector(np.array([r[1] for r in rows]),
-                                    labels=tuple(r[0] for r in rows))
-        adjusted = np.array([r[2] for r in rows])
-        decision = procedures.DecisionSet(frozenset(
-            i for i, r in enumerate(rows, start=1) if r[3]))
+    @given(rows=decision_rows(st.booleans()), labelled=st.booleans(), header=labels)
+    def test_decisions(self, rows, labelled, header):
+        p, decision, adjusted = decision_inputs(rows, labelled)
+        names = p.labels if labelled else [str(i) for i in range(1, p.n + 1)]
         payload = {
             "procedure": header,
             "rejections": decision.n_rejected,
             "hypotheses": [{"index": i, "label": label, "pvalue": float(value),
                             "adjusted_pvalue": float(adj), "rejected": i in decision.rejected}
                            for i, (label, value, adj) in enumerate(
-                               zip(p.labels, p.values, adjusted), start=1)],
+                               zip(names, p.values, adjusted), start=1)],
         }
         assert fileio.decisions_json(p, decision, adjusted, header) == dumped(payload)
 
