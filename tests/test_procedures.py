@@ -233,6 +233,16 @@ class TestProcedureProperties:
         assert step_up(p1, c).rejected == frozenset({1, 2})
         assert step_up(p2, c).rejected == frozenset({1, 3})
 
+    def test_order_is_sorted_once_and_read_only(self):
+        """The step rule and the adjusted p-values share one stable sort."""
+        p = pv(0.05, 0.9, 0.05, 0.01)
+        order = p.order()
+        assert order.tolist() == [3, 0, 2, 1]
+        assert p.order() is order and not order.flags.writeable
+        decision = step_down(p, cv(0.02, 0.06, 0.06, 0.5))
+        assert decision.rejected == frozenset({1, 3, 4})
+        assert all(type(j) is int for j in decision.rejected)
+
 
 class TestRunProcedure:
     def test_bh95_step_up_counts(self, bh95):
