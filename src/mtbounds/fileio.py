@@ -104,7 +104,7 @@ def read_pvalues(path: str | Path) -> PValueVector:
     if not data:
         raise InputFormatError(path, 0, "no p-values found")
     texts, labels = data.values(), None
-    if "," in text:  # a line without one is labelled by its position, as in _labels
+    if "," in text:  # a line without one is labelled by its position, as in _decision_columns
         cells = [line.split(",", 1) if "," in line else (str(i), line)
                  for i, line in enumerate(texts, start=1)]
         labels = tuple(label.strip() for label, _ in cells)
