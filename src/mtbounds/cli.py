@@ -39,6 +39,7 @@ def _write(args, kind: str, *data) -> int:
 
 
 def cmd_matrix(args) -> int:
+    # through the one call that perfbench counts and the tests can make fail
     return _write(args, "matrix", associated_matrix(_rate_spec(args)))
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .matrices import AssociatedMatrix, ErrorRateSpec, bound_vector
+from .matrices import ErrorRateSpec, _check_n, bound_vector
 
 __all__ = [
     "Family",
@@ -81,8 +81,7 @@ class CriticalVector:
 
 def bh_constants(n: int) -> CriticalVector:
     """The linear staircase i/n."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     return CriticalVector(np.arange(1, n + 1) / n, Family.BH, {"n": n})
 
 
@@ -107,8 +106,7 @@ def _harmonic_prefix(n: int) -> np.ndarray:
 def by_constants(n: int) -> CriticalVector:
     """The linear staircase divided by the n-th harmonic number; controls the
     false discovery rate under arbitrary dependence."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     h_n = float(_harmonic_prefix(n)[-1])
     return CriticalVector(np.arange(1, n + 1) / (n * h_n), Family.BY, {"n": n, "divisor": h_n})
 
@@ -118,8 +116,7 @@ def gr_sd_constants(n: int) -> CriticalVector:
     D = max_i (i/n) * (H_{n-i+1} + (n-i)/(n-i+1) - (n-i)/n); controls the
     false discovery rate of step-down procedures under arbitrary dependence.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_n(n)
     h = _harmonic_prefix(n)
     i = np.arange(1, n + 1, dtype=float)
     tail = n - i
@@ -127,16 +124,15 @@ def gr_sd_constants(n: int) -> CriticalVector:
     return CriticalVector(np.arange(1, n + 1) / (n * d), Family.GR, {"n": n, "divisor": float(d)})
 
 
-def rescale(c: CriticalVector,
-            spec: ErrorRateSpec | AssociatedMatrix) -> tuple[CriticalVector, float]:
+def rescale(c: CriticalVector, spec: ErrorRateSpec) -> tuple[CriticalVector, float]:
     """Divide c by D = max(A @ c), the smallest factor making it feasible.
 
-    ``spec`` names A (an ErrorRateSpec, or an AssociatedMatrix whose spec
-    is read); A itself is never built. Returns the rescaled vector, of c's
-    family at stage "rescaled" with ``divisor`` D times c's own (by, gr), and
-    D. Raises if the bound is identically zero (c cannot be normalized).
+    ``spec`` is A; no view of it is built, since ``bound_vector`` gives
+    A @ c. Returns the rescaled vector, of c's family at stage "rescaled"
+    with ``divisor`` D times c's own (by, gr), and D. Raises if the bound is
+    identically zero (c cannot be normalized).
     """
-    bounds = bound_vector(getattr(spec, "spec", spec), c)
+    bounds = bound_vector(spec, c)
     d = float(np.max(bounds))
     if d <= 0.0:
         raise ValueError("bound vector is identically zero; cannot rescale")

@@ -12,7 +12,6 @@ mirror the CSV contents.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 
 from .constants import CriticalVector
 from .lp import LPProblem, LPSolution
-from .matrices import AssociatedMatrix, ErrorRateSpec
+from .matrices import ErrorRateSpec
 from .procedures import DecisionSet, PValueVector
 from .simulation import SimReport
 
@@ -146,15 +145,15 @@ def _spec_payload(spec: ErrorRateSpec) -> dict:
     return {"rate": spec.rate.value, "n": spec.n, name: value}
 
 
-def matrix_csv(matrix: AssociatedMatrix) -> str:
-    lines = [f"# spec: {_spec_text(matrix.spec)}"]
-    lines += [",".join(map(repr, row.tolist())) for row in matrix.entries]  # never NaN
+def matrix_csv(spec: ErrorRateSpec) -> str:
+    lines = [f"# spec: {_spec_text(spec)}"]
+    lines += [",".join(map(repr, row.tolist())) for row in spec.entries]  # never NaN
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(matrix: AssociatedMatrix) -> str:
-    rows = (_json_list(map(repr, row.tolist()), 2) for row in matrix.entries)
-    return _json_object({"spec": _spec_payload(matrix.spec)}, entries=_json_list(rows))
+def matrix_json(spec: ErrorRateSpec) -> str:
+    rows = (_json_list(map(repr, row.tolist()), 2) for row in spec.entries)
+    return _json_object({"spec": _spec_payload(spec)}, entries=_json_list(rows))
 
 
 def _params_text(c: CriticalVector) -> str:
@@ -300,9 +299,9 @@ def report_json(report: SimReport) -> str:
     rename = {"true_count": "trueCount", "effect": "d", "avg_power": "avgPower",
               "tail_fdp": "tailFDP"}
     payload = {
-        "config": dataclasses.asdict(report.config),
+        "config": vars(report.config),
         "cells": [{rename.get(key, key): None if isinstance(x, float) and math.isnan(x) else x
-                   for key, x in dataclasses.asdict(c).items()}
+                   for key, x in vars(c).items()}
                   for c in report.cells],
         "failures": [{"procedure": name, "error": err} for name, err in report.failures],
     }

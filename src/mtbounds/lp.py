@@ -52,7 +52,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """The assembled program: the spec that names A, a feasible floor,
+    """The assembled program: the spec, which is A, a feasible floor,
     mean-1 weights and the floor's bound vector A @ floor."""
 
     spec: ErrorRateSpec
@@ -94,7 +94,6 @@ def build_problem(
     Raises ValueError when max(A @ floor) > 1 + 1e-9, on a dimension
     mismatch or on bad weights.
     """
-    spec = getattr(spec, "spec", spec)  # perfbench still passes an AssociatedMatrix
     n = spec.n
     if floor.n != n:
         raise ValueError(f"floor has length {floor.n}, matrix is {n}x{n}")
@@ -227,7 +226,7 @@ def solve(problem: LPProblem) -> LPSolution:
         return _solution(problem, xi, 0)
     from scipy import sparse  # imported on first use: most runs solve no LP
     n = problem.spec.n
-    A = associated_matrix(problem.spec).rows
+    A = associated_matrix(problem.spec).rows  # through the call that perfbench and tests watch
     active, scale, upper = np.arange(n), np.ones(n), np.full(n, np.inf)
     if A.nnz > 2 * START_ROWS * n:
         start = np.argsort(-problem.floor_bounds, kind="stable")[:START_ROWS]

@@ -13,10 +13,10 @@ stepping direction alone.
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
 the LP's checks of its floor and its optimum compare that maximum with
-``1 + lp.FEASIBILITY_TOL``, the one feasibility test. Elsewhere A is named
-by its ``ErrorRateSpec``: only ``lp.solve`` builds an ``AssociatedMatrix``,
-to read its sparse ``rows``, and only ``cli.cmd_matrix``, for the
-``matrix`` writers in ``fileio`` to print its dense ``entries``.
+``1 + lp.FEASIBILITY_TOL``, the one feasibility test. The spec is A: it
+builds its sparse ``rows`` and dense ``entries`` on first read, which only
+``lp.solve`` (``rows``) and ``cli.cmd_matrix`` (``entries``, for the
+``matrix`` writers in ``fileio``) do, each through ``associated_matrix``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
@@ -25,6 +25,7 @@ the raw ``entries`` array uses ordinary 0-based numpy indexing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -34,7 +35,6 @@ import numpy as np
 __all__ = [
     "Rate",
     "ErrorRateSpec",
-    "AssociatedMatrix",
     "associated_matrix",
     "bound_vector",
     "row_events",
@@ -59,12 +59,20 @@ class Rate(str, Enum):
         return "su" if self in (Rate.KFWER_SU, Rate.FDP_SU) else "sd"
 
 
+def _check_n(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 1:  # numpy integers are Integral
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 @dataclass(frozen=True)
 class ErrorRateSpec:
-    """Which error rate a matrix or procedure targets, with its parameter.
+    """An error rate with its parameter, which is its bound matrix A.
 
-    kFWER variants carry ``k`` (1 <= k <= n), FDP variants carry ``gamma``
-    (0 <= gamma < 1). ``n`` is the number of hypotheses.
+    kFWER variants carry an integer ``k`` (1 <= k <= n), FDP variants carry
+    ``gamma`` (0 <= gamma < 1); ``n`` counts the hypotheses. A's views,
+    ``rows`` (sparse) and ``entries`` (dense, read-only, ``[i-1, j-1]`` the
+    coefficient of c_j when i hypotheses are true), are built on first read
+    and kept for as long as the spec lives; equality and hashing ignore them.
     """
 
     rate: Rate
@@ -73,8 +81,7 @@ class ErrorRateSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_n(self.n)
         if self.rate.is_fdp:
             if self.gamma is None:
                 raise ValueError(f"{self.rate.value} requires gamma")
@@ -87,7 +94,7 @@ class ErrorRateSpec:
                 raise ValueError(f"{self.rate.value} requires k")
             if self.gamma is not None:
                 raise ValueError(f"{self.rate.value} does not take gamma")
-            if not 1 <= self.k <= self.n:
+            if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= self.n):
                 raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
 
     @property
@@ -105,20 +112,9 @@ class ErrorRateSpec:
             return np.full(self.n, self.k)
         return np.floor(self.gamma * np.arange(1, self.n + 1)).astype(int) + 1
 
-
-@dataclass(frozen=True)
-class AssociatedMatrix:
-    """The nonnegative bound matrix for one error-rate spec, a function of
-    ``spec`` alone. Each view is built once, on first read: ``rows`` (sparse)
-    and ``entries``, the read-only dense array whose ``[i-1, j-1]`` entry is
-    the coefficient of constant c_j in the bound when i hypotheses are true.
-    """
-
-    spec: ErrorRateSpec
-
     @property
-    def n(self) -> int:
-        return self.spec.n
+    def spec(self) -> ErrorRateSpec:  # itself: perfbench reads a matrix's spec
+        return self
 
     @cached_property
     def rows(self) -> sparse.csr_array:
@@ -130,8 +126,8 @@ class AssociatedMatrix:
         increase with its levels, and every weight is positive, so the rows
         are sorted, free of duplicates and of explicit zeros.
         """
-        n = self.spec.n
-        first, last, cap = _event_system(self.spec)
+        n = self.n
+        first, last, cap = _event_system(self)
         counts = np.maximum(last - first + 1, 0)
         indptr = np.concatenate(([0], np.cumsum(counts)))
         index = np.int32 if indptr[-1] < 2**31 else np.int64
@@ -183,15 +179,15 @@ def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
     return int(k[0]), np.minimum(rows, last), cap
 
 
-def associated_matrix(spec: ErrorRateSpec) -> AssociatedMatrix:
-    """The bound matrix of any error-rate spec; nothing is built yet."""
-    return AssociatedMatrix(spec)
+def associated_matrix(spec: ErrorRateSpec) -> ErrorRateSpec:
+    """The spec itself, which is A: the one call that reaches A's views, so
+    perfbench counts the bytes they take and tests substitute a builder."""
+    return spec
 
 
-def fdp_sd_matrix(n: int, gamma: float) -> AssociatedMatrix:
-    """``associated_matrix`` of the fdp-sd spec. Not exported: it stays only
-    because ``perfbench/test_perfbench.py`` imports it; use ``associated_matrix``."""
-    return associated_matrix(ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma))
+def fdp_sd_matrix(n: int, gamma: float) -> ErrorRateSpec:
+    """The fdp-sd spec, unexported: ``perfbench/test_perfbench.py`` imports it."""
+    return ErrorRateSpec(Rate.FDP_SD, n, gamma=gamma)
 
 
 def bound_vector(spec: ErrorRateSpec, c) -> np.ndarray:

@@ -28,7 +28,7 @@ from .constants import (
     rescale,
     rs_constants,
 )
-from .matrices import ErrorRateSpec
+from .matrices import ErrorRateSpec, _check_n
 
 __all__ = [
     "PValueVector",
@@ -189,6 +189,7 @@ class ProcedureSpec:
     def __post_init__(self) -> None:
         _check_family(self.family, self.modified)
         _check_alpha(self.alpha)
+        _check_n(self.n)
         if self.family in FDR_FAMILIES:
             if self.rate is not None:
                 raise ValueError(f"family {self.family!r} does not take an error-rate matrix")

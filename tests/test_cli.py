@@ -949,13 +949,13 @@ class TestSparseLP:
          "--modified"],
     ], ids=lambda argv: "-".join(argv[:5:2]))
     def test_cold_and_warm(self, argv, bh95_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(matrices.AssociatedMatrix, "entries", property(never_read))
+        monkeypatch.setattr(matrices.ErrorRateSpec, "entries", property(never_read))
         argv = argv + ["--cache-dir", str(tmp_path / "cache")]
         if argv[0] == "adjust":
             argv += ["--input", str(bh95_file)]
         cold = run(capsys, *argv)
         assert cold[0] == 0 and cold[2] == ""
-        monkeypatch.setattr(matrices.AssociatedMatrix, "rows", property(never_read))
+        monkeypatch.setattr(matrices.ErrorRateSpec, "rows", property(never_read))
         patch_matrix_builds(monkeypatch, never_build)
         assert run(capsys, *argv) == cold
 

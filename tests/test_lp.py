@@ -534,8 +534,8 @@ def test_decreasing_highs_optimum_raises(monkeypatch):
 
 
 def test_build_problem_reads_the_spec_of_a_matrix():
-    """perfbench still poses its program on an AssociatedMatrix; that is the
-    program of the matrix's spec."""
+    """perfbench poses its program on the result of fdp_sd_matrix, through
+    associated_matrix; that is the program of the spec itself."""
     spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.05)
     floor = family_constants("bh", 20, spec)
     for weights in (None, np.arange(1.0, 21.0)):

@@ -12,10 +12,14 @@ from scipy import sparse
 from mtbounds import (
     Family,
     ErrorRateSpec,
+    ProcedureSpec,
     Rate,
+    SimConfig,
     associated_matrix,
     bh_constants,
     bound_vector,
+    by_constants,
+    gr_sd_constants,
     rescale,
     row_events,
     rs_constants,
@@ -482,6 +486,40 @@ def test_entries_immutable():
         A.entries[0, 0] = 7.0
 
 
+@pytest.mark.parametrize("rate, param", [(Rate.FDP_SU, {"gamma": 0.1}), (Rate.KFWER_SD, {"k": 2})],
+                         ids=["fdp-su", "kfwer-sd"])
+def test_spec_builds_each_view_once_and_equals_a_fresh_spec(rate, param):
+    """A spec is its matrix: a second read of a view returns the object the
+    first one built, and the built views take no part in equality or the
+    hash."""
+    spec = ErrorRateSpec(rate, 6, **param)
+    rows, entries = spec.rows, spec.entries
+    assert spec.rows is rows and spec.entries is entries
+    assert not entries.flags.writeable
+    fresh = ErrorRateSpec(rate, 6, **param)
+    assert "rows" not in vars(fresh) and "entries" not in vars(fresh)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert len({spec, fresh}) == 1
+
+
+@pytest.mark.parametrize("build", [
+    bh_constants, by_constants, gr_sd_constants,
+    lambda n: ErrorRateSpec(Rate.FDP_SU, n, gamma=0.1),
+    lambda k: ErrorRateSpec(Rate.KFWER_SD, 10, k=k),
+    lambda n: ProcedureSpec(family="by", n=n, alpha=0.05),
+    lambda n: SimConfig(n=n),
+], ids=["bh", "by", "gr", "spec-n", "spec-k", "procedure", "simulation"])
+def test_non_integer_n_or_k_fails_where_it_is_built(build):
+    """n and k are integers, Python's or numpy's: 2.5 and 4.0 raise
+    ValueError with the usual message when the object is built, not later
+    deep in numpy."""
+    for bad in (2.5, 4.0):
+        with pytest.raises(ValueError, match=rf"^[nk] must .*, got {bad}$"):
+            build(bad)
+    for good in (4, np.int64(4), np.int32(4)):
+        build(good)
+
+
 # The structured A @ c against the dense product, over the hash grid plus
 # gammas whose 1/gamma is not an integer or lies close to 1.
 STRUCTURE_GAMMAS = HASH_GAMMAS + (0.5, 0.99, 1 / 3)
@@ -592,7 +630,8 @@ def test_saturate_rows_checks_start(rate):
 
 
 def test_rescale_reads_the_spec():
-    """perfbench still passes an AssociatedMatrix; rescale reads its spec."""
+    """perfbench passes rescale the result of fdp_sd_matrix, through
+    associated_matrix; that rescales into the spec itself."""
     spec = ErrorRateSpec(Rate.FDP_SU, 40, gamma=0.1)
     from_spec, d_spec = rescale(bh_constants(40), spec)
     from_matrix, d_matrix = rescale(bh_constants(40), associated_matrix(spec))
@@ -611,12 +650,14 @@ def test_associated_matrix_is_the_one_public_constructor():
     assert not [name for name, _ in inspect.getmembers(ErrorRateSpec, inspect.ismethod)
                 if not name.startswith("_")]
     assert not hasattr(mtbounds, "fdp_sd_matrix")
+    assert not hasattr(matrices, "AssociatedMatrix")
     spec = ErrorRateSpec(Rate.FDP_SD, 20, gamma=0.05)
-    assert matrices.fdp_sd_matrix(20, 0.05) == associated_matrix(spec)
+    assert associated_matrix(spec) is spec and spec.spec is spec
+    assert matrices.fdp_sd_matrix(20, 0.05) == spec
 
 
 PUBLIC_NAMES = {
-    "AssociatedMatrix", "CellStats", "CriticalVector", "DecisionSet", "ErrorRateSpec",
+    "CellStats", "CriticalVector", "DecisionSet", "ErrorRateSpec",
     "Family", "LPProblem", "LPSolution", "ProcedureSpec", "PValueVector", "Rate",
     "SimConfig", "SimReport", "SolverError", "adjusted_pvalues", "associated_matrix",
     "bh_constants", "bound_vector", "build_problem", "by_constants", "family_constants",
