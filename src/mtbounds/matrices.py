@@ -6,9 +6,9 @@ critical constants into an upper bound (A @ c)[i-1] on the error rate when
 exactly i null hypotheses are true, valid under arbitrary dependence of the
 p-values. Constants with ``max(A @ c) <= 1`` therefore control the rate at
 level alpha once multiplied by alpha. Every rate is its threshold
-(``ErrorRateSpec.threshold``): l rejections count as an error once k(l) of
-them are false, so the event system, and with it A, follows from k and the
-stepping direction alone.
+(``ErrorRateSpec.threshold``), k(l) = max(k, floor(gamma*l)+1): kFWER at
+gamma = 0, tail-FDP at k = 1. The event system, and with it A, follows from
+it by one rule per stepping direction.
 
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
@@ -59,8 +59,12 @@ class Rate(str, Enum):
         return "su" if self in (Rate.KFWER_SU, Rate.FDP_SU) else "sd"
 
 
+def _is_int(x) -> bool:  # numpy integers are Integral; a bool counts nothing
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_n(n) -> None:
-    if not isinstance(n, numbers.Integral) or n < 1:  # numpy integers are Integral
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
@@ -82,20 +86,15 @@ class ErrorRateSpec:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-        if self.rate.is_fdp:
-            if self.gamma is None:
-                raise ValueError(f"{self.rate.value} requires gamma")
-            if self.k is not None:
-                raise ValueError(f"{self.rate.value} does not take k")
-            if not 0.0 <= self.gamma < 1.0:
-                raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        else:
-            if self.k is None:
-                raise ValueError(f"{self.rate.value} requires k")
-            if self.gamma is not None:
-                raise ValueError(f"{self.rate.value} does not take gamma")
-            if not (isinstance(self.k, numbers.Integral) and 1 <= self.k <= self.n):
-                raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
+        name, other = ("gamma", "k") if self.rate.is_fdp else ("k", "gamma")
+        if getattr(self, name) is None:
+            raise ValueError(f"{self.rate.value} requires {name}")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{self.rate.value} does not take {other}")
+        if self.rate.is_fdp and not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if not self.rate.is_fdp and not (_is_int(self.k) and 1 <= self.k <= self.n):
+            raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
 
     @property
     def param(self) -> tuple[str, int | float]:
@@ -105,12 +104,11 @@ class ErrorRateSpec:
 
     @property
     def threshold(self) -> np.ndarray:
-        """k(l) for l = 1..n: l rejections are an error once k(l) of them are
-        false, k for kFWER and floor(gamma*l)+1 for tail-FDP. Nondecreasing,
-        and k(1) >= 1."""
-        if not self.rate.is_fdp:
-            return np.full(self.n, self.k)
-        return np.floor(self.gamma * np.arange(1, self.n + 1)).astype(int) + 1
+        """k(l) = max(k, floor(gamma*l)+1), l = 1..n (Sarkar & Guo 2009): l
+        rejections are an error once k(l) of them are false. kFWER has
+        gamma = 0, tail-FDP k = 1. Nondecreasing, and k(1) >= 1."""
+        k, gamma = self.k or 1, self.gamma or 0.0
+        return np.maximum(k, np.floor(gamma * np.arange(1, self.n + 1)).astype(int) + 1)
 
     @property
     def spec(self) -> ErrorRateSpec:  # itself: perfbench reads a matrix's spec
@@ -147,8 +145,8 @@ class ErrorRateSpec:
 
 
 def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
-    """The order-statistic event system behind every row of the matrix;
-    every rate is its threshold k = ``spec.threshold``.
+    """The order-statistic event system behind every row of the matrix, from
+    the threshold k = ``spec.threshold`` by one rule per stepping direction.
 
     Returns ``(first, last, cap)``: row i holds the levels
     ``first..last[i-1]`` (none when ``last[i-1] < first``), and level L of
@@ -167,15 +165,14 @@ def _event_system(spec: ErrorRateSpec) -> tuple[int, np.ndarray, np.ndarray]:
         # Rejecting down to constant l errs only from level k(l) on; each
         # level pairs with the largest column it can reach.
         last = np.maximum(rows - n + cap, k[cap - 1])
-    elif spec.rate.is_fdp:
+    else:
         # Step-down: with L false rejections the FDP exceeds gamma only while
         # the rejection count stays below L/gamma, and with i true nulls it is
-        # at most n-i+L (Romano & Shaikh 2006).
-        gamma = spec.gamma
-        last = np.minimum(
-            k[-1], np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1)
-    else:  # kfwer-sd: each row i >= k holds level k alone
-        last = k
+        # at most n-i+L (Romano & Shaikh 2006). At gamma = 0 the term is 1,
+        # so each row i >= k holds level k alone.
+        gamma = spec.gamma or 0.0
+        last = np.maximum(k[0], np.minimum(
+            k[-1], np.floor(gamma * ((n - rows) / (1.0 - gamma) + 1.0)).astype(int) + 1))
     return int(k[0]), np.minimum(rows, last), cap
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .lp import SolverError
-from .matrices import ErrorRateSpec, Rate
+from .matrices import ErrorRateSpec, Rate, _is_int
 from .procedures import ProcedureSpec, _rejection_counts, family_constants
 
 __all__ = [
@@ -52,7 +52,8 @@ class SimConfig:
     on the ten-procedure ``roster``; neither grid may repeat a value. Empty
     ``true_counts`` ask for the quarter-point grid {0, n/4, n/2, 3n/4, n},
     rounded and deduplicated.
-    ``seed`` keys the Philox streams and must lie in [0, 2**64)."""
+    ``reps``, the true counts and ``seed`` are integers, not bools; ``seed``
+    keys the Philox streams and must lie in [0, 2**64)."""
 
     n: int
     true_counts: tuple[int, ...] = ()
@@ -73,8 +74,8 @@ class SimConfig:
             n = self.n
             grid = tuple(sorted({0, round(n / 4), round(n / 2), round(3 * n / 4), n}))
             object.__setattr__(self, "true_counts", grid)
-        if any(not 0 <= t <= self.n for t in self.true_counts):
-            raise ValueError("true counts must lie in 0..n")
+        if any(not (_is_int(t) and 0 <= t <= self.n) for t in self.true_counts):
+            raise ValueError(f"true counts must be integers in 0..n, got {self.true_counts}")
         if not self.effects:
             raise ValueError("at least one effect size is required")
         if any(not math.isfinite(d) for d in self.effects):
@@ -84,10 +85,10 @@ class SimConfig:
                 raise ValueError(f"{name} must not repeat, got {grid}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (_is_int(self.reps) and self.reps >= 1):
+            raise ValueError(f"reps must be a positive integer, got {self.reps}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
     def roster(self) -> tuple[ProcedureSpec, ...]:
         """The four rescaled tail-FDP procedures with their modified variants

@@ -510,10 +510,10 @@ def test_spec_builds_each_view_once_and_equals_a_fresh_spec(rate, param):
     lambda n: SimConfig(n=n),
 ], ids=["bh", "by", "gr", "spec-n", "spec-k", "procedure", "simulation"])
 def test_non_integer_n_or_k_fails_where_it_is_built(build):
-    """n and k are integers, Python's or numpy's: 2.5 and 4.0 raise
-    ValueError with the usual message when the object is built, not later
-    deep in numpy."""
-    for bad in (2.5, 4.0):
+    """n and k are integers, Python's or numpy's: 2.5, 4.0 and the bool True
+    raise ValueError with the usual message when the object is built, not
+    later deep in numpy."""
+    for bad in (2.5, 4.0, True):
         with pytest.raises(ValueError, match=rf"^[nk] must .*, got {bad}$"):
             build(bad)
     for good in (4, np.int64(4), np.int32(4)):
