@@ -45,10 +45,10 @@ def grid_specs(rate: Rate, n: int) -> list[ErrorRateSpec]:
 
 @lru_cache(maxsize=None)
 def states(n: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Every assignment of n hypotheses to the intervals 1..n+1 (interval j
-    lies at or below c_j for j <= n), as its ``below`` counts (state s, row j:
-    how many of hypotheses 1..j lie at or below each column, shape
-    (S, n+1, n+1), column 0 being 0), and each direction's R per state."""
+    """Every assignment of n hypotheses to the intervals 1..n+1, interval j
+    being (c_{j-1}, c_j] for j <= n. Returns ``below``, where
+    ``below[s, h, j]`` counts the hypotheses 1..h at or below c_j in state s
+    (none at j = 0), and each direction's rejection count R per state."""
     positions = np.indices((n + 1,) * n).reshape(n, -1).T + 1  # (S, n), 1..n+1
     at_or_below = positions[:, :, None] <= np.arange(n + 1)  # (S, n, n+1)
     below = np.concatenate(
@@ -80,6 +80,7 @@ def check(spec: ErrorRateSpec, events=row_events) -> tuple[int, int]:
     uncovered = unneeded = 0
     for i in range(1, n + 1):
         nulls = below[:, i]  # nulls at or below each column
+        # either rule rejects the hypotheses at or below c_R, exactly R of them
         error = (r >= 1) & (nulls[np.arange(len(r)), r] >= k[r])
         pairs = events(spec, i)
         held = np.array([nulls[:, col] >= level for level, col in pairs], dtype=bool).reshape(
