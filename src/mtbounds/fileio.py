@@ -147,12 +147,13 @@ def _spec_payload(spec: ErrorRateSpec) -> dict:
 
 def matrix_csv(spec: ErrorRateSpec) -> str:
     lines = [f"# spec: {_spec_text(spec)}"]
-    lines += [",".join(map(repr, row.tolist())) for row in spec.entries]  # never NaN
+    lines += [",".join(map(repr, row.toarray().ravel().tolist()))  # never NaN
+              for row in spec.rows]
     return "\n".join(lines) + "\n"
 
 
 def matrix_json(spec: ErrorRateSpec) -> str:
-    rows = (_json_list(map(repr, row.tolist()), 2) for row in spec.entries)
+    rows = (_json_list(map(repr, row.toarray().ravel().tolist()), 2) for row in spec.rows)
     return _json_object({"spec": _spec_payload(spec)}, entries=_json_list(rows))
 
 

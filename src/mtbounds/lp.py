@@ -95,8 +95,6 @@ def build_problem(
     mismatch or on bad weights.
     """
     n = spec.n
-    if floor.n != n:
-        raise ValueError(f"floor has length {floor.n}, matrix is {n}x{n}")
     floor_bounds = bound_vector(spec, floor)
     worst = float(np.max(floor_bounds))
     if worst > 1.0 + FEASIBILITY_TOL:

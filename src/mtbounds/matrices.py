@@ -13,10 +13,10 @@ it by one rule per stepping direction.
 ``bound_vector`` computes ``A @ c`` from the rate's event system without
 forming A, in O(n) memory. Rescaling divides by its maximum; ``verify`` and
 the LP's checks of its floor and its optimum compare that maximum with
-``1 + lp.FEASIBILITY_TOL``, the one feasibility test. The spec is A: it
-builds its sparse ``rows`` and dense ``entries`` on first read, which only
-``lp.solve`` (``rows``) and ``cli.cmd_matrix`` (``entries``, for the
-``matrix`` writers in ``fileio``) do, each through ``associated_matrix``.
+``1 + lp.FEASIBILITY_TOL``, the one feasibility test. The spec is A, and
+keeps no copy of it: each read of ``rows`` builds A's CSR, which only
+``lp.solve`` and the ``matrix`` writers in ``fileio`` read, each through
+``associated_matrix``.
 
 Rows and columns are 1-based in every public field and docstring (row i =
 number of true hypotheses, column j = index of the j-th critical constant);
@@ -28,7 +28,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +74,8 @@ class ErrorRateSpec:
     kFWER variants carry an integer ``k`` (1 <= k <= n), FDP variants carry
     ``gamma`` (0 <= gamma < 1); ``n`` counts the hypotheses. A's views,
     ``rows`` (sparse) and ``entries`` (dense, read-only, ``[i-1, j-1]`` the
-    coefficient of c_j when i hypotheses are true), are built on first read
-    and kept for as long as the spec lives; equality and hashing ignore them.
+    coefficient of c_j when i hypotheses are true), are built on each read;
+    the spec stores only its four fields.
     """
 
     rate: Rate
@@ -114,7 +113,7 @@ class ErrorRateSpec:
     def spec(self) -> ErrorRateSpec:  # itself: perfbench reads a matrix's spec
         return self
 
-    @cached_property
+    @property
     def rows(self) -> sparse.csr_array:
         """A in canonical CSR form, assembled row by row from the event system.
 
@@ -137,8 +136,8 @@ class ErrorRateSpec:
         from scipy import sparse  # imported on first use: most runs build no sparse A
         return sparse.csr_array((data, columns, indptr), shape=(n, n))
 
-    @cached_property
-    def entries(self) -> np.ndarray:
+    @property
+    def entries(self) -> np.ndarray:  # read by perfbench and the tests only
         dense = self.rows.toarray()
         dense.setflags(write=False)
         return dense

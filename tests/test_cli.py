@@ -960,6 +960,23 @@ class TestSparseLP:
         assert run(capsys, *argv) == cold
 
 
+class TestMatrixExport:
+    """The ``matrix`` writers print A from its sparse rows, one row at a
+    time, and never read the dense entries."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rate, param", [
+        ("fdp-su", ["--gamma", "0.1"]), ("fdp-sd", ["--gamma", "0.2"]),
+        ("kfwer-su", ["--k", "2"]), ("kfwer-sd", ["--k", "3"]),
+    ], ids=["fdp-su", "fdp-sd", "kfwer-su", "kfwer-sd"])
+    def test_export_reads_no_dense_view(self, rate, param, fmt, monkeypatch, capsys):
+        argv = ["matrix", "--rate", rate, "--n", "12", *param, "--format", fmt]
+        unpatched = run(capsys, *argv)
+        assert unpatched[0] == 0 and unpatched[2] == ""
+        monkeypatch.setattr(matrices.ErrorRateSpec, "entries", property(never_read))
+        assert run(capsys, *argv) == unpatched
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("argv", [
         ["matrix", "--n", "20000", "--rate", "fdp-su", "--gamma", "0.05"],
