@@ -19,8 +19,8 @@ import numpy as np
 from . import fileio, lp
 from .constants import bh_constants, rs_constants
 from .matrices import ErrorRateSpec, Rate, associated_matrix, bound_vector
-from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, _check_family,
-                         family_constants, run_procedure)
+from .procedures import (FAMILIES, FDR_FAMILIES, ProcedureSpec, _check_alpha, family_constants,
+                         run_procedure)
 from .simulation import SimConfig, run_study
 
 USAGE_ERROR = 2
@@ -48,19 +48,14 @@ def cmd_constants(args) -> int:
         _check_alpha(args.alpha)
     family, n = args.family, args.n
     if args.rate:
-        spec = _rate_spec(args)
-        if family in FDR_FAMILIES:
-            raise ValueError(f"family {family!r} is pre-normalized and takes no --rate")
-        c = family_constants(family, n, spec, modified=args.modified, cache_dir=args.cache_dir)
+        c = family_constants(family, n, _rate_spec(args), modified=args.modified,
+                             cache_dir=args.cache_dir)
     else:  # the raw family; raw rs reads --gamma
-        _check_family(family, args.modified)
         if args.gamma is not None and family != "rs":
             raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
                              f"got family {family!r}")
-        if family in FDR_FAMILIES:
-            c = family_constants(family, n)
-        elif args.modified:
-            raise ValueError("modified constants need an error-rate matrix")
+        if family in FDR_FAMILIES or args.modified:  # family_constants states their rules
+            c = family_constants(family, n, modified=args.modified)
         elif family == "bh":
             c = bh_constants(n)
         elif args.gamma is None:
@@ -85,7 +80,8 @@ def cmd_verify(args) -> int:
             raise ValueError("--input does not take --modified")
         c = fileio.read_constants(args.input, args.n)
     else:
-        c = family_constants(args.family, args.n, spec,
+        # by and gr are checked against the rate, not built from it
+        c = family_constants(args.family, args.n, None if args.family in FDR_FAMILIES else spec,
                              modified=args.modified, cache_dir=args.cache_dir)
     worst = float(np.max(bound_vector(spec, c)))
     return _write(args, "verify", worst, worst <= 1.0 + lp.FEASIBILITY_TOL)

@@ -72,10 +72,10 @@ class ErrorRateSpec:
     """An error rate with its parameter, which is its bound matrix A.
 
     kFWER variants carry an integer ``k`` (1 <= k <= n), FDP variants carry
-    ``gamma`` (0 <= gamma < 1); ``n`` counts the hypotheses. A's views,
-    ``rows`` (sparse) and ``entries`` (dense, read-only, ``[i-1, j-1]`` the
-    coefficient of c_j when i hypotheses are true), are built on each read;
-    the spec stores only its four fields.
+    a real ``gamma`` (0 <= gamma < 1, not a bool); ``n`` counts the
+    hypotheses. A's views, ``rows`` (sparse) and ``entries`` (dense,
+    read-only, ``[i-1, j-1]`` the coefficient of c_j when i hypotheses are
+    true), are built on each read; the spec stores only its four fields.
     """
 
     rate: Rate
@@ -90,7 +90,7 @@ class ErrorRateSpec:
             raise ValueError(f"{self.rate.value} requires {name}")
         if getattr(self, other) is not None:
             raise ValueError(f"{self.rate.value} does not take {other}")
-        if self.rate.is_fdp and not 0.0 <= self.gamma < 1.0:
+        if self.rate.is_fdp and (isinstance(self.gamma, bool) or not 0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not self.rate.is_fdp and not (_is_int(self.k) and 1 <= self.k <= self.n):
             raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")

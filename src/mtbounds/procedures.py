@@ -48,11 +48,21 @@ FDR_FAMILIES = {"by": ("su", by_constants), "gr": ("sd", gr_sd_constants)}
 FAMILIES = tuple(f.value for f in Family if f is not Family.CUSTOM)
 
 
-def _check_family(family: str, modified: bool) -> None:
+def _check_family(family: str, n: int, spec: ErrorRateSpec | None, modified: bool) -> None:
+    """Raise ValueError on the first family rule that fails: a known name;
+    by and gr take no spec and no ``modified``; bh and rs need a spec of n
+    hypotheses."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if modified and family in FDR_FAMILIES:
-        raise ValueError(f"family {family!r} has no modified variant")
+    if family in FDR_FAMILIES:
+        if spec is not None:
+            raise ValueError(f"family {family!r} is pre-normalized and takes no error-rate spec")
+        if modified:
+            raise ValueError(f"family {family!r} has no modified variant")
+    elif spec is None:
+        raise ValueError(f"family {family!r} requires an error-rate spec")
+    elif spec.n != n:
+        raise ValueError(f"error-rate spec is for n={spec.n}, got n={n}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -176,8 +186,9 @@ class ProcedureSpec:
     Families ``bh`` and ``rs`` are floors for an error-rate matrix: they are
     rescaled into its feasible set and optionally LP-improved, then applied
     at level ``alpha`` in the matrix's stepping direction. Families ``by``
-    (step-up) and ``gr`` (step-down) are the pre-normalized FDR procedures;
-    they take no matrix and cannot be modified.
+    (step-up) and ``gr`` (step-down) are the pre-normalized FDR procedures.
+    ``_check_family`` holds these rules: bh and rs need a ``rate`` of n
+    hypotheses, by and gr take no ``rate`` and cannot be modified.
     """
 
     family: str
@@ -187,17 +198,9 @@ class ProcedureSpec:
     modified: bool = False
 
     def __post_init__(self) -> None:
-        _check_family(self.family, self.modified)
         _check_alpha(self.alpha)
         _check_n(self.n)
-        if self.family in FDR_FAMILIES:
-            if self.rate is not None:
-                raise ValueError(f"family {self.family!r} does not take an error-rate matrix")
-        else:
-            if self.rate is None:
-                raise ValueError(f"family {self.family!r} requires an error-rate spec")
-            if self.rate.n != self.n:
-                raise ValueError(f"rate spec has n={self.rate.n}, procedure has n={self.n}")
+        _check_family(self.family, self.n, self.rate, self.modified)
 
     @property
     def direction(self) -> str:
@@ -224,21 +227,17 @@ def family_constants(
     """The level-1 constants of a named family, along the one path
     family -> raw vector -> rescale -> [LP improvement].
 
-    ``by`` and ``gr`` come pre-normalized, ignore ``spec`` and have no
-    modified variant (ValueError). ``bh`` and ``rs`` need ``spec``, the
-    bound matrix of n hypotheses (ValueError otherwise): they are rescaled
-    into its feasible set without building it and, when ``modified``,
-    improved by the LP (through the cache in ``cache_dir``), which reads the
-    matrix's sparse rows only on a cache miss. Raises lp.SolverError when
-    the LP has no accepted solution.
+    ``by`` and ``gr`` come pre-normalized, take no ``spec`` and have no
+    modified variant. ``bh`` and ``rs`` need ``spec``, the bound matrix of
+    n hypotheses: they are rescaled into its feasible set without building
+    it and, when ``modified``, improved by the LP (through the cache in
+    ``cache_dir``), which reads the matrix's sparse rows only on a cache
+    miss. ``_check_family`` raises ValueError on a broken family rule;
+    lp.SolverError means the LP has no accepted solution.
     """
-    _check_family(family, modified)
+    _check_family(family, n, spec, modified)
     if family in FDR_FAMILIES:
         return FDR_FAMILIES[family][1](n)
-    if spec is None:
-        raise ValueError(f"family {family!r} requires an error-rate spec")
-    if spec.n != n:
-        raise ValueError(f"error-rate spec is for n={spec.n}, got n={n}")
     floor, _ = rescale(bh_constants(n) if family == "bh" else rs_constants(spec), spec)
     if not modified:
         return floor

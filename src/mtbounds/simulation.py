@@ -51,9 +51,9 @@ class SimConfig:
     """One study: a single n and grids over true counts and effect sizes, run
     on the ten-procedure ``roster``; neither grid may repeat a value. Empty
     ``true_counts`` ask for the quarter-point grid {0, n/4, n/2, 3n/4, n},
-    rounded and deduplicated.
-    ``reps``, the true counts and ``seed`` are integers, not bools; ``seed``
-    keys the Philox streams and must lie in [0, 2**64)."""
+    rounded and deduplicated. No parameter may be a bool: ``reps``, the
+    true counts and ``seed`` are integers, and ``seed`` keys the Philox
+    streams and must lie in [0, 2**64)."""
 
     n: int
     true_counts: tuple[int, ...] = ()
@@ -78,12 +78,12 @@ class SimConfig:
             raise ValueError(f"true counts must be integers in 0..n, got {self.true_counts}")
         if not self.effects:
             raise ValueError("at least one effect size is required")
-        if any(not math.isfinite(d) for d in self.effects):
+        if any(isinstance(d, bool) or not math.isfinite(d) for d in self.effects):
             raise ValueError("effect sizes must be finite")
         for name, grid in (("true counts", self.true_counts), ("effect sizes", self.effects)):
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} must not repeat, got {grid}")
-        if not 0.0 <= self.rho < 1.0:
+        if isinstance(self.rho, bool) or not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         if not (_is_int(self.reps) and self.reps >= 1):
             raise ValueError(f"reps must be a positive integer, got {self.reps}")
@@ -264,8 +264,8 @@ def run_study(
     debugging. Raises lp.SolverError when every procedure's constants fail."""
     if threads is None:
         threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    if not (_is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     tables, failures = _procedure_tables(config, cache_dir)
     if not tables:
         raise SolverError(f"every procedure failed: {failures}")

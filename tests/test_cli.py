@@ -317,7 +317,7 @@ class TestVerifyCommand:
                              "--gamma", "0.05", "--family", family, "--format", "json")
         assert (code, err) == (0, "")
         spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, 50, gamma=0.05)
-        c = procedures.family_constants(family, 50, spec)
+        c = procedures.family_constants(family, 50, None if family == "by" else spec)
         assert json.loads(out) == {"max_bound": float(np.max(matrices.bound_vector(spec, c))),
                                    "feasible": feasible}
 
@@ -715,16 +715,17 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["matrix", "--n", "5"], "the following arguments are required: --rate"),
         (["constants", "--family", "bh", "--n", "5", "--modified"],
-         "modified constants need an error-rate matrix"),
+         "family 'bh' requires an error-rate spec"),
         (["constants", "--family", "rs", "--n", "5"],
          "family 'rs' needs gamma or an error-rate matrix"),
         (["constants", "--family", "bh", "--n", "5", "--gamma", "0.2", "--modified"],
          "gamma is read only by family 'rs' without an error-rate spec, got family 'bh'"),
         (["constants", "--family", "by", "--n", "5", "--gamma", "0.2", "--modified"],
-         "family 'by' has no modified variant"),
+         "gamma is read only by family 'rs' without an error-rate spec, got family 'by'"),
         (["constants", "--family", "gr", "--n", "5", "--gamma", "0.2", "--modified"],
-         "family 'gr' has no modified variant"),
-        (["simulate", "--n", "5", "--reps", "10", "--threads", "0"], "threads must be positive"),
+         "gamma is read only by family 'rs' without an error-rate spec, got family 'gr'"),
+        (["simulate", "--n", "5", "--reps", "10", "--threads", "0"],
+         "threads must be a positive integer, got 0"),
         (["simulate", "--n", "0", "--reps", "10"], "n must be a positive integer, got 0"),
         (["simulate", "--n", "5", "--reps", "10", "--alpha", "1"],
          "alpha must lie in (0, 1), got 1.0"),
@@ -769,7 +770,7 @@ class TestUsageErrors:
         assert error_message(err) == "one of the arguments --family --input is required"
 
     @pytest.mark.parametrize("command, message", [
-        ("constants", "is pre-normalized and takes no --rate"),
+        ("constants", "is pre-normalized and takes no error-rate spec"),
     ])
     @pytest.mark.parametrize("family", ["by", "gr"])
     def test_fdr_family_with_rate_exits_2(self, command, message, family, capsys):
@@ -777,6 +778,39 @@ class TestUsageErrors:
                              "--rate", "fdp-su", "--gamma", "0.05")
         assert (code, out) == (2, "")
         assert err == f"error: family {family!r} {message}\n"
+
+    @pytest.mark.parametrize("family, with_rate, modified, rule", [
+        ("bh", False, True, "requires an error-rate spec"),
+        ("rs", False, True, "requires an error-rate spec"),
+        ("by", True, False, "is pre-normalized and takes no error-rate spec"),
+        ("gr", True, False, "is pre-normalized and takes no error-rate spec"),
+        ("by", False, True, "has no modified variant"),
+        ("gr", False, True, "has no modified variant"),
+    ], ids=["bh-no-rate", "rs-no-rate", "by-rate", "gr-rate", "by-modified", "gr-modified"])
+    def test_family_rule_has_one_message(self, family, with_rate, modified, rule, bh95_file,
+                                         capsys):
+        """ProcedureSpec, family_constants, adjust and constants report a
+        broken family rule in the same words."""
+        n = len(BH95_PVALUES)
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, n, gamma=0.05) if with_rate else None
+        messages = {}
+        for name, build in [
+            ("ProcedureSpec", lambda: procedures.ProcedureSpec(family=family, n=n, alpha=0.05,
+                                                               rate=spec, modified=modified)),
+            ("family_constants", lambda: procedures.family_constants(family, n, spec,
+                                                                     modified=modified)),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                build()
+            messages[name] = str(exc.value)
+        flags = ((["--rate", "fdp-su", "--gamma", "0.05"] if with_rate else [])
+                 + (["--modified"] if modified else []))
+        for command, argv in [("adjust", ["--input", str(bh95_file), "--alpha", "0.05"]),
+                              ("constants", ["--n", str(n)])]:
+            code, out, err = run(capsys, command, "--family", family, *argv, *flags)
+            assert (code, out) == (2, "")
+            messages[command] = error_message(err)
+        assert messages == dict.fromkeys(messages, f"family {family!r} {rule}")
 
     @pytest.mark.parametrize("family", ["by", "gr"])
     def test_optimize_fdr_family_exits_2(self, family, capsys):

@@ -477,6 +477,12 @@ def test_spec_validation():
         ErrorRateSpec(Rate.KFWER_SU, 10, k=1, gamma=0.05)
     with pytest.raises(ValueError):
         ErrorRateSpec(Rate.KFWER_SU, 0, k=1)
+    # gamma is a real: False would print as gamma=False in every header and
+    # take a solve-cache key of its own beside gamma=0.0
+    for rate in (Rate.FDP_SU, Rate.FDP_SD):
+        for gamma in (False, True):
+            with pytest.raises(ValueError, match=rf"^gamma must lie in \[0, 1\), got {gamma}$"):
+                ErrorRateSpec(rate, 10, gamma=gamma)
 
 
 def test_entries_immutable():

@@ -282,7 +282,7 @@ class TestRunProcedure:
         with pytest.raises(ValueError):
             ProcedureSpec(family="bh", n=10, alpha=1.5,
                           rate=ErrorRateSpec(Rate.FDP_SU, 10, gamma=0.05))
-        with pytest.raises(ValueError, match="rate spec has n=5, procedure has n=10"):
+        with pytest.raises(ValueError, match="error-rate spec is for n=5, got n=10"):
             ProcedureSpec(family="bh", n=10, alpha=0.05,
                           rate=ErrorRateSpec(Rate.FDP_SU, 5, gamma=0.05))
         with pytest.raises(ValueError, match="family must be one of .*, got 'xx'"):

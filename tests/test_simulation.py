@@ -397,3 +397,17 @@ class TestConfig:
                 SimConfig(n=10, **bad)
         config = SimConfig(n=10, reps=np.int64(100), true_counts=(np.int32(0), 5), seed=np.uint64(1))
         assert (config.reps, config.true_counts, config.seed) == (100, (0, 5), 1)
+        # rho, gamma and the effect sizes are reals: a bool would print as
+        # false/true in the JSON report
+        for bad, message in [({"rho": False}, r"rho must lie in \[0, 1\)$"),
+                             ({"rho": True}, r"rho must lie in \[0, 1\)$"),
+                             ({"effects": (True,)}, "effect sizes must be finite$"),
+                             ({"effects": (1.0, False)}, "effect sizes must be finite$"),
+                             ({"gamma": False}, r"gamma must lie in \[0, 1\), got False$")]:
+            with pytest.raises(ValueError, match=rf"^{message}"):
+                SimConfig(n=4, **bad)
+
+    @pytest.mark.parametrize("threads", [2.5, True, 0])
+    def test_non_positive_integer_threads_raises(self, threads):
+        with pytest.raises(ValueError, match=rf"^threads must be a positive integer, got {threads}$"):
+            run_study(SimConfig(n=4, reps=50), threads=threads)
