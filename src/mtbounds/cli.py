@@ -50,10 +50,7 @@ def cmd_constants(args) -> int:
     if args.rate:
         c = family_constants(family, n, _rate_spec(args), modified=args.modified,
                              cache_dir=args.cache_dir)
-    else:  # the raw family; raw rs reads --gamma
-        if args.gamma is not None and family != "rs":
-            raise ValueError(f"gamma is read only by family 'rs' without an error-rate spec, "
-                             f"got family {family!r}")
+    else:  # the raw family; main leaves --gamma to raw rs alone
         if family in FDR_FAMILIES or args.modified:  # family_constants states their rules
             c = family_constants(family, n, modified=args.modified)
         elif family == "bh":
@@ -203,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     if vars(args).get("rate", "") is None:  # constants or adjust run without --rate
         if args.k is not None:
             args.usage_error("--k requires --rate")
-        if args.gamma is not None and args.command != "constants":  # raw rs reads it
+        if args.gamma is not None and (args.command, args.family) != ("constants", "rs"):
             args.usage_error("--gamma requires --rate")
     try:  # cmd_* is looked up per call, so a rebound function is the one that runs
         return globals()[f"cmd_{args.command}"](args)

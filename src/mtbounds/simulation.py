@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .lp import SolverError
-from .matrices import ErrorRateSpec, Rate, _is_int
+from .matrices import ErrorRateSpec, Rate, _check_n, _is_int
 from .procedures import ProcedureSpec, _rejection_counts, family_constants
 
 __all__ = [
@@ -53,7 +53,9 @@ class SimConfig:
     ``true_counts`` ask for the quarter-point grid {0, n/4, n/2, 3n/4, n},
     rounded and deduplicated. No parameter may be a bool: ``reps``, the
     true counts and ``seed`` are integers, and ``seed`` keys the Philox
-    streams and must lie in [0, 2**64)."""
+    streams and must lie in [0, 2**64). Every field is stored as a plain
+    Python number, an int for the counts and the seed and a float for the
+    rest, whatever numeric types it was given."""
 
     n: int
     true_counts: tuple[int, ...] = ()
@@ -74,21 +76,22 @@ class SimConfig:
             n = self.n
             grid = tuple(sorted({0, round(n / 4), round(n / 2), round(3 * n / 4), n}))
             object.__setattr__(self, "true_counts", grid)
-        if any(not (_is_int(t) and 0 <= t <= self.n) for t in self.true_counts):
-            raise ValueError(f"true counts must be integers in 0..n, got {self.true_counts}")
         if not self.effects:
             raise ValueError("at least one effect size is required")
-        if any(isinstance(d, bool) or not math.isfinite(d) for d in self.effects):
-            raise ValueError("effect sizes must be finite")
+        _check_draw(self.n, self.true_counts, self.effects, self.rho)
         for name, grid in (("true counts", self.true_counts), ("effect sizes", self.effects)):
             if len(set(grid)) < len(grid):
                 raise ValueError(f"{name} must not repeat, got {grid}")
-        if isinstance(self.rho, bool) or not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
         if not (_is_int(self.reps) and self.reps >= 1):
             raise ValueError(f"reps must be a positive integer, got {self.reps}")
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        # plain Python numbers: the writers print them, and numpy's reprs differ
+        for name, kind in (("n", int), ("reps", int), ("seed", int), ("rho", float),
+                           ("alpha", float), ("gamma", float), ("fdr_level", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "true_counts", tuple(map(int, self.true_counts)))
+        object.__setattr__(self, "effects", tuple(map(float, self.effects)))
 
     def roster(self) -> tuple[ProcedureSpec, ...]:
         """The four rescaled tail-FDP procedures with their modified variants
@@ -162,14 +165,24 @@ def _noise(z: np.ndarray, rho: float) -> np.ndarray:
     return noise
 
 
+def _check_draw(n: int, true_counts, effects, rho: float) -> None:
+    """The rules of a draw, for ``SimConfig`` and ``sample_statistics``: true
+    counts are integers in 0..n, effects finite reals, rho a real in [0, 1);
+    none is a bool."""
+    if any(not (_is_int(t) and 0 <= t <= n) for t in true_counts):
+        raise ValueError(f"true counts must be integers in 0..n, got {true_counts}")
+    if any(isinstance(d, bool) or not math.isfinite(d) for d in effects):
+        raise ValueError("effect sizes must be finite")
+    if isinstance(rho, bool) or not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+
+
 def sample_statistics(n: int, true_count: int, effect: float, rho: float,
                       rng: np.random.Generator) -> np.ndarray:
-    """One draw of the test-statistic vector. Consumes n+1 standard normals:
-    the common factor first, then the n idiosyncratic terms."""
-    if not 0 <= true_count <= n:
-        raise ValueError("true_count must lie in 0..n")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+    """One draw of the test-statistic vector, under the rules of a
+    ``SimConfig``. Consumes n+1 standard normals: the common factor first,
+    then the n idiosyncratic terms."""
+    _check_draw(_check_n(n), (true_count,), (effect,), rho)
     x = _noise(rng.standard_normal(n + 1), rho)
     x[true_count:] += effect  # the first true_count hypotheses are null
     return x

@@ -655,6 +655,9 @@ class TestUsageErrors:
         (["constants", "--family", "bh", "--n", "3", "--k", "2"], "--k requires --rate"),
         (["constants", "--family", "rs", "--n", "3", "--gamma", "0.2", "--k", "2"],
          "--k requires --rate"),
+        (["constants", "--family", "bh", "--n", "3", "--gamma", "0.2"], "--gamma requires --rate"),
+        (["constants", "--family", "by", "--n", "3", "--gamma", "0.2"], "--gamma requires --rate"),
+        (["constants", "--family", "gr", "--n", "3", "--gamma", "0.2"], "--gamma requires --rate"),
         # argparse requires --rate of these commands before the --k rule is read
         (["matrix", "--n", "3", "--k", "2"], "the following arguments are required: --rate"),
         (["optimize", "--family", "bh", "--n", "3", "--k", "2"],
@@ -662,7 +665,7 @@ class TestUsageErrors:
         (["verify", "--family", "bh", "--n", "3", "--k", "2"],
          "the following arguments are required: --rate"),
     ], ids=["adjust-by-gamma-k", "adjust-by-gamma", "constants-bh-k", "constants-rs-gamma-k",
-            "matrix-k", "optimize-k", "verify-k"])
+            "constants-bh-gamma", "constants-by-gamma", "constants-gr-gamma", "matrix-k", "optimize-k", "verify-k"])
     def test_rate_parameter_without_rate_exits_2(self, argv, message, bh95_file, capsys):
         if argv[0] == "adjust":
             argv = argv + ["--input", str(bh95_file)]
@@ -674,13 +677,6 @@ class TestUsageErrors:
         # every rule is reported in the command's own usage, not the top-level one
         assert out.err.startswith(f"usage: mtbounds {argv[0]} "), out.err
         assert out.err.splitlines()[-1] == f"mtbounds {argv[0]}: error: {message}"
-
-    @pytest.mark.parametrize("family", ["bh", "by", "gr"])
-    def test_constants_gamma_unread_by_family_exits_2(self, family, capsys):
-        code, out, err = run(capsys, "constants", "--family", family, "--n", "3",
-                             "--gamma", "0.2")
-        assert (code, out) == (2, "")
-        assert "gamma is read only by family 'rs'" in err
 
     def test_constants_rs_gamma_without_rate(self, capsys):
         code, out, err = run(capsys, "constants", "--family", "rs", "--n", "3", "--gamma", "0.2")
@@ -719,11 +715,11 @@ class TestUsageErrors:
         (["constants", "--family", "rs", "--n", "5"],
          "family 'rs' needs gamma or an error-rate matrix"),
         (["constants", "--family", "bh", "--n", "5", "--gamma", "0.2", "--modified"],
-         "gamma is read only by family 'rs' without an error-rate spec, got family 'bh'"),
+         "--gamma requires --rate"),
         (["constants", "--family", "by", "--n", "5", "--gamma", "0.2", "--modified"],
-         "gamma is read only by family 'rs' without an error-rate spec, got family 'by'"),
+         "--gamma requires --rate"),
         (["constants", "--family", "gr", "--n", "5", "--gamma", "0.2", "--modified"],
-         "gamma is read only by family 'rs' without an error-rate spec, got family 'gr'"),
+         "--gamma requires --rate"),
         (["simulate", "--n", "5", "--reps", "10", "--threads", "0"],
          "threads must be a positive integer, got 0"),
         (["simulate", "--n", "0", "--reps", "10"], "n must be a positive integer, got 0"),
@@ -1193,6 +1189,58 @@ class TestJsonWriters:
                                zip(names, p.values, adjusted), start=1)],
         }
         assert fileio.decisions_json(p, decision, adjusted, header) == dumped(payload)
+
+
+class TestNumpyScalars:
+    """Specs, families and studies store plain Python numbers, so numpy
+    scalar inputs print the bytes of the plain ones and key the same cache
+    entry."""
+
+    def test_spec_and_family_writers(self):
+        Rate, spec = matrices.Rate, matrices.ErrorRateSpec
+        assert (fileio.constants_json(constants.bh_constants(np.int64(5)))
+                == fileio.constants_json(constants.bh_constants(5)))
+        for make in (constants.bh_constants, constants.by_constants, constants.gr_sd_constants):
+            assert (fileio.constants_csv(make(np.int64(5)).scaled(np.float64(0.5)))
+                    == fileio.constants_csv(make(5).scaled(0.5)))
+        for rate, numpy_param, param in [(Rate.FDP_SU, {"gamma": np.float64(0.05)},
+                                          {"gamma": 0.05}),
+                                         (Rate.KFWER_SD, {"k": np.int64(2)}, {"k": 2})]:
+            numpy_spec, plain = spec(rate, np.int64(5), **numpy_param), spec(rate, 5, **param)
+            assert fileio.matrix_json(numpy_spec) == fileio.matrix_json(plain)
+            assert (fileio.constants_csv(procedures.family_constants("rs", 5, numpy_spec))
+                    == fileio.constants_csv(procedures.family_constants("rs", 5, plain)))
+            floor = procedures.family_constants("bh", 5, plain)
+            numpy_problem = lp.build_problem(numpy_spec, floor)
+            problem = lp.build_problem(plain, floor)
+            assert (fileio.solution_csv(numpy_problem, lp.solve(numpy_problem))
+                    == fileio.solution_csv(problem, lp.solve(problem)))
+        # an integer gamma is stored, and printed, as the float the CLI parses
+        assert fileio.matrix_csv(spec(Rate.FDP_SU, 2, gamma=0)).startswith(
+            "# spec: rate=fdp-su n=2 gamma=0.0\n")
+
+    def test_study_writers(self, tmp_path):
+        numpy_config = simulation.SimConfig(
+            n=np.int64(4), true_counts=(np.int32(0), np.int64(2)), effects=(np.float64(1.0), 3),
+            rho=np.float64(0.5), reps=np.int64(20), alpha=np.float64(0.5),
+            gamma=np.float64(0.05), fdr_level=np.float64(0.05), seed=np.uint64(3))
+        config = simulation.SimConfig(n=4, true_counts=(0, 2), effects=(1.0, 3.0), reps=20,
+                                      seed=3)
+        outputs = []
+        for c, trace in ((numpy_config, tmp_path / "numpy.csv"),
+                         (config, tmp_path / "plain.csv")):
+            report = simulation.run_study(c, threads=1, trace=trace)
+            outputs.append((fileio.report_json(report), fileio.report_csv(report),
+                            trace.read_text()))
+        assert outputs[0] == outputs[1]
+
+    def test_library_solve_reads_the_cli_entry(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "constants", "--rate", "fdp-sd", "--n", "20", "--gamma", "0.05",
+                         "--family", "bh", "--modified", "--cache-dir", str(tmp_path))
+        spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SD, np.int64(20), gamma=np.float64(0.05))
+        procedures.family_constants("bh", np.int64(20), spec, modified=True, cache_dir=tmp_path)
+        assert code == 0
+        assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 class TestParserReuse:

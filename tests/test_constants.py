@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from mtbounds import (
     bh_constants,
     bound_vector,
     by_constants,
+    constants,
     gr_sd_constants,
     rescale,
     rs_constants,
@@ -92,6 +96,16 @@ class TestGrSd:
         )
         assert np.allclose(gr_sd_constants(n).values, np.arange(1, n + 1) / (n * best),
                            atol=1e-14)
+
+
+def test_harmonic_prefix_against_exact_sums():
+    # within 1 ulp where longdouble has a 64-bit mantissa or more, within 8
+    # where it is a plain double and the sum is float64's
+    tolerance = 1 if np.finfo(np.longdouble).nmant >= 63 else 8
+    exact = Fraction(0)
+    for j, h in enumerate(constants._harmonic_prefix(2000).tolist(), start=1):
+        exact += Fraction(1, j)
+        assert abs(Fraction(h) - exact) <= tolerance * Fraction(math.ulp(h)), j
 
 
 @given(n=st.integers(1, 1000))

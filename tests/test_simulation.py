@@ -80,6 +80,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_statistics(4, 2, 1.0, 1.0, rng)
 
+    @pytest.mark.parametrize("n, true_count, effect, rho", [
+        (0, 0, 1.0, 0.5), (True, 1, 1.0, 0.5), (3, True, 1.0, 0.5), (3, 1.5, 1.0, 0.5),
+        (3, -1, 1.0, 0.5), (3, 1, True, 0.5), (3, 1, float("nan"), 0.5),
+        (3, 1, float("inf"), 0.5), (3, 1, -float("inf"), 0.5), (3, 1, 1.0, False),
+        (3, 1, 1.0, float("nan")),
+    ], ids=["n-0", "n-bool", "count-bool", "count-real", "count-negative", "effect-bool",
+            "effect-nan", "effect-inf", "effect-minus-inf", "rho-bool", "rho-nan"])
+    def test_refuses_what_a_config_refuses(self, n, true_count, effect, rho):
+        with pytest.raises(ValueError):
+            sample_statistics(n, true_count, effect, rho, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            SimConfig(n=n, true_counts=(true_count,), effects=(effect,), rho=rho, reps=10)
+
 
 class TestSubstreams:
     def test_replication_stream_fixed(self):
