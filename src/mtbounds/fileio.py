@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +75,19 @@ def _json_object(head: dict, **lists: str) -> str:
     return json.dumps(head, indent=2)[:-2] + tail + "\n}\n"
 
 
-def _read_lines(path) -> tuple[str, dict[int, str]]:
-    """The text of an input file and its data lines, each stripped and keyed
-    by its line number from 1. The file is UTF-8, with or without a byte-order
-    mark; a line ends at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines and ``#``
-    comments are not data."""
+def _read_lines(path) -> tuple[str, list[str]]:
+    """The text of an input file and its data lines, each stripped. The file
+    is UTF-8, with or without a byte-order mark; a line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``; blank lines and ``#`` comments are not data."""
     with open(path, encoding="utf-8-sig") as fh:  # universal newlines: each end reads "\n"
         text = fh.read()
+    return text, [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
+
+
+def _line_numbers(text: str) -> list[int]:
+    """The line number, from 1, of each data line that ``_read_lines`` keeps."""
     lines = enumerate(map(str.strip, text.split("\n")), start=1)
-    return text, {line_no: line for line_no, line in lines if line and line[0] != "#"}
+    return [line_no for line_no, line in lines if line and line[0] != "#"]
 
 
 def _number(path, line_no: int, text: str) -> float:
@@ -90,6 +95,26 @@ def _number(path, line_no: int, text: str) -> float:
         return float(text)
     except ValueError:
         raise InputFormatError(path, line_no, f"not a number: {text!r}") from None
+
+
+def _floats(path, text: str, texts: list[str], valid=None, problem: str = "",
+            keep=None) -> np.ndarray:
+    """The values of ``texts``: the data lines of ``text`` or cells of them,
+    of the lines that ``keep`` marks if given. The first text in file order
+    that is not a number, or whose value ``valid`` refuses, raises
+    InputFormatError on its line, as ``problem: value`` for a refused value;
+    only an error counts line numbers."""
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        values = None
+    if values is None or (valid is not None and not np.all(valid(values))):
+        numbers = _line_numbers(text)
+        for line_no, value_text in zip(numbers if keep is None else compress(numbers, keep), texts):
+            value = _number(path, line_no, value_text)
+            if valid is not None and not valid(value):
+                raise InputFormatError(path, line_no, f"{problem}: {value!r}")
+    return values
 
 
 def read_pvalues(path: str | Path) -> PValueVector:
@@ -102,36 +127,25 @@ def read_pvalues(path: str | Path) -> PValueVector:
     text, data = _read_lines(path)
     if not data:
         raise InputFormatError(path, 0, "no p-values found")
-    texts, labels = data.values(), None
+    texts, labels = data, None
     if "," in text:  # a line without one is labelled by its position, as in _decision_columns
         cells = [line.split(",", 1) if "," in line else (str(i), line)
                  for i, line in enumerate(texts, start=1)]
         labels = tuple(label.strip() for label, _ in cells)
         texts = [value.strip() for _, value in cells]
-    try:
-        values = np.fromiter(map(float, texts), dtype=float, count=len(data))
-    except ValueError:
-        values = None
-    if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
-        # some line is bad: name the first one in file order, whichever check it fails
-        for line_no, value_text in zip(data, texts):
-            value = _number(path, line_no, value_text)
-            if not 0.0 <= value <= 1.0:
-                raise InputFormatError(path, line_no, f"p-value out of [0, 1]: {value!r}")
+    values = _floats(path, text, texts, lambda v: (v >= 0.0) & (v <= 1.0),
+                     "p-value out of [0, 1]")
     return PValueVector(values, labels=labels)
 
 
 def read_weights(path: str | Path, n: int) -> np.ndarray:
     """Parse a weights file: one nonnegative decimal per line, n lines."""
-    weights: list[float] = []
-    for line_no, line in _read_lines(path)[1].items():
-        w = _number(path, line_no, line)
-        if w < 0 or not math.isfinite(w):
-            raise InputFormatError(path, line_no, f"weight must be finite and >= 0: {w!r}")
-        weights.append(w)
+    text, data = _read_lines(path)
+    weights = _floats(path, text, data, lambda w: np.isfinite(w) & (w >= 0.0),
+                      "weight must be finite and >= 0")
     if len(weights) != n:
         raise InputFormatError(path, 0, f"expected {n} weights, found {len(weights)}")
-    return np.array(weights)
+    return weights
 
 
 def _spec_text(spec: ErrorRateSpec) -> str:
@@ -197,12 +211,13 @@ def read_constants(path: str | Path, n: int) -> CriticalVector:
         except OverflowError:
             raise InputFormatError(path, 0, f"{key!r} holds a number beyond float range") from None
     else:
-        values = [_number(path, line_no, line.split(",")[-1])
-                  for line_no, line in data.items() if not line.startswith("index,")]
-        if not values:
+        keep = [not line.startswith("index,") for line in data]
+        values = _floats(path, text, [line.split(",")[-1] for line in compress(data, keep)],
+                         keep=keep)
+        if not values.size:
             raise InputFormatError(path, 0, "no constants found")
     try:
-        c = CriticalVector(np.array(values))
+        c = CriticalVector(values)
     except ValueError as exc:  # not finite, negative, decreasing or empty
         raise InputFormatError(path, 0, str(exc)) from None
     if c.n != n:
@@ -268,11 +283,13 @@ def decisions_csv(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
 
 def decisions_json(p: PValueVector, decision: DecisionSet, adjusted: np.ndarray,
                    header: str) -> str:
-    columns = _decision_columns(p, decision, adjusted, ("true", "false"))
-    items = (f'{{\n      "index": {i},\n      "label": {json.dumps(label)},\n'
+    index, labels, *rest = _decision_columns(p, decision, adjusted, ("true", "false"))
+    # an unlabelled hypothesis's label is its index, digits that need no escaping
+    quoted = (f'"{i}"' for i in index) if p.labels is None else map(json.dumps, labels)
+    items = (f'{{\n      "index": {i},\n      "label": {label},\n'
              f'      "pvalue": {value},\n      "adjusted_pvalue": {adj},\n'
              f'      "rejected": {rejected}\n    }}'
-             for i, label, value, adj, rejected in zip(*columns))
+             for i, label, value, adj, rejected in zip(index, quoted, *rest))
     return _json_object({"procedure": header, "rejections": decision.n_rejected},
                         hypotheses=_json_list(items))
 

@@ -525,10 +525,14 @@ def test_non_optimal_highs_status_raises(monkeypatch):
 def test_decreasing_highs_optimum_raises(monkeypatch):
     matrix = associated_matrix(ErrorRateSpec(Rate.FDP_SU, 8, gamma=0.05))
     problem = build_problem(matrix.spec, rescaled_floor(matrix, "bh"))
-    x = problem.floor.values.copy()
-    x[0] = x[1] + 2 * lp.FEASIBILITY_TOL
-    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: SimpleNamespace(
-        status=0, message="Optimization terminated successfully.", nit=3, x=x))
+
+    def decreasing(*args, **kwargs):  # the program's lower bounds, column 0 raised above column 1
+        x = kwargs["bounds"][:, 0].copy()
+        x[0] = x[1] + 2 * lp.FEASIBILITY_TOL
+        return SimpleNamespace(status=0, message="Optimization terminated successfully.",
+                               nit=3, x=x)
+
+    monkeypatch.setattr(lp, "linprog", decreasing)
     with pytest.raises(lp.SolverError, match="xi is not nondecreasing"):
         solve(problem)
 
@@ -565,24 +569,46 @@ def test_each_bound_vector_computed_once_per_solve(monkeypatch):
         np.max(bound_vector(matrix.spec, solution.xi) / bound_vector(matrix.spec, floor)), rel=1e-12)
 
 
-def stacked_round(A, active, scale):
-    """The reference program of one round: ``A[active] @ diag(scale)``
-    stacked on the scaled difference rows by ``sparse.vstack``, canonical."""
-    n = A.shape[1]
-    steps = sparse.diags([scale[:-1] / scale[1:], -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    rows = (A if active is None else A[active]) @ sparse.diags(scale)
-    stacked = sparse.vstack([rows, steps], format="csr")
+def forcing_reduction(problem):
+    """The program that ``solve`` hands HiGHS, rebuilt from the dense matrix.
+
+    A column in the support of a floor-tight row (floor bound at least
+    1 - 1e-12) is ``fixed`` at the floor; the others are ``free``, in order,
+    each capped by the floor of the next fixed column. ``A`` holds the free
+    columns, ``live`` marks the rows with a free column, ``rhs`` is
+    1 - A @ (the floor on the fixed columns, 0 elsewhere) and ``pairs``
+    indexes the adjacent free columns that a difference row joins.
+    """
+    dense, c = associated_matrix(problem.spec).entries, problem.floor.values
+    fixed = (dense[problem.floor_bounds >= 1.0 - 1e-12] > 0).any(axis=0)
+    free = np.flatnonzero(~fixed)
+    return SimpleNamespace(
+        fixed=fixed, free=free, A=sparse.csr_array(dense[:, free]),
+        cap=np.array([np.min(c[j + 1:][fixed[j + 1:]], initial=np.inf) for j in free]),
+        live=(dense[:, free] > 0).any(axis=1),
+        rhs=1.0 - associated_matrix(problem.spec).rows @ np.where(fixed, c, 0.0),
+        pairs=np.flatnonzero(np.diff(free) == 1))
+
+
+def stacked_round(red, active, scale):
+    """The reference program of one round: ``A[active] @ diag(scale)`` on
+    the free columns of ``forcing_reduction``, stacked on the scaled
+    difference rows of adjacent free columns by ``sparse.vstack``, canonical."""
+    m = red.free.size
+    steps = sparse.csr_array(sparse.diags([scale[:-1] / scale[1:], -np.ones(m - 1)], [0, 1],
+                                          shape=(m - 1, m)))[red.pairs]
+    stacked = sparse.vstack([red.A[active] @ sparse.diags(scale), steps], format="csr")
     stacked.sort_indices()
     return stacked
 
 
 ROUND_CASES = [(rate, gamma, family, n) for rate in (Rate.FDP_SU, Rate.FDP_SD)
                for gamma in (0.0, 0.05) for family in ("bh", "rs") for n in (15, 100, 300)]
+ROUND_IDS = [f"{r.value}-{g}-{f}-{n}" for r, g, f, n in ROUND_CASES]
 
 
 class TestRoundPrograms:
-    @pytest.mark.parametrize("rate,gamma,family,n", ROUND_CASES,
-                             ids=[f"{r.value}-{g}-{f}-{n}" for r, g, f, n in ROUND_CASES])
+    @pytest.mark.parametrize("rate,gamma,family,n", ROUND_CASES, ids=ROUND_IDS)
     def test_highs_receives_the_stacked_program(self, rate, gamma, family, n, monkeypatch):
         """Every round hands HiGHS the program of ``stacked_round`` entry for
         entry, in the same order, with the same bounds, objective and right-hand
@@ -598,41 +624,123 @@ class TestRoundPrograms:
         spec = ErrorRateSpec(rate, n, gamma=gamma)
         problem = build_problem(spec, family_constants(family, n, spec))
         solve(problem)
-        A, c = associated_matrix(spec).rows, problem.floor.values
-        active, scale, upper = None, np.ones(n), np.full(n, np.inf)
-        if A.nnz > 2 * lp.START_ROWS * n:
-            active = np.union1d(np.argsort(-problem.floor_bounds, kind="stable")[:lp.START_ROWS],
-                                [n - 1])
+        red, c = forcing_reduction(problem), problem.floor.values
+        m, lower, live = red.free.size, c[red.free], np.flatnonzero(red.live)
+        active, scale, implied = live, np.ones(m), red.cap
+        if red.A.nnz > 2 * lp.START_ROWS * m:
+            start = live[np.argsort(-problem.floor_bounds[live], kind="stable")[:lp.START_ROWS]]
+            active = np.union1d(start, live[-1:])
             with np.errstate(divide="ignore"):
-                implied = 1.0 / A.max(axis=0).toarray().ravel()
-            implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], c)
-            scale = np.where(np.isfinite(implied), implied, 1.0)
-            upper = implied / scale
+                implied = np.minimum(1.0 / red.A.max(axis=0).toarray().ravel(), red.cap)
+            implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], lower)
+            scale = np.where(np.isfinite(implied) & (implied > 0), implied, 1.0)
         for objective, kwargs, x in rounds:
-            got, reference = sparse.csr_array(kwargs["A_ub"]), stacked_round(A, active, scale)
+            got, reference = sparse.csr_array(kwargs["A_ub"]), stacked_round(red, active, scale)
             assert got.has_sorted_indices and got.shape == reference.shape
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(reference, field)), field
-            m = reference.shape[0] - (n - 1)
-            assert np.array_equal(kwargs["b_ub"], np.concatenate([np.ones(m), np.zeros(n - 1)]))
-            assert np.array_equal(kwargs["bounds"], np.column_stack([c / scale, upper]))
-            assert np.array_equal(objective, -(problem.weights @ A) * scale)
-            if active is not None:
-                stepped = np.maximum.accumulate(np.maximum(x * scale, c))
-                violated = np.flatnonzero(bound_vector(spec, stepped) > 1.0)
-                active = np.union1d(active, violated)
-        assert rounds  # the program went to HiGHS
+            assert np.array_equal(kwargs["b_ub"],
+                                  np.concatenate([red.rhs[active], np.zeros(red.pairs.size)]))
+            assert np.array_equal(kwargs["bounds"],
+                                  np.column_stack([lower / scale, implied / scale]))
+            assert np.array_equal(objective, -(problem.weights @ red.A) * scale)
+            xi = c.copy()
+            xi[red.free] = np.minimum(np.maximum(x * scale, lower), red.cap)
+            bounds = bound_vector(spec, np.maximum.accumulate(xi))
+            active = np.union1d(active, np.flatnonzero((bounds > 1.0) & red.live))
+        assert rounds or m == 0  # the program went to HiGHS unless every column is fixed
+
+    @pytest.mark.parametrize("rate,gamma,family,n", ROUND_CASES, ids=ROUND_IDS)
+    def test_highs_never_receives_a_fixed_column(self, rate, gamma, family, n, monkeypatch):
+        """Rescaling leaves a floor-tight row, and each column of one is fixed:
+        no HiGHS program holds it, and xi equals the floor there bit for bit."""
+        calls = []
+        monkeypatch.setattr(lp, "linprog", recording_linprog(calls))
+        spec = ErrorRateSpec(rate, n, gamma=gamma)
+        problem = build_problem(spec, family_constants(family, n, spec))
+        solution = solve(problem)
+        red, c = forcing_reduction(problem), problem.floor.values
+        assert red.fixed.any()
+        assert all(columns == red.free.size for _, columns in calls)
+        assert solution.xi.values[red.fixed].tobytes() == c[red.fixed].tobytes()
+
+    @pytest.mark.parametrize("rate,gamma,family,n",
+                             [case for case in ROUND_CASES if case[3] <= 100],
+                             ids=[i for case, i in zip(ROUND_CASES, ROUND_IDS) if case[3] <= 100])
+    def test_reduced_optimum_meets_the_dual_bound(self, rate, gamma, family, n):
+        spec = ErrorRateSpec(rate, n, gamma=gamma)
+        floor = family_constants(family, n, spec)
+        solution = solve(build_problem(spec, floor))
+        assert solution.objective == pytest.approx(
+            scipy_optimum(associated_matrix(spec), floor), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("rate", [Rate.FDP_SU, Rate.FDP_SD])
+    def test_cap_overshoot_is_clipped(self, rate, monkeypatch):
+        """HiGHS may end a hair above a column's cap; xi is clipped to it, so
+        stepping leaves every fixed column at the floor bit for bit."""
+        overshoots = []
+
+        def overshooting(*args, **kwargs):
+            result = linprog(*args, **kwargs)
+            upper = kwargs["bounds"][:, 1]
+            at_cap = np.isfinite(upper) & (result.x >= upper)
+            overshoots.append(int(at_cap.sum()))
+            return SimpleNamespace(status=result.status, message=result.message, nit=result.nit,
+                                   x=np.where(at_cap, upper * (1 + 1e-12), result.x))
+
+        monkeypatch.setattr(lp, "linprog", overshooting)
+        spec = ErrorRateSpec(rate, 100, gamma=0.05)
+        problem = build_problem(spec, family_constants("bh", 100, spec))
+        solution = solve(problem)
+        fixed, c = forcing_reduction(problem).fixed, problem.floor.values
+        assert overshoots[0] > 0
+        assert solution.xi.values[fixed].tobytes() == c[fixed].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.25])
+    def test_free_columns_capped_at_zero(self, gamma):
+        """A floor of 250 leading zeros at n = 300 fixes zero columns, so the
+        free columns before them are capped at 0 in a dense block; such a
+        column keeps unit scale, and the optimum meets the dual bound."""
+        spec = ErrorRateSpec(Rate.FDP_SU, 300, gamma=gamma)
+        c = family_constants("bh", 300, spec).values.copy()
+        c[:250] = 0.0
+        floor = CriticalVector(c / np.max(bound_vector(spec, c)))
+        problem = build_problem(spec, floor)
+        red = forcing_reduction(problem)
+        assert (red.cap == 0).any() and red.A.nnz > 2 * lp.START_ROWS * red.free.size
+        solution = solve(problem)
+        check_solution_invariants(associated_matrix(spec), floor, solution)
+        assert solution.objective == pytest.approx(
+            scipy_optimum(associated_matrix(spec), floor), rel=1e-10, abs=1e-10)
+
+    def test_all_fixed_program_returns_the_floor(self, monkeypatch):
+        """fdp-sd at gamma 0 with the rs floor: every column lies in a tight
+        row, so A is read once, HiGHS is not called and xi is the floor."""
+        spec = ErrorRateSpec(Rate.FDP_SD, 1000, gamma=0.0)
+        problem = build_problem(spec, family_constants("rs", 1000, spec))
+        reads = []
+
+        def counting(spec):
+            reads.append(spec)
+            return associated_matrix(spec)
+
+        monkeypatch.setattr(lp, "associated_matrix", counting)
+        monkeypatch.setattr(lp, "linprog", highs_forbidden)
+        solution = solve(problem)
+        assert len(reads) == 1 and solution.iterations == 0
+        assert solution.xi.values.tobytes() == problem.floor.values.tobytes()
+        assert solution.objective == solution.floor_objective and solution.m2 == 1.0
 
     @pytest.mark.parametrize("rate,gamma,n,family,rounds", [
-        (Rate.FDP_SU, 0.05, 300, "bh", None),  # dense: several rounds
-        (Rate.FDP_SD, 0.05, 300, "rs", 1),  # sparse: every row from the start
+        (Rate.FDP_SU, 0.0, 300, "rs", None),  # dense: several rounds
+        (Rate.FDP_SD, 0.05, 300, "rs", 1),  # sparse: every live row from the start
         (Rate.FDP_SU, 0.05, 100, "bh", 1),
     ], ids=["fdp-su-300", "fdp-sd-300", "fdp-su-100"])
     def test_row_generation_computes_one_bound_vector_per_round(
             self, rate, gamma, n, family, rounds, monkeypatch):
         """Each round checks its optimum with one A @ xi, and the accepted
-        optimum's diagnostics reuse the last one. A sparse matrix starts
-        from all its rows, so its first round is its last."""
+        optimum's diagnostics reuse the last one. A sparse free block starts
+        from all its live rows, so its first round is its last."""
         spec = ErrorRateSpec(rate, n, gamma=gamma)
         problem = build_problem(spec, family_constants(family, n, spec))
         bound_calls, highs_calls = [], []
@@ -647,26 +755,35 @@ class TestRoundPrograms:
         if rounds is None:
             assert len(highs_calls) > 1  # a row-generation solve from START_ROWS rows
         else:
+            red = forcing_reduction(problem)
             assert len(highs_calls) == rounds
-            assert highs_calls[0][0] == 2 * n - 1  # all n rows and the n - 1 difference rows
+            # every live row and the difference rows of adjacent free columns
+            assert highs_calls[0][0] == red.live.sum() + red.pairs.size
         assert len(bound_calls) == len(highs_calls)
         assert solution.m2 == pytest.approx(
             np.max(bound_vector(spec, solution.xi) / problem.floor_bounds), rel=1e-12)
 
 
-def full_matrix_solve(problem):
+def full_matrix_solve(problem, reduced=False):
     """The whole program in one HiGHS call with the solver's options, post-
-    processed as ``solve`` post-processes each round."""
+    processed as ``solve`` post-processes each round: all n columns and rows,
+    or with ``reduced`` the program of ``forcing_reduction`` on every live
+    row, unscaled, which ``solve`` poses when its free block is sparse."""
     n, c = problem.spec.n, problem.floor.values
-    A = associated_matrix(problem.spec).rows
-    steps = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
-    result = linprog(-(problem.weights @ A),
-                     A_ub=sparse.vstack([A, steps], format="csr"),
-                     b_ub=np.concatenate([np.ones(n), np.zeros(n - 1)]),
-                     bounds=np.column_stack([c, np.full(n, np.inf)]),
-                     method="highs", options={"presolve": False})
-    assert result.status == 0, result.message
-    return np.maximum.accumulate(np.maximum(result.x, c))
+    red = forcing_reduction(problem) if reduced else SimpleNamespace(
+        free=np.arange(n), A=associated_matrix(problem.spec).rows, cap=np.full(n, np.inf),
+        live=np.ones(n, dtype=bool), rhs=np.ones(n), pairs=np.arange(n - 1))
+    m, xi = red.free.size, c.copy()
+    if m:
+        steps = sparse.csr_array(np.eye(m - 1, m) - np.eye(m - 1, m, k=1))[red.pairs]
+        result = linprog(-(problem.weights @ red.A),
+                         A_ub=sparse.vstack([red.A[red.live], steps], format="csr"),
+                         b_ub=np.concatenate([red.rhs[red.live], np.zeros(red.pairs.size)]),
+                         bounds=np.column_stack([c[red.free], red.cap]),
+                         method="highs", options={"presolve": False})
+        assert result.status == 0, result.message
+        xi[red.free] = np.minimum(np.maximum(result.x, c[red.free]), red.cap)
+    return np.maximum.accumulate(xi)
 
 
 ROWGEN_CASES = [
@@ -695,14 +812,16 @@ class TestRowGeneration:
             problem.weights @ bound_vector(matrix.spec, full), rel=1e-9)
         pos = floor.values > 0
         assert solution.m1 == pytest.approx(np.max(full[pos] / floor.values[pos]), rel=1e-9)
-        one_round = matrix.rows.nnz <= 2 * lp.START_ROWS * n  # today's program, in one round
+        red = forcing_reduction(problem)
+        one_round = red.A.nnz <= 2 * lp.START_ROWS * red.free.size  # today's program, in one round
         if matrix.spec.rate.is_fdp and one_round:
-            assert np.array_equal(solution.xi.values, full)
+            assert np.array_equal(solution.xi.values, full_matrix_solve(problem, reduced=True))
 
     def test_rounds(self, monkeypatch):
-        """A sparse matrix starts from every row, unbounded above; a dense
-        one starts from START_ROWS rows plus row n under finite implied
-        bounds, grows its active set, and sums the rounds' iterations."""
+        """A sparse free block starts from every live row, each free column
+        capped by the floor of the next fixed one; a dense one starts from
+        START_ROWS live rows plus the last under finite implied bounds, grows
+        its active set, and sums the rounds' iterations."""
         calls = []
 
         def recording(*args, **kwargs):
@@ -712,19 +831,32 @@ class TestRowGeneration:
 
         monkeypatch.setattr(lp, "linprog", recording)
         n = 400
-        for rate, family in [(Rate.FDP_SD, "rs"), (Rate.FDP_SU, "bh")]:
+        for rate, gamma, family in [(Rate.FDP_SD, 0.05, "rs"), (Rate.FDP_SU, 0.005, "rs")]:
             calls.clear()
-            matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=0.05))
-            solution = solve(build_problem(matrix.spec, rescaled_floor(matrix, family)))
+            matrix = associated_matrix(ErrorRateSpec(rate, n, gamma=gamma))
+            problem = build_problem(matrix.spec, rescaled_floor(matrix, family))
+            solution = solve(problem)
+            red = forcing_reduction(problem)
             assert solution.iterations == sum(nit for _, _, nit in calls)
             if rate is Rate.FDP_SD:
-                assert [(rows, np.isinf(upper).all()) for rows, upper, _ in calls] == [
-                    (2 * n - 1, True)]
+                assert [(rows, np.array_equal(upper, red.cap)) for rows, upper, _ in calls] == [
+                    (red.live.sum() + red.pairs.size, True)]
             else:
-                rows = [rows - (n - 1) for rows, _, _ in calls]
+                rows = [rows - red.pairs.size for rows, _, _ in calls]
                 assert rows[0] == lp.START_ROWS + 1 and len(rows) > 1
-                assert rows == sorted(set(rows)) and rows[-1] < n
+                assert rows == sorted(set(rows)) and rows[-1] < red.live.sum()
                 assert all(np.isfinite(upper).all() for _, upper, _ in calls)
+
+    @pytest.mark.parametrize("family", ["bh", "rs"])
+    @pytest.mark.parametrize("n", [100, 200, 300])
+    def test_benchmark_fdp_su_programs_take_one_round(self, n, family, monkeypatch):
+        """The fdp-su programs that the optimize benchmark solves (gamma
+        0.05) each reach HiGHS once, on fewer than 60% of their columns."""
+        calls = []
+        monkeypatch.setattr(lp, "linprog", recording_linprog(calls))
+        spec = ErrorRateSpec(Rate.FDP_SU, n, gamma=0.05)
+        solve(build_problem(spec, family_constants(family, n, spec)))
+        assert len(calls) == 1 and calls[0][1] < 0.6 * n
 
 
 def closed_form_weights(kind, n):
@@ -881,18 +1013,25 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("family", ["bh", "rs"])
     @pytest.mark.parametrize("n", [1, 10, 19])
-    def test_fdp_programs_with_constant_threshold_go_to_highs(self, n, family):
+    def test_fdp_programs_with_constant_threshold_go_to_highs(self, n, family, monkeypatch):
         """fdp-su with gamma * n < 1 and fdp-sd at gamma 0 are kFWER programs
-        with k = 1, but HiGHS solves them; the optima agree."""
+        with k = 1, but take the HiGHS path; the optima agree. HiGHS is
+        called unless every column lies in a floor-tight row."""
         pairs = [(ErrorRateSpec(Rate.FDP_SU, n, gamma=0.0), Rate.KFWER_SU),
                  (ErrorRateSpec(Rate.FDP_SU, n, gamma=0.99 / n), Rate.KFWER_SU),
                  (ErrorRateSpec(Rate.FDP_SD, n, gamma=0.0), Rate.KFWER_SD)]
+        calls = []
+        monkeypatch.setattr(lp, "linprog", recording_linprog(calls))
         for fdp, kfwer_rate in pairs:
             kfwer = ErrorRateSpec(kfwer_rate, n, k=1)
-            fdp_solution, kfwer_solution = (
-                solve(build_problem(spec, family_constants(family, n, spec)))
-                for spec in (fdp, kfwer))
-            assert fdp_solution.iterations > 0 and kfwer_solution.iterations == 0
+            calls.clear()
+            fdp_problem, kfwer_problem = (build_problem(spec, family_constants(family, n, spec))
+                                          for spec in (fdp, kfwer))
+            fdp_solution = solve(fdp_problem)
+            assert ((fdp_solution.iterations > 0) == bool(calls)
+                    == bool(forcing_reduction(fdp_problem).free.size))
+            kfwer_solution = solve(kfwer_problem)
+            assert kfwer_solution.iterations == 0 and len(calls) <= 1
             assert fdp_solution.objective == pytest.approx(kfwer_solution.objective, rel=1e-9)
             assert fdp_solution.m1 == pytest.approx(kfwer_solution.m1, rel=1e-9)
 
