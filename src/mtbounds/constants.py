@@ -53,7 +53,7 @@ class CriticalVector:
     params: Mapping[str, object] | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: the caller keeps its array writeable
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a nonempty 1-D array")
         if not np.all(np.isfinite(v)):

@@ -268,9 +268,8 @@ def solve(problem: LPProblem) -> LPSolution:
         with np.errstate(divide="ignore"):
             implied = np.minimum(1.0 / column_max, cap)
         implied = np.maximum(np.minimum.accumulate(implied[::-1])[::-1], lower)
-        # HiGHS's bound tolerance is absolute: unscaled, fdp-su at gamma 0 and
-        # n=2000 ended 5e-8 below floors near 1e-3, and lifting xi to the floor
-        # put a row's bound at 1 + 4.9e-6.
+        # HiGHS's tolerances are absolute: unscaled, fdp-su at gamma 0.001 and
+        # n=3000 (bh floor) left xi decreasing by 2e-8 at a value near 5e-4.
         scale = np.where(np.isfinite(implied) & (implied > 0), implied, 1.0)
     upper = implied / scale
     # xi_j - xi_{j+1} <= 0 for adjacent free columns, in units of xi_{j+1}

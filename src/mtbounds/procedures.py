@@ -79,7 +79,7 @@ class PValueVector:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: the caller keeps its array writeable
         if v.ndim != 1 or v.size == 0:
             raise ValueError("p-values must form a nonempty 1-D array")
         if np.any(~np.isfinite(v)) or np.any(v < 0) or np.any(v > 1):

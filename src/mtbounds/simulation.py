@@ -132,9 +132,9 @@ class CellStats:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Per-cell estimates, plus any procedures whose constants could not be
-    built (name -> error text); a failure drops only that procedure's
-    column, the rest of the study is unaffected."""
+    """Per-cell estimates, plus any procedures whose LP failed (name ->
+    error text); a failure drops only that procedure's column, the rest of
+    the study is unaffected."""
 
     config: SimConfig
     cells: tuple[CellStats, ...] = field(default_factory=tuple)
@@ -210,15 +210,15 @@ def _procedure_tables(
 ) -> tuple[list[tuple[str, str, np.ndarray, str | None]], list[tuple[str, str]]]:
     """(name, direction, applied thresholds, twin) per procedure, computed
     once; a modified procedure's twin is the name of its unmodified variant,
-    any other's is None. Procedures whose constants fail are reported
-    instead of aborting."""
+    any other's is None. A procedure whose LP fails (``SolverError``) is
+    reported and dropped; any other error propagates."""
     tables = []
     failures = []
     for spec in config.roster():
         try:
             base = family_constants(spec.family, spec.n, spec.rate,
                                     modified=spec.modified, cache_dir=cache_dir)
-        except Exception as exc:  # noqa: BLE001 - isolate the failed column
+        except SolverError as exc:  # only the modified procedures solve an LP
             failures.append((spec.name, str(exc)))
             continue
         twin = replace(spec, modified=False).name if spec.modified else None
@@ -274,14 +274,13 @@ def run_study(
     ``threads`` only affects throughput (default: all logical cores); the
     report is bit-identical for any thread count. ``trace`` appends one CSV
     row per replication and procedure with the rejection counts, for
-    debugging. Raises lp.SolverError when every procedure's constants fail."""
+    debugging. A procedure whose LP fails is dropped and named in
+    ``failures``; the six that solve no LP always run."""
     if threads is None:
         threads = os.cpu_count() or 1
     if not (_is_int(threads) and threads >= 1):
         raise ValueError(f"threads must be a positive integer, got {threads}")
     tables, failures = _procedure_tables(config, cache_dir)
-    if not tables:
-        raise SolverError(f"every procedure failed: {failures}")
     grid = [(t, d) for t in config.true_counts for d in config.effects]
     # counts lie in 0..n: the smallest unsigned type holding n stores them exactly
     R = np.zeros((len(grid), len(tables), config.reps), dtype=np.min_scalar_type(config.n))

@@ -269,8 +269,10 @@ class TestOptimizeCommand:
 
 
     def test_dense_step_up_at_gamma_zero_is_feasible(self, capsys):
-        """Solved in unscaled variables, HiGHS ended 5e-8 below floors near
-        1e-3 here, and lifting xi to the floor gave a bound of 1 + 4.9e-6."""
+        """Before the floor-tight columns were fixed, HiGHS ended 5e-8 below
+        floors near 1e-3 here in unscaled variables, and lifting xi to the
+        floor gave a bound of 1 + 4.9e-6. With those columns fixed it passes
+        unscaled too; the scaling's test is the gamma = 0.001 one below."""
         n = 2000
         code, out, err = run(capsys, "optimize", "--rate", "fdp-su", "--gamma", "0",
                              "--family", "bh", "--n", str(n), "--format", "json")
@@ -280,6 +282,20 @@ class TestOptimizeCommand:
         assert np.all(xi >= np.array(payload["floor"]))
         spec = matrices.ErrorRateSpec(matrices.Rate.FDP_SU, n, gamma=0.0)
         assert np.max(matrices.bound_vector(spec, xi)) <= 1 + lp.FEASIBILITY_TOL
+
+    def test_dense_step_up_needs_scaled_variables(self, tmp_path, capsys):
+        """Without each variable in units of its implied bound, HiGHS's
+        absolute tolerances leave xi decreasing by more than
+        FEASIBILITY_TOL here, and the run exits 3 with "xi is not
+        nondecreasing". Scaled, it exits 0 and verify accepts its xi."""
+        spec = ["--rate", "fdp-su", "--gamma", "0.001", "--n", "3000"]
+        solution = tmp_path / "solution.json"
+        code, out, err = run(capsys, "optimize", *spec, "--family", "bh", "--format", "json",
+                             "--output", str(solution))
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run(capsys, "verify", *spec, "--input", str(solution))
+        assert (code, err) == (0, "")
+        assert out.endswith("feasible: yes\n")
 
 
 class TestVerifyCommand:
@@ -542,15 +558,28 @@ class TestSolverFailure:
         assert out == ""
         assert "solver failed: numeric-failure" in err
 
-    def test_simulate_with_every_procedure_failing_exits_3(self, monkeypatch, capsys):
-        def failing(*args, **kwargs):
-            raise lp.SolverError("solver failed: numeric-failure")
+    def test_simulate_drops_the_procedures_whose_lp_fails(self, monkeypatch, capsys):
+        """Only the four modified procedures solve an LP: a solver failure
+        drops their columns, the run exits 0 and JSON ``failures`` names
+        them."""
+        real = simulation.family_constants
+
+        def failing(*args, modified, **kwargs):
+            if modified:
+                raise lp.SolverError("solver failed: numeric-failure")
+            return real(*args, modified=modified, **kwargs)
 
         monkeypatch.setattr(simulation, "family_constants", failing)
-        code, out, err = run(capsys, "simulate", "--n", "5", "--reps", "10")
-        assert (code, out) == (3, "")
-        assert err.startswith("error: every procedure failed: [('FDP-BH-SU', "
-                              "'solver failed: numeric-failure')")
+        code, out, err = run(capsys, "simulate", "--n", "5", "--reps", "10", "--threads", "1",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        dropped = ["FDP-BH-SU (mod)", "FDP-BH-SD (mod)", "FDP-RS-SU (mod)", "FDP-RS-SD (mod)"]
+        assert payload["failures"] == [{"procedure": name,
+                                        "error": "solver failed: numeric-failure"}
+                                       for name in dropped]
+        names = {cell["procedure"] for cell in payload["cells"]}
+        assert len(names) == 6 and not names & set(dropped)
 
 
 class TestUsageErrors:

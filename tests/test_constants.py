@@ -194,6 +194,15 @@ class TestCriticalVector:
         with pytest.raises(ValueError):
             c.values[0] = 9.0
 
+    def test_copies_its_input(self):
+        """The vector holds a read-only copy; the caller's array stays
+        writeable, and writing to it does not change the vector."""
+        values = np.array([0.1, 0.2, 0.3])
+        c = CriticalVector(values)
+        assert values.flags.writeable and not c.values.flags.writeable
+        values[0] = 0.9
+        assert c.values.tolist() == [0.1, 0.2, 0.3]
+
     def test_scaled(self):
         c = bh_constants(4).scaled(0.5)
         assert np.allclose(c.values, np.arange(1, 5) / 8, atol=0)

@@ -342,3 +342,12 @@ class TestPValueVector:
             pv(0.5, 1.2)
         with pytest.raises(ValueError):
             pv(-0.01)
+
+    def test_copies_its_input(self):
+        """The vector holds a read-only copy; the caller's array stays
+        writeable, and writing to it does not change the vector."""
+        values = np.array([0.1, 0.2, 0.3])
+        p = PValueVector(values)
+        assert values.flags.writeable and not p.values.flags.writeable
+        values[0] = 0.9
+        assert p.values.tolist() == [0.1, 0.2, 0.3]

@@ -8,6 +8,7 @@ import pytest
 
 from mtbounds import (
     SimConfig,
+    SolverError,
     run_study,
     sample_statistics,
     two_sided_p,
@@ -323,7 +324,7 @@ class TestRunStudy:
 
         def flaky(family, n, rate, *, modified, **kwargs):
             if not modified and family == "rs" and rate.rate.direction == "sd":
-                raise RuntimeError("boom")
+                raise SolverError("boom")
             return real(family, n, rate, modified=modified, **kwargs)
 
         config = small_config(reps=200)
@@ -356,7 +357,7 @@ class TestRunStudy:
 
         def flaky(family, *args, **kwargs):
             if family == "gr":
-                raise RuntimeError("boom")
+                raise SolverError("boom")
             return real(family, *args, **kwargs)
 
         monkeypatch.setattr(sim, "family_constants", flaky)
@@ -365,6 +366,18 @@ class TestRunStudy:
         names = {c.procedure for c in report.cells}
         assert "FDR-GR-SD" not in names
         assert len(names) == 9
+
+    def test_error_other_than_a_solver_failure_propagates(self, monkeypatch):
+        """Only an LP failure drops a column: a programming error, or an
+        input error such as numpy's size limit, is not turned into one."""
+        import mtbounds.simulation as sim
+
+        def broken(*args, **kwargs):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(sim, "family_constants", broken)
+        with pytest.raises(TypeError, match="boom"):
+            run_study(small_config(reps=50, true_counts=(5,)), threads=1)
 
     def test_trace_file(self, tmp_path):
         path = tmp_path / "trace.csv"
